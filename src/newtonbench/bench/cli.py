@@ -2,7 +2,7 @@
 
 Subcommands: gen (datasets), bench (training runs), ablate (lambda sweep),
 check (numeric self-tests), slice (gradient slices). Exit codes: 0 success,
-2 bad configuration, 3 numeric failure.
+2 bad configuration or input (including unreadable files), 3 numeric failure.
 """
 
 import argparse
@@ -12,6 +12,7 @@ import numpy as np
 
 from ..errors import (
     ConfigError,
+    NewtonBenchError,
     NonFiniteResult,
     SingularMatrix,
     SolverFailure,
@@ -275,6 +276,9 @@ def main(argv=None):
     except (NonFiniteResult, SingularMatrix, SolverFailure, TooLarge) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except (NewtonBenchError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

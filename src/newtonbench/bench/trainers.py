@@ -1,6 +1,9 @@
-"""Training loops for the ranking and shortest-path benchmarks.
+"""The training loop of the ranking and shortest-path benchmarks.
 
-Three modes share every loop:
+One loop serves both tasks; a task only supplies its data, its metrics, and
+output_grads: the loss gradient rows at the network outputs and, for
+nl_hessian, their batch-averaged curvature.  Three modes then share one
+dispatch (output_rows):
   baseline    plain loss gradients into the backward pass,
   nl_hessian  regression toward curvature-corrected targets (the batch
               Hessian route; finite differences or smoothing estimates
@@ -123,6 +126,10 @@ class ExperimentConfig:
             raise ConfigError(f"ranking length must be >= 2, got {self.n}")
         if self.task == "path" and self.grid < 2:
             raise ConfigError(f"grid side must be >= 2, got {self.grid}")
+        for name in ("lam", "sigma", "tau", "beta", "lr"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.sigma <= 0 or self.samples < 1:
             raise ConfigError("sigma must be > 0 and samples >= 1")
         if self.lr <= 0:
@@ -131,6 +138,8 @@ class ExperimentConfig:
             raise ConfigError("batch cannot exceed train_count")
         if self.lam is None:
             self.lam = lambda_preset(self.task, self.method, self.mode, self.n)
+        if self.lam < 0:
+            raise ConfigError(f"lam must be >= 0, got {self.lam}")
         if self.mode != "baseline" and self.lam <= 0:
             raise ConfigError("Newton modes need lam > 0")
         if self.eval_every is None:
@@ -152,42 +161,35 @@ def _sub_seed(*parts):
     return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1)[0])
 
 
-def _split(records, eval_count):
+def _load_data(cfg):
+    """(dataset, training records, held-out records) for cfg's task."""
+    rank = cfg.task == "rank"
+    size = cfg.n if rank else cfg.grid
+    if not cfg.data_path:
+        gen = datagen.gen_ranking_data if rank else datagen.gen_grid_data
+        ds = gen(cfg.seed, size, cfg.train_count + cfg.eval_count, cfg.feature_dim)
+        return ds, ds.records[: cfg.train_count], ds.records[cfg.train_count :]
+    ds = datagen.load_dataset(cfg.data_path)
+    if not isinstance(ds, datagen.RankDataset if rank else datagen.GridDataset):
+        raise ConfigError(f"{cfg.data_path} is not a {'ranking' if rank else 'grid'} dataset")
+    stored = ds.n if rank else ds.size
+    if stored != size:
+        raise ConfigError(f"{cfg.data_path} holds size {stored}, the run asks for {size}")
     # loaded datasets hold out a third, capped at the configured eval size
-    k = min(eval_count, max(1, len(records) // 3))
-    return records[:-k], records[-k:]
+    k = min(cfg.eval_count, max(1, len(ds.records) // 3))
+    train, heldout = ds.records[:-k], ds.records[-k:]
+    if len(train) < cfg.batch:
+        raise ConfigError("dataset too small for the requested batch size")
+    return ds, train, heldout
+
+
+def _forward(model, records):
+    feats = np.concatenate([r.features for r in records], axis=0)
+    out, tape = net.forward(model, feats)
+    return out.reshape(len(records), -1), tape
 
 
 # ---------------------------------------------------------------- rank task
-
-
-def _rank_data(cfg):
-    if cfg.data_path:
-        ds = datagen.load_dataset(cfg.data_path)
-        if not isinstance(ds, datagen.RankDataset):
-            raise ConfigError(f"{cfg.data_path} is not a ranking dataset")
-        train, heldout = _split(ds.records, cfg.eval_count)
-        if len(train) < cfg.batch:
-            raise ConfigError("dataset too small for the requested batch size")
-        return ds, train, heldout
-    ds = datagen.gen_ranking_data(
-        cfg.seed, cfg.n, cfg.train_count + cfg.eval_count, cfg.feature_dim
-    )
-    return ds, ds.records[: cfg.train_count], ds.records[cfg.train_count :]
-
-
-def _rank_model(cfg, feature_dim):
-    return net.Mlp.init(
-        [feature_dim, cfg.hidden, 1],
-        ["tanh", "identity"],
-        np.random.SeedSequence((cfg.seed, 201)),
-    )
-
-
-def _rank_forward(model, records):
-    feats = np.concatenate([r.features for r in records], axis=0)
-    scores, tape = net.forward(model, feats)
-    return scores.reshape(len(records), -1), tape
 
 
 def rank_metrics(score_rows, records):
@@ -207,96 +209,23 @@ def rank_metrics(score_rows, records):
     }
 
 
-def _rank_probe(records, scfg):
-    truths = [diffsort.truth_from_order(r.ranking) for r in records]
-
-    def value(y):
-        return float(
-            sum(
-                diffsort.ranking_loss(row, t, scfg)[0]
-                for row, t in zip(y, truths)
-            )
-        )
-
-    def grad(y):
-        return np.stack(
-            [diffsort.ranking_loss(row, t, scfg)[1] for row, t in zip(y, truths)]
-        )
-
-    return newton.LossProbe(value=value, grad=grad)
-
-
-def _output_rows(cfg, y, probe, hessian=None):
-    """Mode dispatch: what goes into the backward pass for this batch."""
-    if cfg.mode == "baseline":
-        return probe.grad(y)
-    if cfg.mode == "nl_hessian":
-        if hessian is None:
-            target = newton.newton_target_hessian(y, probe, cfg.lam)
-        else:
-            target = newton.newton_target_from_parts(y, probe.grad(y), hessian, cfg.lam)
-        return newton.newton_loss_eval(y, target)[1]
-    rows = probe.grad(y)
-    n = y.shape[0]
-    return n * newton.inject_fisher(rows / n, cfg.lam)
-
-
-def run_ranking_experiment(cfg):
-    """Train the per-element scorer under cfg and record ranking metrics."""
-    if cfg.task != "rank":
-        raise ConfigError("run_ranking_experiment wants task='rank'")
-    started = time.perf_counter()
-    ds, train, heldout = _rank_data(cfg)
-    model = _rank_model(cfg, ds.feature_dim)
-    opt = net.OptimizerState.create(cfg.optimizer, cfg.lr, model)
-    batch_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 202)))
+def _rank_grads(cfg, y, batch, step):
+    """Ranking-loss gradient rows; finite-difference curvature for nl_hessian."""
     scfg = diffsort.SortConfig(method=cfg.method, tau=cfg.tau, beta=cfg.beta)
+    truths = [diffsort.truth_from_order(r.ranking) for r in batch]
 
-    curve = []
+    def grads_of(v):
+        return np.stack(
+            [diffsort.ranking_loss(row, t, scfg)[1] for row, t in zip(v, truths)]
+        )
 
-    def evaluate(step):
-        rows, _ = _rank_forward(model, heldout)
-        point = {"step": step}
-        point.update(rank_metrics(rows, heldout))
-        curve.append(point)
-
-    evaluate(0)
-    for step in range(1, cfg.steps + 1):
-        idx = batch_rng.choice(len(train), size=cfg.batch, replace=False)
-        batch = [train[i] for i in idx]
-        y, tape = _rank_forward(model, batch)
-        probe = _rank_probe(batch, scfg)
-        rows = _output_rows(cfg, y, probe)
-        grads = net.backward(model, tape, rows.reshape(-1, 1))
-        net.optimizer_step(opt, model, grads)
-        if step % cfg.eval_every == 0 or step == cfg.steps:
-            evaluate(step)
-
-    return TrainReport(
-        config=config_echo(cfg),
-        seed=cfg.seed,
-        curve=curve,
-        final={k: v for k, v in curve[-1].items() if k != "step"},
-        wall_clock=time.perf_counter() - started,
-    )
+    rows = grads_of(y)
+    if cfg.mode != "nl_hessian":
+        return rows, None
+    return rows, newton.batch_hessian(newton.LossProbe(grad=grads_of), y)
 
 
 # ---------------------------------------------------------------- path task
-
-
-def _path_data(cfg):
-    if cfg.data_path:
-        ds = datagen.load_dataset(cfg.data_path)
-        if not isinstance(ds, datagen.GridDataset):
-            raise ConfigError(f"{cfg.data_path} is not a grid dataset")
-        train, heldout = _split(ds.records, cfg.eval_count)
-        if len(train) < cfg.batch:
-            raise ConfigError("dataset too small for the requested batch size")
-        return ds, train, heldout
-    ds = datagen.gen_grid_data(
-        cfg.seed, cfg.grid, cfg.train_count + cfg.eval_count, cfg.feature_dim
-    )
-    return ds, ds.records[: cfg.train_count], ds.records[cfg.train_count :]
 
 
 def costs_from_raw(raw):
@@ -320,92 +249,97 @@ def path_metrics(raw_rows, records, size):
     return {"perfect_match": 100.0 * hits / len(records)}
 
 
-def _path_rows_ss_loss(cfg, y, masks, step):
-    """Smoothed-loss gradients (and curvature for nl_hessian)."""
-    n, m = y.shape
-    rows = np.empty_like(y)
-    hess = np.zeros((m, m)) if cfg.mode == "nl_hessian" else None
-    size = cfg.grid
-    for j in range(n):
-        q = masks[j]
-
-        def hamming(u, _q=q):
-            return float(np.sum(np.abs(_mask_of_raw(u, size) - _q)))
-
-        scfg = smoothing.SmoothingConfig(
-            sigma=cfg.sigma,
-            samples=cfg.samples,
-            seed=_sub_seed(cfg.seed, 301, step, j),
-        )
-        rows[j] = smoothing.smooth_grad(hamming, y[j], scfg)
-        if hess is not None:
-            hess += smoothing.smooth_hessian(hamming, y[j], scfg)
-    if hess is not None:
-        hess /= n
-    return rows, hess
+# seed-stream tag of each path method's smoothing draws
+_PATH_SEED_TAGS = {"ss_loss": 301, "ss_algorithm": 302, "fy": 303}
 
 
-def _path_rows_ss_algorithm(cfg, y, masks, step):
-    """Chain the analytic square loss through the smoothed solver output."""
-    n, m = y.shape
-    rows = np.empty_like(y)
-    size = cfg.grid
-    for j in range(n):
-        solver = smoothing.BlackBox(
-            fn=lambda u, _s=size: _mask_of_raw(u, _s), out_dim=m
-        )
-        scfg = smoothing.SmoothingConfig(
-            sigma=cfg.sigma,
-            samples=cfg.samples,
-            seed=_sub_seed(cfg.seed, 302, step, j),
-        )
-        jac = smoothing.smooth_jacobian(solver, y[j], scfg)
-        # same Philox key as the jacobian call, so both see one draw set
-        draws = smoothing._draws(scfg, m)
-        mean_mask = np.mean([solver(y[j] + e) for e in draws], axis=0)
-        rows[j] = jac.T @ (mean_mask - masks[j])
-    return rows, None
+def _path_grads(cfg, y, batch, step):
+    """Smoothed gradient rows, plus averaged curvature for nl_hessian.
 
-
-def _path_rows_fy(cfg, y, masks, step):
-    """Perturbed-argmax loss gradients, chained through the cost map."""
+    ss_loss smooths the Hamming loss of the solver's mask; ss_algorithm
+    chains the square loss through the smoothed solver output; fy takes the
+    perturbed-argmax loss gradient and chains it through the cost map.
+    """
     n, m = y.shape
     size = cfg.grid
     rows = np.empty_like(y)
     hess = np.zeros((m, m)) if cfg.mode == "nl_hessian" else None
 
-    def solver(s):
+    def solver(u):
+        return _mask_of_raw(u, size)
+
+    def argmax(s):
         return shortest_path.indicator_argmax(s, size, size)
 
-    for j in range(n):
-        scores = -costs_from_raw(y[j])
+    for j, rec in enumerate(batch):
+        mask = np.asarray(rec.mask, dtype=np.float64).ravel()
         scfg = smoothing.SmoothingConfig(
             sigma=cfg.sigma,
             samples=cfg.samples,
-            seed=_sub_seed(cfg.seed, 303, step, j),
+            seed=_sub_seed(cfg.seed, _PATH_SEED_TAGS[cfg.method], step, j),
         )
-        g_scores = smoothing.fy_loss_grad(scores, masks[j], solver, scfg)
-        slope = -expit(y[j])  # d scores / d raw
-        rows[j] = g_scores * slope
-        if hess is not None:
-            jac = smoothing.smooth_jacobian(
-                smoothing.BlackBox(fn=solver, out_dim=m), scores, scfg
-            )
-            curv = expit(y[j]) * (1.0 - expit(y[j]))  # d^2 scores / d raw^2
-            h_j = (slope[:, None] * jac) * slope[None, :] - np.diag(g_scores * curv)
-            hess += 0.5 * (h_j + h_j.T)
+        if cfg.method == "ss_loss":
+
+            def hamming(u):
+                return float(np.sum(np.abs(_mask_of_raw(u, size) - mask)))
+
+            rows[j] = smoothing.smooth_grad(hamming, y[j], scfg)
+            if hess is not None:
+                hess += smoothing.smooth_hessian(hamming, y[j], scfg)
+        elif cfg.method == "ss_algorithm":
+            jac = smoothing.smooth_jacobian(solver, y[j], scfg)
+            # same Philox key as the jacobian call, so both see one draw set
+            draws = smoothing._draws(scfg, m)
+            mean_mask = np.mean([solver(y[j] + e) for e in draws], axis=0)
+            rows[j] = jac.T @ (mean_mask - mask)
+        else:
+            scores = -costs_from_raw(y[j])
+            g_scores = smoothing.fy_loss_grad(scores, mask, argmax, scfg)
+            slope = -expit(y[j])  # d scores / d raw
+            rows[j] = g_scores * slope
+            if hess is not None:
+                jac = smoothing.smooth_jacobian(argmax, scores, scfg)
+                curv = expit(y[j]) * (1.0 - expit(y[j]))  # d^2 scores / d raw^2
+                h_j = (slope[:, None] * jac) * slope[None, :] - np.diag(g_scores * curv)
+                hess += 0.5 * (h_j + h_j.T)
     if hess is not None:
         hess /= n
     return rows, hess
 
 
-def run_path_experiment(cfg):
-    """Train the per-cell cost predictor and record perfect-match rates."""
-    if cfg.task != "path":
-        raise ConfigError("run_path_experiment wants task='path'")
+# ---------------------------------------------------------------- training
+
+
+def output_grads(cfg, y, batch, step):
+    """Per-sample loss gradient rows for y, and the batch-averaged curvature
+    when cfg.mode is nl_hessian (None otherwise)."""
+    if cfg.task == "rank":
+        return _rank_grads(cfg, y, batch, step)
+    return _path_grads(cfg, y, batch, step)
+
+
+def output_rows(cfg, y, grad_rows, curvature):
+    """Mode dispatch: what goes into the backward pass for this batch."""
+    if cfg.mode == "baseline":
+        return grad_rows
+    if cfg.mode == "nl_hessian":
+        target = newton.newton_target_from_parts(y, grad_rows, curvature, cfg.lam)
+        return newton.newton_loss_eval(y, target)[1]
+    n = y.shape[0]
+    return n * newton.inject_fisher(grad_rows / n, cfg.lam)
+
+
+def _metrics(cfg, out_rows, records):
+    if cfg.task == "rank":
+        return rank_metrics(out_rows, records)
+    return path_metrics(out_rows, records, cfg.grid)
+
+
+def run_experiment(cfg):
+    """Train the per-element scorer (rank) or per-cell cost predictor (path)
+    under cfg, evaluating the held-out metrics along the way."""
     started = time.perf_counter()
-    ds, train, heldout = _path_data(cfg)
-    size = ds.size
+    ds, train, heldout = _load_data(cfg)
     model = net.Mlp.init(
         [ds.feature_dim, cfg.hidden, 1],
         ["tanh", "identity"],
@@ -413,34 +347,19 @@ def run_path_experiment(cfg):
     )
     opt = net.OptimizerState.create(cfg.optimizer, cfg.lr, model)
     batch_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 202)))
-    row_fn = {
-        "ss_loss": _path_rows_ss_loss,
-        "ss_algorithm": _path_rows_ss_algorithm,
-        "fy": _path_rows_fy,
-    }[cfg.method]
-
-    def forward_rows(records):
-        feats = np.concatenate([r.features for r in records], axis=0)
-        out, tape = net.forward(model, feats)
-        return out.reshape(len(records), -1), tape
 
     curve = []
 
     def evaluate(step):
-        rows, _ = forward_rows(heldout)
-        point = {"step": step}
-        point.update(path_metrics(rows, heldout, size))
-        curve.append(point)
+        out_rows, _ = _forward(model, heldout)
+        curve.append({"step": step, **_metrics(cfg, out_rows, heldout)})
 
     evaluate(0)
     for step in range(1, cfg.steps + 1):
         idx = batch_rng.choice(len(train), size=cfg.batch, replace=False)
         batch = [train[i] for i in idx]
-        y, tape = forward_rows(batch)
-        masks = [np.asarray(r.mask, dtype=np.float64).ravel() for r in batch]
-        grad_rows, hessian = row_fn(cfg, y, masks, step)
-        probe = newton.LossProbe(value=lambda v: 0.0, grad=lambda v: grad_rows)
-        rows = _output_rows(cfg, y, probe, hessian=hessian)
+        y, tape = _forward(model, batch)
+        rows = output_rows(cfg, y, *output_grads(cfg, y, batch, step))
         grads = net.backward(model, tape, rows.reshape(-1, 1))
         net.optimizer_step(opt, model, grads)
         if step % cfg.eval_every == 0 or step == cfg.steps:
@@ -455,10 +374,14 @@ def run_path_experiment(cfg):
     )
 
 
-def run_experiment(cfg):
-    if cfg.task == "rank":
-        return run_ranking_experiment(cfg)
-    return run_path_experiment(cfg)
+def __getattr__(name):
+    # The former per-task entry points, resolved on lookup rather than bound
+    # as globals: run_experiment then stays the only module attribute holding
+    # the function, so tools that wrap module functions by attribute name
+    # (stepbench's tracer) give its calls one name.
+    if name in ("run_ranking_experiment", "run_path_experiment"):
+        return run_experiment
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def ablate_lambda(cfg, lam_grid):
@@ -478,14 +401,14 @@ def ablate_lambda(cfg, lam_grid):
 
     reports = []
     base_cfg = ExperimentConfig(**{**asdict(cfg), "mode": "baseline", "lam": None})
-    base_report = run_ranking_experiment(base_cfg)
+    base_report = run_experiment(base_cfg)
     reports.append(base_report)
     columns = {"baseline": base_report.final["element_rank"]}
     for mode in ("nl_hessian", "nl_fisher"):
         col = []
         for lam in lams:
             run_cfg = ExperimentConfig(**{**asdict(cfg), "mode": mode, "lam": lam})
-            rep = run_ranking_experiment(run_cfg)
+            rep = run_experiment(run_cfg)
             reports.append(rep)
             col.append(rep.final["element_rank"])
         columns[mode] = col

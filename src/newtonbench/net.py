@@ -7,7 +7,6 @@ batch-averaged parameter gradients of the linearized loss
 beyond the optimizer moments.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,14 +31,6 @@ def _act_deriv(name, z):
         t = np.tanh(z)
         return 1.0 - t * t
     return np.ones_like(z)
-
-
-@dataclass
-class Batch:
-    """Inputs plus whatever label payload the task loss needs."""
-
-    inputs: np.ndarray
-    payload: object = None
 
 
 @dataclass
@@ -105,8 +96,7 @@ def clone_model(model):
 
 def forward(model, batch):
     """Run the batch through the model, returning outputs and a tape."""
-    x = batch.inputs if isinstance(batch, Batch) else batch
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeMismatch(f"inputs must be 2-d, got shape {x.shape}")
     if x.shape[1] != model.weights[0].shape[1]:
@@ -227,25 +217,3 @@ def flat_grads(grads):
         parts.append(gb)
     return np.concatenate(parts)
 
-
-def save_checkpoint(model, path):
-    """JSON checkpoint: sizes, activations, then per-layer weight/bias lists."""
-    payload = {
-        "sizes": model.sizes,
-        "activations": model.activations,
-        "weights": [W.tolist() for W in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def load_checkpoint(path):
-    with open(path) as fh:
-        payload = json.load(fh)
-    weights = [np.asarray(W, dtype=np.float64) for W in payload["weights"]]
-    biases = [np.asarray(b, dtype=np.float64) for b in payload["biases"]]
-    model = Mlp(weights, biases, payload["activations"])
-    if model.sizes != payload["sizes"]:
-        raise ConfigError("checkpoint sizes do not match stored tensors")
-    return model

@@ -14,7 +14,7 @@ awkward curvature get replaced by a well-conditioned quadratic around the
 current iterate.
 
 Conventions shared with the rest of the package:
-  * probe.value(Y) is the total loss over the batch (sum over rows),
+  * probe.value(Y), if given, is the total loss over the batch (sum over rows),
   * probe.grad(Y) returns unscaled per-sample gradient rows (N x m),
   * probe.hessian(Y), when present, returns the batch-averaged m x m Hessian,
   * the 1/N mean reduction happens in net.backward, so newton_loss_eval also
@@ -35,14 +35,15 @@ from . import net
 class LossProbe:
     """Callbacks exposing a loss to the target constructors.
 
-    value: Y (N x m) -> float, total loss of the batch.
     grad:  Y (N x m) -> N x m, row i is the gradient of sample i's loss
            with respect to y_i (no batch scaling).
+    value: optional, Y (N x m) -> float, total loss of the batch; the
+           target constructors never call it.
     hessian: optional, Y (N x m) -> m x m batch-averaged Hessian.
     """
 
-    value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
+    value: Optional[Callable[[np.ndarray], float]] = None
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @property

@@ -9,7 +9,6 @@ path indicators for perturbed-argmax training.
 """
 
 import heapq
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +43,6 @@ class PathMask:
 
     def __post_init__(self):
         self.mask = np.asarray(self.mask)
-
-    def cells(self):
-        return list(zip(*np.nonzero(self.mask)))
 
 
 def path_mask_is_valid(mask):
@@ -182,28 +178,3 @@ def indicator_argmax(scores, height, width, floor=1e-9):
     mask = dijkstra_grid(GridInstance(height=height, width=width, node_costs=costs))
     return mask.mask.astype(np.float64).ravel()
 
-
-def grid_to_json(inst, mask=None):
-    payload = {
-        "height": inst.height,
-        "width": inst.width,
-        "costs": inst.node_costs.ravel().tolist(),
-    }
-    if mask is not None:
-        m = mask.mask if isinstance(mask, PathMask) else np.asarray(mask)
-        payload["mask"] = [int(v) for v in m.ravel()]
-    else:
-        payload["mask"] = None
-    return json.dumps(payload, sort_keys=True)
-
-
-def grid_from_json(text):
-    payload = json.loads(text)
-    h, w = payload["height"], payload["width"]
-    inst = GridInstance(
-        height=h, width=w, node_costs=np.asarray(payload["costs"]).reshape(h, w)
-    )
-    mask = None
-    if payload.get("mask") is not None:
-        mask = PathMask(mask=np.asarray(payload["mask"], dtype=np.int64).reshape(h, w))
-    return inst, mask

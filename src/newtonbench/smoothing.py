@@ -37,32 +37,13 @@ class SmoothingConfig:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
 
 
-@dataclass
-class BlackBox:
-    """Evaluation callback plus its declared output dimension.
-
-    out_dim None marks a scalar-valued function.
-    """
-
-    fn: callable
-    out_dim: int = None
-
-    def __call__(self, y):
-        return self.fn(y)
-
-
-def _as_callable(f):
-    return f if callable(f) else f.fn
-
-
 def _draws(cfg, m):
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     return cfg.sigma * rng.standard_normal((cfg.samples, m))
 
 
 def _probe_scalar(f, points):
-    fn = _as_callable(f)
-    vals = np.array([float(fn(p)) for p in points])
+    vals = np.array([float(f(p)) for p in points])
     if not np.all(np.isfinite(vals)):
         raise NonFiniteResult("black-box probe returned non-finite values")
     return vals
@@ -72,7 +53,7 @@ def smooth_grad(f, y, cfg):
     """Score-function gradient estimate of the Gaussian-smoothed f at y."""
     y = np.asarray(y, dtype=np.float64)
     eps = _draws(cfg, y.shape[0])
-    b = float(_as_callable(f)(y)) if cfg.variance_reduction else 0.0
+    b = float(f(y)) if cfg.variance_reduction else 0.0
     vals = _probe_scalar(f, y + eps)
     return ((vals - b)[:, None] * eps).mean(axis=0) / cfg.sigma**2
 
@@ -82,7 +63,7 @@ def smooth_hessian(f, y, cfg):
     y = np.asarray(y, dtype=np.float64)
     m = y.shape[0]
     eps = _draws(cfg, m)
-    b = float(_as_callable(f)(y)) if cfg.variance_reduction else 0.0
+    b = float(f(y)) if cfg.variance_reduction else 0.0
     vals = _probe_scalar(f, y + eps)
     w = vals - b
     # mean_i w_i (e_i e_i^T / s^4 - I / s^2), accumulated as matrix products
@@ -95,15 +76,14 @@ def smooth_jacobian(f, y, cfg):
     """Per-row smoothed gradients of a vector function, sharing one draw set."""
     y = np.asarray(y, dtype=np.float64)
     m = y.shape[0]
-    fn = _as_callable(f)
     eps = _draws(cfg, m)
-    base = np.asarray(fn(y), dtype=np.float64)
+    base = np.asarray(f(y), dtype=np.float64)
     if base.ndim != 1:
         raise ShapeMismatch(f"vector black box must return 1-d output, got {base.shape}")
     k = base.shape[0]
     vals = np.empty((cfg.samples, k))
     for i in range(cfg.samples):
-        out = np.asarray(fn(y + eps[i]), dtype=np.float64)
+        out = np.asarray(f(y + eps[i]), dtype=np.float64)
         if out.shape != (k,):
             raise ShapeMismatch(f"output dim changed between probes: {out.shape}")
         vals[i] = out
@@ -124,11 +104,10 @@ def fy_loss_grad(y, w_star, argmax_solver, cfg):
         raise ShapeMismatch(
             f"target indicator shape {w_star.shape} != score shape {y.shape}"
         )
-    fn = _as_callable(argmax_solver)
     eps = _draws(cfg, y.shape[0])
     acc = np.zeros_like(y)
     for i in range(cfg.samples):
-        w = np.asarray(fn(y + eps[i]), dtype=np.float64)
+        w = np.asarray(argmax_solver(y + eps[i]), dtype=np.float64)
         if w.shape != y.shape:
             raise ShapeMismatch(f"argmax output shape {w.shape} != {y.shape}")
         acc += w

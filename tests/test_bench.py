@@ -194,16 +194,22 @@ class TestLambdaLimit:
         # with overwhelming damping both Newton modes shrink toward a
         # rescaled plain gradient, so first-step directions must agree
         cfg = _quick_cfg(seed=3)
-        _, train, _ = trainers._rank_data(cfg)
-        model = trainers._rank_model(cfg, cfg.feature_dim)
-        batch = train[: cfg.batch]
-        scfg = diffsort.SortConfig(method=cfg.method, tau=cfg.tau, beta=cfg.beta)
-        probe = trainers._rank_probe(batch, scfg)
-        y, tape = trainers._rank_forward(model, batch)
+        ds = datagen.gen_ranking_data(
+            cfg.seed, cfg.n, cfg.train_count + cfg.eval_count, cfg.feature_dim
+        )
+        batch = ds.records[: cfg.batch]
+        model = net.Mlp.init(
+            [cfg.feature_dim, cfg.hidden, 1],
+            ["tanh", "identity"],
+            np.random.SeedSequence((cfg.seed, 201)),
+        )
+        out, tape = net.forward(model, np.concatenate([r.features for r in batch]))
+        y = out.reshape(cfg.batch, -1)
 
         def update_direction(mode):
             run_cfg = _quick_cfg(seed=3, mode=mode, lam=1e8 if mode != "baseline" else None)
-            rows = trainers._output_rows(run_cfg, y, probe)
+            grad_rows, curvature = trainers.output_grads(run_cfg, y, batch, 1)
+            rows = trainers.output_rows(run_cfg, y, grad_rows, curvature)
             grads = net.backward(model, tape, rows.reshape(-1, 1))
             return net.flat_grads(grads)
 

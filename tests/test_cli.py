@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from newtonbench import errors
 from newtonbench.bench import cli, datagen, report
 
 
@@ -114,6 +115,17 @@ class TestBench:
         doc = json.loads(out.read_text())
         assert doc["config"]["data_path"] == str(ds)
 
+    @pytest.mark.parametrize(
+        "kind,stored,asked",
+        [("rank", ["--n", "4"], ["--n", "7"]), ("path", ["--grid", "3"], ["--grid", "4"])],
+    )
+    def test_dataset_size_must_match(self, kind, stored, asked, tmp_path):
+        ds = tmp_path / "ds.jsonl"
+        assert run_cli(["gen", kind, *stored, "--count", "12", "--out", str(ds)]) == 0
+        args = ["bench", kind, *asked, "--mode", "baseline", "--steps", "2",
+                "--batch", "4", "--data", str(ds)]
+        assert run_cli(args) == 2
+
 
 class TestAblateCli:
     def test_lambda_column_verbatim(self, tmp_path):
@@ -186,6 +198,60 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run_cli(["bench", "rank", "--method", "ss_loss"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["bench", "rank", "--mode", "nl_hessian", "--lambda", "nan"],
+            ["bench", "rank", "--mode", "nl_fisher", "--lambda", "inf"],
+            ["bench", "rank", "--mode", "baseline", "--lambda=-5"],
+            ["bench", "rank", "--tau", "nan"],
+            ["bench", "rank", "--method", "dsn_logistic", "--beta", "inf"],
+            ["bench", "path", "--sigma", "nan"],
+            ["bench", "rank", "--data", "no/such/dataset.jsonl"],
+            ["ablate", "lambda", "--tau", "nan"],
+        ],
+    )
+    def test_bad_values_exit_2_without_traceback(self, args, capsys):
+        assert run_cli(args + ["--steps", "2", "--batch", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "exc,code",
+        [
+            (errors.ConfigError, 2),
+            (errors.ShapeMismatch, 2),
+            (errors.MissingHessian, 2),
+            (FileNotFoundError, 2),
+            (errors.NonFiniteResult, 3),
+            (errors.SingularMatrix, 3),
+            (errors.SolverFailure, 3),
+            (errors.TooLarge, 3),
+        ],
+    )
+    def test_every_package_error_has_an_exit_code(self, exc, code, monkeypatch, capsys):
+        def fail(seed):
+            raise exc("boom")
+
+        monkeypatch.setattr(cli.checks, "check_grad", fail)
+        assert run_cli(["check", "grad"]) == code
+        assert capsys.readouterr().err.strip().endswith("boom")
+
+    def test_malformed_dataset_is_2(self, tmp_path, capsys):
+        # rankings of length 2 in a file that declares n=3
+        ds = tmp_path / "bad.jsonl"
+        assert run_cli(
+            ["gen", "rank", "--n", "3", "--count", "30", "--out", str(ds)]
+        ) == 0
+        lines = ds.read_text().splitlines()
+        lines[1:] = [
+            json.dumps({**json.loads(ln), "ranking": [0, 1]}) for ln in lines[1:]
+        ]
+        ds.write_text("\n".join(lines) + "\n")
+        assert run_cli(QUICK_RANK + ["--mode", "baseline", "--data", str(ds)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_numeric_failure_is_3(self):
         code = run_cli(

@@ -23,13 +23,6 @@ class TestForward:
         y, _ = net.forward(model, np.ones((4, 3)))
         np.testing.assert_array_equal(y, np.tile([0.5, -1.0], (4, 1)))
 
-    def test_batch_wrapper_accepted(self):
-        model = make_model([2, 2], ["identity"])
-        x = np.ones((3, 2))
-        y1, _ = net.forward(model, x)
-        y2, _ = net.forward(model, net.Batch(inputs=x, payload="anything"))
-        np.testing.assert_array_equal(y1, y2)
-
     def test_width_mismatch_raises(self):
         model = make_model([3, 2], ["relu"])
         with pytest.raises(ShapeMismatch):
@@ -151,13 +144,3 @@ class TestDeterminismAndCheckpoint:
         b = make_model([5, 8, 3], ["tanh", "identity"], seed=123)
         np.testing.assert_array_equal(net.get_flat_params(a), net.get_flat_params(b))
 
-    def test_checkpoint_roundtrip(self, tmp_path):
-        model = make_model([4, 3, 2], ["relu", "identity"], seed=9)
-        path = tmp_path / "model.json"
-        net.save_checkpoint(model, path)
-        loaded = net.load_checkpoint(path)
-        np.testing.assert_array_equal(
-            net.get_flat_params(model), net.get_flat_params(loaded)
-        )
-        assert loaded.activations == model.activations
-        assert loaded.sizes == model.sizes

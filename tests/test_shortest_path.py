@@ -154,17 +154,3 @@ class TestArgmaxView:
             np.testing.assert_array_equal(
                 w.reshape(4, 4), sp.dijkstra_grid(inst).mask
             )
-
-
-class TestJsonRoundTrip:
-    def test_with_and_without_mask(self):
-        rng = np.random.default_rng(7)
-        inst = random_grid(rng, 3, 4)
-        mask = sp.dijkstra_grid(inst)
-        text = sp.grid_to_json(inst, mask)
-        inst2, mask2 = sp.grid_from_json(text)
-        np.testing.assert_array_equal(inst2.node_costs, inst.node_costs)
-        np.testing.assert_array_equal(mask2.mask, mask.mask)
-        inst3, mask3 = sp.grid_from_json(sp.grid_to_json(inst))
-        assert mask3 is None
-        np.testing.assert_array_equal(inst3.node_costs, inst.node_costs)
