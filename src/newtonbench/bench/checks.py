@@ -7,6 +7,7 @@ numbers and pick an exit code without depending on a test runner.
 import numpy as np
 
 from .. import diffsort, net, newton, shortest_path
+from ..errors import ConfigError
 
 GRAD_TOL = 1e-5
 GD_LEMMA_TOL = 1e-10
@@ -132,6 +133,8 @@ def _enumerate_best(costs):
 
 def check_oracles(seed=0, grids_per_size=100, sizes=(3, 4, 5)):
     """Dijkstra against exhaustive path enumeration on random grids."""
+    if grids_per_size < 1:
+        raise ConfigError(f"need at least one grid per size, got {grids_per_size}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 405)))
     max_rel = 0.0
     mask_mismatches = 0

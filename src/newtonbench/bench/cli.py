@@ -37,6 +37,13 @@ def _parse_floats(text):
         raise ConfigError(f"expected a comma-separated float list, got {text!r}")
 
 
+def _seed(text):
+    """argparse type of --seed: the generators take non-negative seeds only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _cfg_overrides(args, task):
     keys = (
         "method",
@@ -88,23 +95,26 @@ def _cmd_bench(args):
             if not (args.method == "ss_algorithm" and m == "nl_hessian")
         ]
     over = _cfg_overrides(args, task)
+    # every configuration is checked before the first run starts
+    cfgs = {
+        mode: [
+            trainers.ExperimentConfig(**{**over, "mode": mode, "seed": seed})
+            for seed in seed_list
+        ]
+        for mode in modes
+    }
+    echo = trainers.config_echo(cfgs[modes[0]][0])
     mode_runs = {}
-    echo = None
-    for mode in modes:
+    for mode, mode_cfgs in cfgs.items():
         runs = []
-        lam = None
-        for seed in seed_list:
-            cfg = trainers.ExperimentConfig(**{**over, "mode": mode, "seed": seed})
-            lam = cfg.lam
-            if echo is None:
-                echo = trainers.config_echo(cfg)
+        for cfg in mode_cfgs:
             rep = trainers.run_experiment(cfg)
             print(
-                f"[{mode} seed={seed}] final={rep.final} ({rep.wall_clock:.1f}s)",
+                f"[{mode} seed={cfg.seed}] final={rep.final} ({rep.wall_clock:.1f}s)",
                 file=sys.stderr,
             )
             runs.append(rep)
-        mode_runs[mode] = (lam, runs)
+        mode_runs[mode] = (mode_cfgs[-1].lam, runs)
     echo["mode"] = "+".join(modes)
     echo["seed"] = seed_list[0]
     echo["seeds"] = seed_list
@@ -150,6 +160,8 @@ def _cmd_check(args):
 
 
 def _cmd_slice(args):
+    if args.n < 2:
+        raise ConfigError(f"--n must be >= 2, got {args.n}")
     if args.base is not None:
         base = np.asarray(_parse_floats(args.base))
         if base.size < 2:
@@ -170,7 +182,7 @@ def _add_common_run_flags(p, task):
     p.add_argument("--mode", choices=trainers.MODES)
     p.add_argument("--lambda", dest="lam", type=float, help="Tikhonov strength")
     seeding = p.add_mutually_exclusive_group()
-    seeding.add_argument("--seed", type=int)
+    seeding.add_argument("--seed", type=_seed)
     seeding.add_argument("--seeds", type=int, help="fan out over seeds 0..k-1")
     p.add_argument("--steps", type=int)
     p.add_argument("--batch", type=int)
@@ -203,7 +215,7 @@ def build_parser():
         else:
             g.add_argument("--grid", type=int, default=4, help="grid side length")
         g.add_argument("--count", type=int, default=384)
-        g.add_argument("--seed", type=int, default=0)
+        g.add_argument("--seed", type=_seed, default=0)
         g.add_argument("--feature-dim", type=int, default=6)
         g.add_argument("--out", required=True)
         g.set_defaults(fn=_cmd_gen)
@@ -226,7 +238,7 @@ def build_parser():
     lam.add_argument(
         "--lambdas", default=DEFAULT_LAMBDAS, help="comma-separated ascending values"
     )
-    lam.add_argument("--seed", type=int)
+    lam.add_argument("--seed", type=_seed)
     lam.add_argument("--steps", type=int)
     lam.add_argument("--batch", type=int)
     lam.add_argument("--n", type=int)
@@ -240,7 +252,7 @@ def build_parser():
     check_sub = check.add_subparsers(dest="what", required=True)
     for what in ("grad", "lemmas", "oracles"):
         c = check_sub.add_parser(what)
-        c.add_argument("--seed", type=int, default=0)
+        c.add_argument("--seed", type=_seed, default=0)
         if what == "oracles":
             c.add_argument("--grids", type=int, default=100, help="grids per size")
         c.set_defaults(fn=_cmd_check)
@@ -269,7 +281,10 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # non-finite values are reported by the package's own checks (exit 3);
+        # numpy's floating-point warnings would only add stderr lines
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

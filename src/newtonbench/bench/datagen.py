@@ -221,41 +221,53 @@ def save_grid_dataset(ds, path):
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+# per dataset kind: its class, its size field and the fields of one record
+_KINDS = {
+    "rank": (RankDataset, "n", ("features", "ranking")),
+    "path": (GridDataset, "size", ("features", "mask")),
+}
+
+
+def _json_object(path, lineno, line, fields):
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} line {lineno}: not JSON ({exc.msg})") from None
+    if not isinstance(obj, dict) or any(f not in obj for f in fields):
+        raise ConfigError(f"{path} line {lineno}: needs an object with {', '.join(fields)}")
+    return obj
+
+
+def _record(kind, row):
+    features = np.asarray(row["features"], dtype=np.float64)
+    if kind == "rank":
+        return RankRecord(features=features, ranking=tuple(row["ranking"]))
+    return GridRecord(features=features, mask=np.asarray(row["mask"], dtype=np.float64))
+
+
 def load_dataset(path):
-    """Read either dataset kind back; diagnostic fields stay empty."""
+    """Read either dataset kind back; diagnostic fields stay empty.
+
+    A line that is not a JSON object, lacks a field its kind needs or holds
+    a value of the wrong type raises ConfigError naming the file and line.
+    """
     with open(path) as fh:
-        meta = json.loads(fh.readline())
-        kind = meta.get("kind")
-        if kind == "rank":
-            records = []
-            for line in fh:
-                row = json.loads(line)
-                records.append(
-                    RankRecord(
-                        features=np.asarray(row["features"], dtype=np.float64),
-                        ranking=tuple(row["ranking"]),
-                    )
-                )
-            return RankDataset(
-                n=meta["n"],
-                feature_dim=meta["feature_dim"],
-                seed=meta["seed"],
-                records=records,
-            )
-        if kind == "path":
-            records = []
-            for line in fh:
-                row = json.loads(line)
-                records.append(
-                    GridRecord(
-                        features=np.asarray(row["features"], dtype=np.float64),
-                        mask=np.asarray(row["mask"], dtype=np.float64),
-                    )
-                )
-            return GridDataset(
-                size=meta["size"],
-                feature_dim=meta["feature_dim"],
-                seed=meta["seed"],
-                records=records,
-            )
-    raise ConfigError(f"unrecognized dataset header in {path}")
+        header = fh.readline()
+        kind = _json_object(path, 1, header, ("kind",))["kind"]
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise ConfigError(f"unrecognized dataset header in {path}")
+        dataset, size_key, fields = _KINDS[kind]
+        meta = _json_object(path, 1, header, (size_key, "feature_dim", "seed"))
+        records = []
+        for lineno, line in enumerate(fh, start=2):
+            row = _json_object(path, lineno, line, fields)
+            try:
+                records.append(_record(kind, row))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{path} line {lineno}: {exc}") from None
+    return dataset(
+        **{size_key: meta[size_key]},
+        feature_dim=meta["feature_dim"],
+        seed=meta["seed"],
+        records=records,
+    )

@@ -20,6 +20,8 @@ def gradient_slice(grad_fn, y_base, coord, lo, hi, steps, fisher_lambda=None):
     """
     y_base = np.asarray(y_base, dtype=np.float64).ravel()
     n = y_base.size
+    if fisher_lambda is not None and not 0 < fisher_lambda < np.inf:
+        raise ConfigError(f"fisher injection needs a finite lambda > 0, got {fisher_lambda}")
     if not 0 <= coord < n:
         raise ConfigError(f"coord {coord} out of range for n={n}")
     if steps < 2:
@@ -28,8 +30,6 @@ def gradient_slice(grad_fn, y_base, coord, lo, hi, steps, fisher_lambda=None):
         raise NonFiniteResult("sweep bounds must be finite")
     if not lo < hi:
         raise ConfigError(f"empty sweep range [{lo}, {hi}]")
-    if fisher_lambda is not None and fisher_lambda <= 0:
-        raise ConfigError("fisher injection needs lambda > 0")
 
     grid = np.linspace(lo, hi, steps)
     table = np.empty((steps, n + 1))

@@ -394,8 +394,8 @@ def ablate_lambda(cfg, lam_grid):
     lams = [float(l) for l in lam_grid]
     if not lams:
         raise ConfigError("lambda grid must be nonempty")
-    if any(l <= 0 for l in lams) or sorted(lams) != lams:
-        raise ConfigError("lambda grid must be positive and ascending")
+    if not all(0 < l < np.inf for l in lams) or sorted(lams) != lams:
+        raise ConfigError("lambda grid must be finite, positive and ascending")
     if cfg.task != "rank":
         raise ConfigError("the lambda ablation runs on the rank task")
 

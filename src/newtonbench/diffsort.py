@@ -41,6 +41,10 @@ class SortConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown sort method {self.method!r}")
+        for name in ("tau", "beta"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.method in ("neuralsort", "softsort"):
             if self.tau is None:
                 self.tau = 1.0 if self.method == "neuralsort" else 0.1

@@ -1,17 +1,16 @@
-"""Dense symmetric solves with Tikhonov damping, a low-rank (Woodbury)
-variant, and a central-difference Hessian fallback.
+"""Dense symmetric solves with Tikhonov damping and a low-rank (Woodbury)
+variant.
 
 Everything here operates on plain float64 numpy arrays: vectors are 1-D,
 matrices 2-D row-major. Inputs are validated to be finite.
 """
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NonFiniteResult, ShapeMismatch, SingularMatrix
 
-# Relative pivot threshold under which a factorized system is declared
-# numerically singular.
+# Relative eigenvalue threshold under which a damped system is declared
+# numerically singular: min|w + lam| <= PIVOT_RTOL * max|w + lam|.
 PIVOT_RTOL = 1e-12
 
 
@@ -34,12 +33,13 @@ def as_matrix(a, name="matrix"):
 
 
 class TikhonovSolver:
-    """Factorization of (sym(M) + lambda*I) reusable across right-hand sides.
+    """Eigendecomposition of (sym(M) + lambda*I) reusable across right-hand sides.
 
-    Uses the LDL^T (Bunch-Kaufman) factorization, so one factorization per
-    damped curvature matrix serves a whole batch of gradient solves. M is
-    symmetrized as (M + M^T)/2 on entry; near-symmetric inputs such as
-    finite-difference Hessians are accepted rather than rejected.
+    One np.linalg.eigh of sym(M) = V diag(w) V^T per damped curvature matrix
+    serves a whole batch of gradient solves as V diag(1/(w+lambda)) V^T B.
+    M is symmetrized as (M + M^T)/2 on entry; near-symmetric inputs such as
+    finite-difference Hessians are accepted rather than rejected. Raises
+    SingularMatrix when min|w+lambda| <= PIVOT_RTOL * max|w+lambda|.
     """
 
     def __init__(self, M, lam):
@@ -49,130 +49,54 @@ class TikhonovSolver:
             raise ShapeMismatch(f"M must be square, got {M.shape}")
         if lam < 0:
             raise ValueError(f"lambda must be >= 0, got {lam}")
-        A = 0.5 * (M + M.T)
-        if lam:
-            A = A + lam * np.eye(m)
         self.dim = m
-        self._lu, self._d, self._perm = sla.ldl(A)
-        self._L = self._lu[self._perm, :]
-        self._check_pivots(A)
-
-    def _check_pivots(self, A):
-        maxabs = float(np.max(np.abs(A))) if A.size else 0.0
-        d = self._d
-        tol = PIVOT_RTOL * maxabs
-        i, m = 0, self.dim
-        while i < m:
-            if i + 1 < m and d[i, i + 1] != 0.0:
-                # 2x2 pivot block: measure by its smallest |eigenvalue|
-                a, b, c = d[i, i], d[i, i + 1], d[i + 1, i + 1]
-                mid, rad = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
-                pivot = min(abs(mid - rad), abs(mid + rad))
-                i += 2
-            else:
-                pivot = abs(d[i, i])
-                i += 1
-            if pivot <= tol:
-                raise SingularMatrix(
-                    f"pivot {pivot:.3e} below {PIVOT_RTOL:g} * max|entry| = {tol:.3e}"
-                )
+        w, self._V = np.linalg.eigh(0.5 * (M + M.T))
+        self._w = w + lam
+        mag = np.abs(self._w)
+        if m and mag.min() <= PIVOT_RTOL * mag.max():
+            raise SingularMatrix(
+                f"eigenvalue {mag.min():.3e} below {PIVOT_RTOL:g} * "
+                f"max|eigenvalue| = {PIVOT_RTOL * mag.max():.3e}"
+            )
 
     def solve(self, g):
-        g = as_vector(g, "g")
-        if g.shape[0] != self.dim:
-            raise ShapeMismatch(f"rhs length {g.shape[0]} != system dim {self.dim}")
-        return self.solve_mat(g[:, None])[:, 0]
+        return self.solve_mat(as_vector(g, "g")[:, None])[:, 0]
 
     def solve_mat(self, B):
         """Solve against an (dim x k) block of right-hand sides."""
         B = as_matrix(B, "B")
         if B.shape[0] != self.dim:
             raise ShapeMismatch(f"rhs rows {B.shape[0]} != system dim {self.dim}")
-        m = self.dim
-        v = sla.solve_triangular(self._L, B[self._perm, :], lower=True,
-                                 unit_diagonal=True)
-        u = np.empty_like(v)
-        d = self._d
-        i = 0
-        while i < m:
-            if i + 1 < m and d[i, i + 1] != 0.0:
-                u[i:i + 2] = np.linalg.solve(d[i:i + 2, i:i + 2], v[i:i + 2])
-                i += 2
-            else:
-                u[i] = v[i] / d[i, i]
-                i += 1
-        xp = sla.solve_triangular(self._L.T, u, lower=False, unit_diagonal=True)
-        X = np.empty_like(xp)
-        X[self._perm, :] = xp
+        X = self._V @ ((self._V.T @ B) / self._w[:, None])
         if not np.all(np.isfinite(X)):
             raise NonFiniteResult("solve produced non-finite values")
         return X
 
 
-def solve_tikhonov(M, lam, g):
-    """Solve (sym(M) + lam*I) x = g with a direct symmetric factorization.
+def woodbury_solve(G, lam, B):
+    """Solve ((1/N) G^T G + lam*I) x = b for every row b of B (k x m).
 
-    lam must be >= 0; with lam == 0 the matrix itself must be nonsingular.
-    Raises SingularMatrix when a pivot of the damped system falls below
-    PIVOT_RTOL times the largest entry magnitude.
-    """
-    return TikhonovSolver(M, lam).solve(g)
-
-
-def woodbury_solve(G, lam, g):
-    """Solve ((1/N) G^T G + lam*I) x = g through the low-rank identity.
-
-    G holds N per-sample gradient rows (N x m). Only the N x N inner system
-    is factorized, which pays off when N < m:
+    G holds N per-sample gradient rows (N x m); row i of the result solves
+    against row i of B. The N x N inner system is factorized once for the
+    whole block, which pays off when N < m:
 
         inv = I/lam - G^T (G G^T / (N lam) + I_N)^(-1) G / (N lam^2)
     """
     G = as_matrix(G, "G")
-    g = as_vector(g, "g")
-    if lam <= 0:
-        raise ValueError(f"lambda must be > 0, got {lam}")
+    B = as_matrix(B, "B")
+    if not np.isfinite(lam) or lam <= 0:
+        raise ValueError(f"lambda must be finite and > 0, got {lam}")
     n, m = G.shape
     if n < 1:
         raise ShapeMismatch("G must have at least one row")
-    if g.shape[0] != m:
-        raise ShapeMismatch(f"rhs length {g.shape[0]} != gradient dim {m}")
+    if B.shape[1] != m:
+        raise ShapeMismatch(f"rhs width {B.shape[1]} != gradient dim {m}")
     inner = (G @ G.T) / (n * lam)
     try:
-        w = TikhonovSolver(inner, 1.0).solve(G @ g)
+        W = TikhonovSolver(inner, 1.0).solve_mat(G @ B.T)
     except SingularMatrix as exc:
         raise SingularMatrix(f"degenerate inner Woodbury system: {exc}") from exc
-    x = g / lam - (G.T @ w) / (n * lam * lam)
-    if not np.all(np.isfinite(x)):
+    X = B / lam - (G.T @ W).T / (n * lam * lam)
+    if not np.all(np.isfinite(X)):
         raise NonFiniteResult("woodbury solve produced non-finite values")
-    return x
-
-
-def finite_diff_hessian(grad_fn, y, h=None):
-    """Central-difference Hessian from a gradient callback.
-
-    grad_fn maps a length-m point to its length-m gradient. The step
-    defaults to cbrt(machine eps) * max(1, ||y||_inf), the usual optimum
-    for central differences. The result is symmetrized as (H + H^T)/2 and
-    therefore exactly symmetric.
-    """
-    y = as_vector(y, "y")
-    m = y.shape[0]
-    if h is None:
-        h = float(np.cbrt(np.finfo(np.float64).eps)) * max(1.0, float(np.max(np.abs(y))) if m else 1.0)
-    if h <= 0:
-        raise ValueError(f"step h must be > 0, got {h}")
-    H = np.empty((m, m))
-    for j in range(m):
-        yp = y.copy()
-        yp[j] += h
-        ym = y.copy()
-        ym[j] -= h
-        # copy: the callback may return (a view of) its argument
-        gp = np.array(grad_fn(yp), dtype=np.float64)
-        gm = np.array(grad_fn(ym), dtype=np.float64)
-        if gp.shape != (m,) or gm.shape != (m,):
-            raise ShapeMismatch("gradient callback returned wrong shape")
-        if not (np.all(np.isfinite(gp)) and np.all(np.isfinite(gm))):
-            raise NonFiniteResult("gradient probe returned non-finite values")
-        H[:, j] = (gp - gm) / (2.0 * h)
-    return 0.5 * (H + H.T)
+    return X

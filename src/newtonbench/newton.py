@@ -79,23 +79,10 @@ class NewtonTarget:
     recipe: dict = field(default_factory=dict)
 
 
-def _check_outputs(y_bar, name="y_bar"):
-    y = np.asarray(y_bar, dtype=np.float64)
-    if y.ndim != 2:
-        raise ShapeMismatch(f"{name} must be N x m, got shape {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteResult(f"{name} contains non-finite entries")
-    return y
-
-
 def _checked_grads(probe, y):
-    g = np.asarray(probe.grad(y), dtype=np.float64)
+    g = linalg.as_matrix(probe.grad(y), "probe.grad output")
     if g.shape != y.shape:
-        raise ShapeMismatch(
-            f"probe.grad returned shape {g.shape}, expected {y.shape}"
-        )
-    if not np.all(np.isfinite(g)):
-        raise NonFiniteResult("probe.grad returned non-finite entries")
+        raise ShapeMismatch(f"probe.grad returned shape {g.shape}, expected {y.shape}")
     return g
 
 
@@ -107,7 +94,7 @@ def batch_hessian(probe, y_bar, source="auto", fd_step=None):
     sample; "auto" prefers analytic and falls back to finite differences.
     The result is symmetrized exactly.
     """
-    y = _check_outputs(y_bar)
+    y = linalg.as_matrix(y_bar, "y_bar")
     n, m = y.shape
     if source == "auto":
         source = "analytic" if probe.has_hessian else "finite_diff"
@@ -130,8 +117,8 @@ def batch_hessian(probe, y_bar, source="auto", fd_step=None):
             yp[:, j] += step
             ym = y.copy()
             ym[:, j] -= step
-            gp = np.asarray(probe.grad(yp), dtype=np.float64)
-            gm = np.asarray(probe.grad(ym), dtype=np.float64)
+            gp = _checked_grads(probe, yp)
+            gm = _checked_grads(probe, ym)
             cols[j] = (gp - gm) / (2.0 * step)
         # cols[j, i, k] = d grad_k(y_i) / d y_ij; average the per-sample
         # Hessians H_i[k, j] over i
@@ -150,22 +137,20 @@ def newton_target_hessian(y_bar, probe, lam, hessian_source="auto"):
     SingularMatrix when the regularized Hessian is not invertible and
     MissingHessian when hessian_source is "analytic" but the probe has none.
     """
-    y = _check_outputs(y_bar)
+    y = linalg.as_matrix(y_bar, "y_bar")
     grads = _checked_grads(probe, y)
     h = batch_hessian(probe, y, source=hessian_source)
-    solver = linalg.TikhonovSolver(h, lam)
-    z = y - solver.solve_mat(grads.T).T
-    return NewtonTarget(z, {"variant": "hessian", "lam": float(lam)})
+    return newton_target_from_parts(y, grads, h, lam)
 
 
 def newton_target_fisher(y_bar, probe, lam, inversion="direct"):
     """Targets from the empirical Fisher F = (1/N) sum_i grad_i grad_i^T.
 
     F is rank-deficient whenever N < m, so lam > 0 is required.  The
-    "woodbury" inversion routes each solve through the N x N identity
+    "woodbury" inversion solves every row through one N x N inner system
     (linalg.woodbury_solve); "direct" factorizes F + lam I once.
     """
-    y = _check_outputs(y_bar)
+    y = linalg.as_matrix(y_bar, "y_bar")
     if not np.isfinite(lam) or lam <= 0:
         raise ValueError("fisher variant requires lam > 0")
     grads = _checked_grads(probe, y)
@@ -175,9 +160,7 @@ def newton_target_fisher(y_bar, probe, lam, inversion="direct"):
         solver = linalg.TikhonovSolver(fisher, lam)
         steps = solver.solve_mat(grads.T).T
     elif inversion == "woodbury":
-        steps = np.empty_like(grads)
-        for i in range(n):
-            steps[i] = linalg.woodbury_solve(grads, lam, grads[i])
+        steps = linalg.woodbury_solve(grads, lam, grads)
     else:
         raise ValueError(f"unknown inversion {inversion!r}")
     z = y - steps
@@ -198,19 +181,16 @@ def newton_target(y_bar, probe, cfg: NewtonConfig) -> NewtonTarget:
 def newton_target_from_parts(y_bar, grads, hessian, lam):
     """Build targets from precomputed gradient rows and curvature matrix.
 
-    Used when the loss is only available through stochastic estimates
-    (smoothing module): the caller supplies grads (N x m) and an m x m
-    curvature estimate, and the solve is identical to the analytic route.
+    The one Hessian-target solve: newton_target_hessian ends here, and the
+    trainers call it directly with the gradient rows and curvature their
+    tasks estimate (finite differences, or smoothing for black boxes).
+    The solver symmetrizes the curvature and checks its shape.
     """
-    y = _check_outputs(y_bar)
+    y = linalg.as_matrix(y_bar, "y_bar")
     g = np.asarray(grads, dtype=np.float64)
     if g.shape != y.shape:
         raise ShapeMismatch(f"grads shape {g.shape}, expected {y.shape}")
-    h = np.asarray(hessian, dtype=np.float64)
-    m = y.shape[1]
-    if h.shape != (m, m):
-        raise ShapeMismatch(f"hessian shape {h.shape}, expected {(m, m)}")
-    solver = linalg.TikhonovSolver(0.5 * (h + h.T), lam)
+    solver = linalg.TikhonovSolver(hessian, lam)
     z = y - solver.solve_mat(g.T).T
     return NewtonTarget(z, {"variant": "hessian", "lam": float(lam)})
 
@@ -222,7 +202,7 @@ def newton_loss_eval(y, target: NewtonTarget):
     The rows are unscaled, matching the LossProbe convention; net.backward
     applies the 1/N mean reduction.
     """
-    y = _check_outputs(y, name="y")
+    y = linalg.as_matrix(y, "y")
     z = np.asarray(target.z_star, dtype=np.float64)
     if z.shape != y.shape:
         raise ShapeMismatch(f"target shape {z.shape}, expected {y.shape}")
@@ -261,13 +241,9 @@ def inject_fisher(batch_grads, lam):
     the result into the same backward pass reproduces Fisher target training
     without ever forming targets.  Requires lam > 0.
     """
-    g = np.asarray(batch_grads, dtype=np.float64)
-    if g.ndim != 2:
-        raise ShapeMismatch(f"batch_grads must be N x m, got shape {g.shape}")
+    g = linalg.as_matrix(batch_grads, "batch_grads")
     if not np.isfinite(lam) or lam <= 0:
         raise ValueError("inject_fisher requires lam > 0")
-    if not np.all(np.isfinite(g)):
-        raise NonFiniteResult("batch_grads contains non-finite entries")
     n = g.shape[0]
     solver = linalg.TikhonovSolver(n * (g.T @ g), lam)
     return solver.solve_mat(g.T).T
@@ -320,12 +296,13 @@ def split_step_check_newton(model, x, probe, eta, trainable="all"):
 
     Only valid for scalar model output (m = 1) and a single input point.
     Second derivatives with respect to the parameters are taken by central
-    finite differences of the backward pass, on both paths.  The z-space
-    Newton step divides by the loss curvature, so a flat probe raises
-    SingularMatrix; so does a parameter Hessian without invertible
-    structure on either path.  trainable="weights" freezes the biases,
-    which keeps the parameter Hessian full rank for models that are linear
-    in their parameters (a rank-one Hessian otherwise).
+    finite differences of the backward pass (batch_hessian on a one-row
+    probe), on both paths.  The z-space Newton step divides by the loss
+    curvature, so a flat probe raises SingularMatrix; so does a parameter
+    Hessian without invertible structure on either path.  trainable="weights"
+    freezes the biases, which keeps the parameter Hessian full rank for
+    models that are linear in their parameters (a rank-one Hessian
+    otherwise).
     Returns {"max_param_deviation": ...}.
     """
     inputs = np.asarray(x, dtype=np.float64)
@@ -351,9 +328,8 @@ def split_step_check_newton(model, x, probe, eta, trainable="all"):
 
     def newton_step(out_grad_fn):
         g = theta_grad(theta0, out_grad_fn)
-        h = linalg.finite_diff_hessian(
-            lambda flat: theta_grad(flat, out_grad_fn), theta0
-        )
+        rows = LossProbe(grad=lambda t: theta_grad(t[0], out_grad_fn)[None, :])
+        h = batch_hessian(rows, theta0[None, :])
         return theta0 - eta * linalg.TikhonovSolver(h, 0.0).solve(g)
 
     theta_direct = newton_step(probe.grad)

@@ -31,8 +31,8 @@ class SmoothingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ConfigError(f"sigma must be > 0, got {self.sigma}")
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise ConfigError(f"sigma must be finite and > 0, got {self.sigma}")
         if self.samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
 

@@ -157,6 +157,10 @@ class TestCheckCli:
         assert run_cli(["check", "oracles", "--grids", "5"]) == 0
         assert "ok: True" in capsys.readouterr().out
 
+    def test_zero_grids_is_2(self, capsys):
+        assert run_cli(["check", "oracles", "--grids", "0"]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
 
 class TestSliceCli:
     def test_slice_table(self, tmp_path):
@@ -252,6 +256,49 @@ class TestExitCodes:
         ds.write_text("\n".join(lines) + "\n")
         assert run_cli(QUICK_RANK + ["--mode", "baseline", "--data", str(ds)]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--lambda", "nan"],
+            ["--lambda", "inf"],
+            ["--tau", "nan"],
+            ["--method", "dsn_logistic", "--beta", "inf"],
+            ["--n", "1"],
+        ],
+    )
+    def test_bad_slice_values_exit_2(self, args, capsys):
+        assert run_cli(["slice", "grad", "--coord", "0", *args]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_configs_checked_before_first_run(self, capsys):
+        # lambda 0 suits baseline but not the Newton modes that follow it
+        assert run_cli(QUICK_RANK + ["--lambda", "0"]) == 2
+        assert capsys.readouterr().err == "config error: Newton modes need lam > 0\n"
+
+    def test_negative_seed_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["check", "oracles", "--seed=-1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "lines,lineno",
+        [
+            (["not json"], 1),
+            ([json.dumps({"kind": "rank", "n": 3, "feature_dim": 6, "seed": 0}), "{"], 2),
+            ([json.dumps({"kind": "rank", "n": 3, "feature_dim": 6, "seed": 0}),
+              json.dumps({"features": [[0.0] * 6] * 3, "mask": [0, 1]})], 2),
+            ([json.dumps({"kind": "path", "feature_dim": 6, "seed": 0})], 1),
+        ],
+        ids=["header-not-json", "record-not-json", "record-no-ranking", "header-no-size"],
+    )
+    def test_broken_dataset_line_is_2(self, lines, lineno, tmp_path, capsys):
+        ds = tmp_path / "bad.jsonl"
+        ds.write_text("\n".join(lines) + "\n")
+        assert run_cli(QUICK_RANK + ["--mode", "baseline", "--data", str(ds)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {ds} line {lineno}: ")
+        assert len(err.splitlines()) == 1
 
     def test_numeric_failure_is_3(self):
         code = run_cli(

@@ -102,6 +102,15 @@ class TestDsn:
             diffsort.dsn_perm(np.array([1.0, 2.0]), beta=1.0, family="gumbel")
 
 
+@pytest.mark.parametrize("method", diffsort.METHODS)
+@pytest.mark.parametrize("field", ["tau", "beta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_sort_config_rejects_nonfinite(method, field, value):
+    # also for the parameter the method does not use
+    with pytest.raises(ConfigError):
+        SortConfig(method=method, **{field: value})
+
+
 class TestHardRank:
     def test_basic_order(self):
         truth = diffsort.hard_rank(np.array([3.0, 1.0, 2.0]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from newtonbench import linalg
+from newtonbench import linalg, newton
 from newtonbench.errors import NonFiniteResult, ShapeMismatch, SingularMatrix
 
 from oracles import gauss_jordan_inverse, rel_err
@@ -14,18 +14,18 @@ def random_spd(rng, m, scale=1.0):
 
 class TestSolveTikhonov:
     def test_zero_matrix_unit_lambda_is_identity(self):
-        x = linalg.solve_tikhonov(np.zeros((2, 2)), 1.0, np.array([3.0, 4.0]))
+        x = linalg.TikhonovSolver(np.zeros((2, 2)), 1.0).solve(np.array([3.0, 4.0]))
         np.testing.assert_allclose(x, [3.0, 4.0], rtol=0, atol=0)
 
     def test_identity_plus_lambda_halves(self):
-        x = linalg.solve_tikhonov(np.eye(2), 1.0, np.array([2.0, 4.0]))
+        x = linalg.TikhonovSolver(np.eye(2), 1.0).solve(np.array([2.0, 4.0]))
         np.testing.assert_allclose(x, [1.0, 2.0])
 
     def test_matches_gauss_jordan_oracle(self):
         rng = np.random.default_rng(7)
         M = random_spd(rng, 3)
         g = rng.standard_normal(3)
-        x = linalg.solve_tikhonov(M, 0.1, g)
+        x = linalg.TikhonovSolver(M, 0.1).solve(g)
         expected = gauss_jordan_inverse(M + 0.1 * np.eye(3)) @ g
         np.testing.assert_allclose(x, expected, atol=1e-10)
 
@@ -37,14 +37,14 @@ class TestSolveTikhonov:
             M = 0.5 * (M + M.T)
             lam = float(rng.uniform(0.01, 2.0))
             g = rng.standard_normal(m)
-            x = linalg.solve_tikhonov(M, lam, g)
+            x = linalg.TikhonovSolver(M, lam).solve(g)
             A = 0.5 * (M + M.T) + lam * np.eye(m)
             resid = np.max(np.abs(A @ x - g))
             assert resid <= 1e-8 * (1 + np.max(np.abs(g)))
 
     def test_asymmetric_input_is_symmetrized(self):
         M = np.array([[2.0, 2.0], [0.0, 2.0]])
-        x = linalg.solve_tikhonov(M, 0.0, np.array([1.0, 1.0]))
+        x = linalg.TikhonovSolver(M, 0.0).solve(np.array([1.0, 1.0]))
         sym = 0.5 * (M + M.T)
         np.testing.assert_allclose(sym @ x, [1.0, 1.0], atol=1e-12)
 
@@ -55,44 +55,45 @@ class TestSolveTikhonov:
             M = random_spd(rng, m)
             g = rng.standard_normal(m)
             lams = [0.0, 0.01, 0.1, 1.0, 10.0, 100.0]
-            norms = [np.linalg.norm(linalg.solve_tikhonov(M, lam, g)) for lam in lams]
+            norms = [np.linalg.norm(linalg.TikhonovSolver(M, lam).solve(g)) for lam in lams]
             for lo, hi in zip(norms[:-1], norms[1:]):
                 assert hi <= lo * (1 + 1e-12)
 
     def test_singular_zero_matrix_zero_lambda(self):
         with pytest.raises(SingularMatrix):
-            linalg.solve_tikhonov(np.zeros((3, 3)), 0.0, np.ones(3))
+            linalg.TikhonovSolver(np.zeros((3, 3)), 0.0).solve(np.ones(3))
 
     def test_singular_rank_deficient(self):
         M = np.outer([1.0, 2.0], [1.0, 2.0])
         with pytest.raises(SingularMatrix):
-            linalg.solve_tikhonov(M, 0.0, np.array([1.0, 0.0]))
+            linalg.TikhonovSolver(M, 0.0).solve(np.array([1.0, 0.0]))
 
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValueError):
-            linalg.solve_tikhonov(np.eye(2), -0.5, np.ones(2))
+            linalg.TikhonovSolver(np.eye(2), -0.5).solve(np.ones(2))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(NonFiniteResult):
-            linalg.solve_tikhonov(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1.0, np.ones(2))
+            M = np.array([[np.nan, 0.0], [0.0, 1.0]])
+            linalg.TikhonovSolver(M, 1.0).solve(np.ones(2))
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ShapeMismatch):
-            linalg.solve_tikhonov(np.eye(2), 1.0, np.ones(3))
+            linalg.TikhonovSolver(np.eye(2), 1.0).solve(np.ones(3))
         with pytest.raises(ShapeMismatch):
-            linalg.solve_tikhonov(np.ones((2, 3)), 1.0, np.ones(2))
+            linalg.TikhonovSolver(np.ones((2, 3)), 1.0).solve(np.ones(2))
 
 
 class TestWoodburySolve:
     def test_single_row(self):
-        x = linalg.woodbury_solve(np.array([[1.0, 0.0]]), 1.0, np.array([1.0, 0.0]))
-        np.testing.assert_allclose(x, [0.5, 0.0], atol=1e-12)
+        x = linalg.woodbury_solve(np.array([[1.0, 0.0]]), 1.0, np.array([[1.0, 0.0]]))
+        np.testing.assert_allclose(x, [[0.5, 0.0]], atol=1e-12)
 
     def test_large_lambda_dominates(self):
         rng = np.random.default_rng(5)
         G = rng.uniform(-1.0, 1.0, (4, 6))
         g = rng.standard_normal(6)
-        x = linalg.woodbury_solve(G, 1e6, g)
+        x = linalg.woodbury_solve(G, 1e6, g[None, :])[0]
         assert rel_err(x, g / 1e6) <= 1e-6
 
     def test_matches_direct_solve(self):
@@ -100,8 +101,8 @@ class TestWoodburySolve:
         G = rng.standard_normal((8, 20))
         g = rng.standard_normal(20)
         lam = 0.3
-        x = linalg.woodbury_solve(G, lam, g)
-        direct = linalg.solve_tikhonov(G.T @ G / 8, lam, g)
+        x = linalg.woodbury_solve(G, lam, g[None, :])[0]
+        direct = linalg.TikhonovSolver(G.T @ G / 8, lam).solve(g)
         np.testing.assert_allclose(x, direct, rtol=1e-8, atol=1e-10)
 
     def test_equivalence_sweep(self):
@@ -112,29 +113,43 @@ class TestWoodburySolve:
             G = rng.standard_normal((n, m))
             g = rng.standard_normal(m)
             lam = float(rng.uniform(0.05, 5.0))
-            x = linalg.woodbury_solve(G, lam, g)
-            direct = linalg.solve_tikhonov(G.T @ G / n, lam, g)
+            x = linalg.woodbury_solve(G, lam, g[None, :])[0]
+            direct = linalg.TikhonovSolver(G.T @ G / n, lam).solve(g)
             denom = max(np.max(np.abs(direct)), 1e-12)
             assert np.max(np.abs(x - direct)) / denom <= 1e-8
 
+    def test_block_equals_row_by_row(self):
+        rng = np.random.default_rng(29)
+        G = rng.standard_normal((5, 12))
+        B = rng.standard_normal((7, 12))
+        X = linalg.woodbury_solve(G, 0.4, B)
+        rows = [linalg.woodbury_solve(G, 0.4, b[None, :])[0] for b in B]
+        np.testing.assert_allclose(X, rows, rtol=1e-12, atol=1e-14)
+
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
-            linalg.woodbury_solve(np.ones((1, 2)), 0.0, np.ones(2))
+            linalg.woodbury_solve(np.ones((1, 2)), 0.0, np.ones((1, 2)))
+
+
+def one_row_hessian(grad, y):
+    """newton.batch_hessian's finite-difference route on a single sample."""
+    probe = newton.LossProbe(grad=lambda rows: grad(rows[0])[None, :])
+    return newton.batch_hessian(probe, np.asarray(y, dtype=np.float64)[None, :])
 
 
 class TestFiniteDiffHessian:
     def test_quadratic_gives_identity(self):
-        H = linalg.finite_diff_hessian(lambda y: y, np.array([0.3, -0.7]))
+        H = one_row_hessian(lambda y: y, [0.3, -0.7])
         np.testing.assert_allclose(H, np.eye(2), atol=1e-7)
 
     def test_bilinear(self):
         grad = lambda y: np.array([y[1], y[0]])
-        H = linalg.finite_diff_hessian(grad, np.array([1.0, 2.0]))
+        H = one_row_hessian(grad, [1.0, 2.0])
         np.testing.assert_allclose(H, [[0.0, 1.0], [1.0, 0.0]], atol=1e-7)
 
     def test_quartic_diagonal(self):
         grad = lambda y: 4.0 * y ** 3
-        H = linalg.finite_diff_hessian(grad, np.array([1.0, 2.0]))
+        H = one_row_hessian(grad, [1.0, 2.0])
         np.testing.assert_allclose(H, np.diag([12.0, 48.0]), atol=1e-4)
 
     def test_output_exactly_symmetric(self):
@@ -142,11 +157,15 @@ class TestFiniteDiffHessian:
         A = rng.standard_normal((4, 4))
         grad = lambda y: A @ y  # Hessian A is asymmetric on purpose
         y = rng.standard_normal(4)
-        H = linalg.finite_diff_hessian(grad, y)
+        H = one_row_hessian(grad, y)
         assert np.array_equal(H, H.T)
 
     def test_nonfinite_probe_raises(self):
         def grad(y):
             return np.array([np.inf, 0.0])
         with pytest.raises(NonFiniteResult):
-            linalg.finite_diff_hessian(grad, np.zeros(2))
+            one_row_hessian(grad, np.zeros(2))
+
+    def test_wrong_shape_probe_raises(self):
+        with pytest.raises(ShapeMismatch):
+            one_row_hessian(lambda y: np.zeros(3), np.zeros(2))

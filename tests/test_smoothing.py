@@ -75,6 +75,11 @@ class TestSmoothGrad:
         with pytest.raises(ConfigError):
             SmoothingConfig(sigma=0.1, samples=0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_nonfinite_sigma_rejected(self, sigma):
+        with pytest.raises(ConfigError):
+            SmoothingConfig(sigma=sigma, samples=10)
+
 
 class TestSmoothHessian:
     def test_constant_with_vr_is_exact_zero(self):
