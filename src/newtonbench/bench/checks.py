@@ -96,41 +96,6 @@ def check_lemmas(seed=0):
     }
 
 
-def _enumerate_best(costs):
-    """Exhaustive corner-to-corner search: best cost, mask, uniqueness.
-
-    Prunes prefixes strictly above the incumbent; a tying path survives
-    pruning because its prefix before the goal is strictly cheaper.
-    """
-    h, w = costs.shape
-    goal = (h - 1, w - 1)
-    on_path = np.zeros((h, w), dtype=bool)
-    state = {"best": None, "mask": None, "ties": 0}
-
-    def walk(i, j, acc):
-        acc += costs[i, j]
-        best = state["best"]
-        if best is not None and acc > best:
-            return
-        on_path[i, j] = True
-        if (i, j) == goal:
-            if best is None or acc < best:
-                state["best"] = acc
-                state["mask"] = on_path.astype(np.int64).copy()
-                state["ties"] = 1
-            elif acc == best:
-                state["ties"] += 1
-        else:
-            for di, dj in ((-1, 0), (0, -1), (1, 0), (0, 1)):
-                ni, nj = i + di, j + dj
-                if 0 <= ni < h and 0 <= nj < w and not on_path[ni, nj]:
-                    walk(ni, nj, acc)
-        on_path[i, j] = False
-
-    walk(0, 0, 0.0)
-    return state["best"], state["mask"], state["ties"] == 1
-
-
 def check_oracles(seed=0, grids_per_size=100, sizes=(3, 4, 5)):
     """Dijkstra against exhaustive path enumeration on random grids."""
     if grids_per_size < 1:
@@ -148,10 +113,10 @@ def check_oracles(seed=0, grids_per_size=100, sizes=(3, 4, 5)):
             )
             result = shortest_path.dijkstra_grid(inst)
             dij_cost = shortest_path.path_cost(inst, result)
-            best, mask, unique = _enumerate_best(costs)
+            best, mask, unique = shortest_path.brute_force_shortest(inst)
             max_rel = max(max_rel, abs(dij_cost - best) / best)
             if unique:
-                if not np.array_equal(result.mask, mask):
+                if not np.array_equal(result, mask):
                     mask_mismatches += 1
             else:
                 ambiguous += 1

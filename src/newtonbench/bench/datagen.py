@@ -11,6 +11,8 @@ Records are rejection-sampled for separation: ranking latents keep a
 minimum pairwise gap, grids keep a relative margin between the best and
 second-best path cost.  Without this the metrics have an arbitrary ceiling,
 since a near-tie flips the supervision under infinitesimal cost changes.
+The grid margin is exact (shortest_path.two_best_costs); it is checked up
+to MARGIN_CHECK_MAX_SIZE, above which rejection rises too steeply.
 """
 
 import json
@@ -129,28 +131,6 @@ def gen_ranking_data(seed, n, count, feature_dim=6):
     return RankDataset(n=n, feature_dim=feature_dim, seed=seed, records=records)
 
 
-def _all_path_costs(costs):
-    """Costs of every simple corner-to-corner path; small grids only."""
-    h, w = costs.shape
-    out = []
-    visited = np.zeros((h, w), dtype=bool)
-
-    def walk(i, j, acc):
-        acc += costs[i, j]
-        if (i, j) == (h - 1, w - 1):
-            out.append(acc)
-            return
-        visited[i, j] = True
-        for di, dj in ((-1, 0), (0, -1), (1, 0), (0, 1)):
-            ni, nj = i + di, j + dj
-            if 0 <= ni < h and 0 <= nj < w and not visited[ni, nj]:
-                walk(ni, nj, acc)
-        visited[i, j] = False
-
-    walk(0, 0, 0.0)
-    return sorted(out)
-
-
 def gen_grid_data(seed, size, count, feature_dim=6):
     """Per-cell feature grids whose hidden costs induce the stored mask."""
     if size < 2:
@@ -164,17 +144,17 @@ def gen_grid_data(seed, size, count, feature_dim=6):
         for _attempt in range(_MAX_DRAWS_PER_RECORD):
             features = rng.normal(0.0, 1.0, size=(size * size, feature_dim))
             costs = readout(features).reshape(size, size)
+            grid = shortest_path.GridInstance(height=size, width=size, node_costs=costs)
             if not check_margin:
                 break
-            ranked = _all_path_costs(costs)
-            if len(ranked) < 2 or ranked[1] >= (1.0 + PATH_MARGIN) * ranked[0]:
+            best, second = shortest_path.two_best_costs(grid)
+            if second >= (1.0 + PATH_MARGIN) * best:
                 break
         else:
             raise ConfigError(
                 f"could not find a {PATH_MARGIN:.0%} path margin at size {size}"
             )
-        grid = shortest_path.GridInstance(height=size, width=size, node_costs=costs)
-        mask = shortest_path.dijkstra_grid(grid).mask
+        mask = shortest_path.dijkstra_grid(grid)
         records.append(GridRecord(features=features, mask=mask, costs=costs))
     return GridDataset(size=size, feature_dim=feature_dim, seed=seed, records=records)
 

@@ -7,7 +7,7 @@ optimum, and how the empirical-Fisher transform reshapes it.
 import numpy as np
 
 from .. import diffsort, newton
-from ..errors import ConfigError, NonFiniteResult
+from ..errors import ConfigError
 from .report import _fmt
 
 
@@ -22,12 +22,14 @@ def gradient_slice(grad_fn, y_base, coord, lo, hi, steps, fisher_lambda=None):
     n = y_base.size
     if fisher_lambda is not None and not 0 < fisher_lambda < np.inf:
         raise ConfigError(f"fisher injection needs a finite lambda > 0, got {fisher_lambda}")
+    if not np.all(np.isfinite(y_base)):
+        raise ConfigError(f"base vector must be finite, got {y_base.tolist()}")
     if not 0 <= coord < n:
         raise ConfigError(f"coord {coord} out of range for n={n}")
     if steps < 2:
         raise ConfigError(f"need at least 2 sweep points, got {steps}")
     if not np.isfinite(lo) or not np.isfinite(hi):
-        raise NonFiniteResult("sweep bounds must be finite")
+        raise ConfigError(f"sweep bounds must be finite, got [{lo}, {hi}]")
     if not lo < hi:
         raise ConfigError(f"empty sweep range [{lo}, {hi}]")
 

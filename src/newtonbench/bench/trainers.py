@@ -237,7 +237,7 @@ def _mask_of_raw(raw, size):
     inst = shortest_path.GridInstance(
         height=size, width=size, node_costs=costs_from_raw(raw).reshape(size, size)
     )
-    return shortest_path.dijkstra_grid(inst).mask.astype(np.float64).ravel()
+    return shortest_path.dijkstra_grid(inst).astype(np.float64).ravel()
 
 
 def path_metrics(raw_rows, records, size):

@@ -1,6 +1,7 @@
 """Dataset generation, training loops, and report plumbing."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 from newtonbench import diffsort, net, shortest_path
 from newtonbench.bench import checks, datagen, report, slices, trainers
 from newtonbench.errors import ConfigError
+
+from oracles import enumerate_paths
 
 
 def _quick_cfg(**over):
@@ -88,9 +91,7 @@ class TestGridDatagen:
             inst = shortest_path.GridInstance(
                 height=4, width=4, node_costs=rec.costs
             )
-            np.testing.assert_array_equal(
-                shortest_path.dijkstra_grid(inst).mask, rec.mask
-            )
+            np.testing.assert_array_equal(shortest_path.dijkstra_grid(inst), rec.mask)
 
     def test_cost_oracle_matches_perfectly(self):
         # feeding the exact hidden costs through the evaluation path
@@ -104,9 +105,23 @@ class TestGridDatagen:
 
     def test_margin_between_best_paths(self):
         ds = datagen.gen_grid_data(13, 3, 10)
+        paths = enumerate_paths(3, 3)
         for rec in ds.records:
-            ranked = datagen._all_path_costs(rec.costs)
+            ranked = sorted(sum(rec.costs[c] for c in path) for path in paths)
             assert ranked[1] >= (1.0 + datagen.PATH_MARGIN) * ranked[0]
+
+    @pytest.mark.parametrize(
+        "size, count, digest",
+        [
+            # stepbench's path dataset
+            (4, 384, "3824f521e8a5450c5695516ca8c2de207c40c1afb280173be98db3df53421f28"),
+            (5, 24, "01a05ab194cdd95a7beb623c63488b3ad4a4d229878bc4968a950d4388a1887d"),
+        ],
+    )
+    def test_generated_bytes_locked_above_3x3(self, tmp_path, size, count, digest):
+        path = tmp_path / "grid.jsonl"
+        datagen.save_grid_dataset(datagen.gen_grid_data(0, size, count), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "grid.jsonl"
@@ -135,7 +150,7 @@ class TestMetrics:
         cheap = np.full((2, 2), 0.2)
         cheap[0, 1] = 5.0
         inst = shortest_path.GridInstance(height=2, width=2, node_costs=cheap)
-        mask = shortest_path.dijkstra_grid(inst).mask
+        mask = shortest_path.dijkstra_grid(inst)
         recs = [
             datagen.GridRecord(features=None, mask=mask),
             datagen.GridRecord(features=None, mask=1 - mask),
@@ -474,15 +489,18 @@ class TestChecks:
         assert out["grids"] == 60
         assert out["mask_mismatches"] == 0
 
-    def test_enumerator_against_package_brute_force(self):
+    def test_enumerator_against_independent_oracle(self):
         rng = np.random.default_rng(17)
-        for _ in range(25):
-            costs = rng.uniform(0.1, 2.0, size=(4, 4))
-            best, mask, unique = checks._enumerate_best(costs)
+        paths = enumerate_paths(4, 4)
+        grids = [rng.uniform(0.1, 2.0, size=(4, 4)) for _ in range(25)]
+        for costs in grids + [np.ones((4, 4))]:
             inst = shortest_path.GridInstance(height=4, width=4, node_costs=costs)
-            oracle = shortest_path.brute_force_shortest(inst)
-            assert unique
-            np.testing.assert_array_equal(mask, oracle.mask)
-            assert best == pytest.approx(
-                shortest_path.path_cost(inst, oracle), rel=1e-12
+            best, mask, unique = shortest_path.brute_force_shortest(inst)
+            path_costs = [sum(costs[c] for c in path) for path in paths]
+            first = paths[path_costs.index(min(path_costs))]
+            assert best == pytest.approx(min(path_costs), rel=1e-12)
+            assert unique == (path_costs.count(min(path_costs)) == 1)
+            np.testing.assert_array_equal(
+                mask, [[int((i, j) in first) for j in range(4)] for i in range(4)]
             )
+        assert not unique  # the uniform grid ties

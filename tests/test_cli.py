@@ -265,11 +265,16 @@ class TestExitCodes:
             ["--tau", "nan"],
             ["--method", "dsn_logistic", "--beta", "inf"],
             ["--n", "1"],
+            ["--lo=-inf"],
+            ["--hi", "nan"],
+            ["--base", "nan,1,2"],
         ],
     )
     def test_bad_slice_values_exit_2(self, args, capsys):
         assert run_cli(["slice", "grad", "--coord", "0", *args]) == 2
-        assert capsys.readouterr().err.startswith("config error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert len(err.splitlines()) == 1
 
     def test_configs_checked_before_first_run(self, capsys):
         # lambda 0 suits baseline but not the Newton modes that follow it
@@ -301,8 +306,6 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
 
     def test_numeric_failure_is_3(self):
-        code = run_cli(
-            ["slice", "grad", "--coord", "0", "--n", "3", "--lo=-inf",
-             "--hi", "1", "--steps", "3"]
-        )
+        # finite bounds whose sweep overflows the ranking loss
+        code = run_cli(["slice", "grad", "--coord", "0", "--lo", "0.1", "--hi", "1e308"])
         assert code == 3

@@ -4,10 +4,10 @@ Every argv drawn here must end with exit code 0, 2 (configuration) or 3
 (numerics); a run that fails after argparse must say why in one stderr line
 (an argparse rejection is SystemExit(2) with its usage text), and no
 RuntimeWarning may reach stderr. Two further rules hold for the drawn argv:
-a non-finite damping, temperature or smoothing value is a configuration
-error, and a size or count below 1 never succeeds, because a run that does
-nothing must not report success. Sizes stay tiny (grid <= 3, steps <= 2,
-grids <= 1) so the test runs in seconds.
+a non-finite damping, temperature, smoothing, sweep-bound or base value is
+a configuration error, and a size or count below 1 never succeeds, because
+a run that does nothing must not report success. Sizes stay tiny (grid <= 3,
+steps <= 2, grids <= 1) so the test runs in seconds.
 """
 
 import contextlib
@@ -25,7 +25,9 @@ FLOATS = ("nan", "inf", "-inf", "-1", "0", "1e308", "0.1")
 SIZES = (-1, 0, 1, 2, 3)
 NON_FINITE = {"nan", "inf", "-inf"}
 # options whose non-finite value is a configuration error (exit 2)
-CONFIG_FLOATS = ("--lambda", "--tau", "--beta", "--sigma", "--lambdas")
+CONFIG_FLOATS = (
+    "--lambda", "--tau", "--beta", "--sigma", "--lambdas", "--lo", "--hi", "--base",
+)
 # options whose value counts something the run must do at least once
 COUNTS = ("--steps", "--batch", "--n", "--grid", "--samples", "--seeds", "--grids")
 # --data choices, resolved to files by the datasets fixture
@@ -143,6 +145,8 @@ def run(argv):
 @example(argv=["slice", "grad", "--coord=0", "--tau=nan"])
 @example(argv=["bench", "rank", "--n=3", "--steps=1", "--data=not-json"])
 @example(argv=["check", "oracles", "--grids=0"])
+@example(argv=["slice", "grad", "--coord=0", "--lo=-inf"])
+@example(argv=["slice", "grad", "--coord=0", "--base=nan,1,2"])
 def test_argv_grammar_exits_cleanly(datasets, argv):
     values = dict(tok.split("=", 1) for tok in argv if tok.startswith("--"))
     argv = [f"--data={datasets[tok[7:]]}" if tok.startswith("--data=") else tok
