@@ -15,7 +15,6 @@ from ..errors import (
     NewtonBenchError,
     NonFiniteResult,
     SingularMatrix,
-    SolverFailure,
     TooLarge,
 )
 from . import checks, datagen, report, slices, trainers
@@ -288,7 +287,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NonFiniteResult, SingularMatrix, SolverFailure, TooLarge) as exc:
+    except (NonFiniteResult, SingularMatrix, TooLarge) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (NewtonBenchError, OSError) as exc:

@@ -25,6 +25,7 @@ from .. import shortest_path
 from ..diffsort import hard_rank
 
 PATH_MARGIN = 0.05
+COST_FLOOR = 0.1  # the least cell cost of costs_from_raw
 MARGIN_CHECK_MAX_SIZE = 5
 _MAX_DRAWS_PER_RECORD = 10000
 
@@ -79,14 +80,19 @@ def latent_readout(seed, feature_dim):
     return readout
 
 
+def costs_from_raw(raw):
+    """Positive cell costs from unconstrained values; the hidden costs and
+    the trained path models share this map, so their scales line up."""
+    return np.logaddexp(0.0, raw) + COST_FLOOR
+
+
 def cost_readout(seed, feature_dim):
     """The hidden cell-cost map of gen_grid_data; strictly positive."""
     w, u, amp = _readout_params(seed, feature_dim, tag=2)
 
     def readout(features):
         f = np.asarray(features, dtype=np.float64)
-        raw = f @ w + amp * np.tanh(f @ u)
-        return np.logaddexp(0.0, raw) + 0.1
+        return costs_from_raw(f @ w + amp * np.tanh(f @ u))
 
     return readout
 
@@ -146,15 +152,15 @@ def gen_grid_data(seed, size, count, feature_dim=6):
             costs = readout(features).reshape(size, size)
             grid = shortest_path.GridInstance(height=size, width=size, node_costs=costs)
             if not check_margin:
+                mask = shortest_path.dijkstra_grid(grid)
                 break
-            best, second = shortest_path.two_best_costs(grid)
+            best, second, mask = shortest_path.two_best_costs(grid)
             if second >= (1.0 + PATH_MARGIN) * best:
                 break
         else:
             raise ConfigError(
                 f"could not find a {PATH_MARGIN:.0%} path margin at size {size}"
             )
-        mask = shortest_path.dijkstra_grid(grid)
         records.append(GridRecord(features=features, mask=mask, costs=costs))
     return GridDataset(size=size, feature_dim=feature_dim, seed=seed, records=records)
 

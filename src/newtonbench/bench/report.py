@@ -79,7 +79,8 @@ def render_json(doc):
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _fmt(x):
+def fmt(x):
+    """One TSV cell: bools as 0/1, floats in FLOAT_FMT, anything else as str."""
     if isinstance(x, bool):
         return str(int(x))
     if isinstance(x, float):
@@ -101,7 +102,7 @@ def render_tsv(doc):
         for run in entry["seeds"]:
             for point in run["curve"]:
                 row = [mode, str(run["seed"]), str(point["step"])]
-                row += [_fmt(point[m]) for m in metrics]
+                row += [fmt(point[m]) for m in metrics]
                 lines.append("\t".join(row))
     return "\n".join(lines) + "\n"
 
@@ -115,11 +116,11 @@ def ablation_tsv(lambdas, columns):
     names = sorted(columns)
     lines = ["\t".join(["lambda"] + names)]
     for i, lam in enumerate(lambdas):
-        row = [_fmt(float(lam))]
+        row = [fmt(float(lam))]
         for name in names:
             col = columns[name]
             val = col[i] if isinstance(col, (list, tuple)) else col
-            row.append(_fmt(float(val)))
+            row.append(fmt(float(val)))
         lines.append("\t".join(row))
     return "\n".join(lines) + "\n"
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .. import diffsort, newton
 from ..errors import ConfigError
-from .report import _fmt
+from .report import fmt
 
 
 def gradient_slice(grad_fn, y_base, coord, lo, hi, steps, fisher_lambda=None):
@@ -65,5 +65,5 @@ def slice_tsv(table, coord):
     header = [f"y{coord}"] + [f"g{j}" for j in range(n)]
     lines = ["\t".join(header)]
     for row in table:
-        lines.append("\t".join(_fmt(float(v)) for v in row))
+        lines.append("\t".join(fmt(float(v)) for v in row))
     return "\n".join(lines) + "\n"

@@ -30,8 +30,6 @@ RANK_METHODS = ("neuralsort", "softsort", "dsn_logistic", "dsn_cauchy")
 PATH_METHODS = ("ss_loss", "ss_algorithm", "fy")
 MODES = ("baseline", "nl_hessian", "nl_fisher")
 
-COST_FLOOR = 0.1  # matches datagen.cost_readout so scales line up
-
 # Regularization presets, keyed by (mode, method); the rank task switches
 # tables at length n > 7.  Chosen once from a coarse sweep at desk scale.
 LAMBDA_PRESETS = {
@@ -228,15 +226,9 @@ def _rank_grads(cfg, y, batch, step):
 # ---------------------------------------------------------------- path task
 
 
-def costs_from_raw(raw):
-    """Positive cell costs from unconstrained model outputs."""
-    return np.logaddexp(0.0, raw) + COST_FLOOR
-
-
 def _mask_of_raw(raw, size):
-    inst = shortest_path.GridInstance(
-        height=size, width=size, node_costs=costs_from_raw(raw).reshape(size, size)
-    )
+    costs = datagen.costs_from_raw(raw).reshape(size, size)
+    inst = shortest_path.GridInstance(height=size, width=size, node_costs=costs)
     return shortest_path.dijkstra_grid(inst).astype(np.float64).ravel()
 
 
@@ -287,21 +279,21 @@ def _path_grads(cfg, y, batch, step):
             if hess is not None:
                 hess += smoothing.smooth_hessian(hamming, y[j], scfg)
         elif cfg.method == "ss_algorithm":
-            jac = smoothing.smooth_jacobian(solver, y[j], scfg)
-            # same Philox key as the jacobian call, so both see one draw set
-            draws = smoothing._draws(scfg, m)
-            mean_mask = np.mean([solver(y[j] + e) for e in draws], axis=0)
+            mean_mask, jac = smoothing.smooth_jacobian(solver, y[j], scfg)
             rows[j] = jac.T @ (mean_mask - mask)
         else:
-            scores = -costs_from_raw(y[j])
-            g_scores = smoothing.fy_loss_grad(scores, mask, argmax, scfg)
+            scores = -datagen.costs_from_raw(y[j])
             slope = -expit(y[j])  # d scores / d raw
+            if hess is None:
+                rows[j] = smoothing.fy_loss_grad(scores, mask, argmax, scfg) * slope
+                continue
+            # the loss gradient and its curvature from one draw set
+            mean_mask, jac = smoothing.smooth_jacobian(argmax, scores, scfg)
+            g_scores = mean_mask - mask
             rows[j] = g_scores * slope
-            if hess is not None:
-                jac = smoothing.smooth_jacobian(argmax, scores, scfg)
-                curv = expit(y[j]) * (1.0 - expit(y[j]))  # d^2 scores / d raw^2
-                h_j = (slope[:, None] * jac) * slope[None, :] - np.diag(g_scores * curv)
-                hess += 0.5 * (h_j + h_j.T)
+            curv = expit(y[j]) * (1.0 - expit(y[j]))  # d^2 scores / d raw^2
+            h_j = (slope[:, None] * jac) * slope[None, :] - np.diag(g_scores * curv)
+            hess += 0.5 * (h_j + h_j.T)
     if hess is not None:
         hess /= n
     return rows, hess

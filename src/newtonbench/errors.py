@@ -17,17 +17,8 @@ class NonFiniteResult(NewtonBenchError):
     """A computation produced or received NaN/inf values."""
 
 
-class MissingHessian(NewtonBenchError):
-    """A Hessian was requested but no analytic, finite-difference, or
-    smoothing route is available."""
-
-
 class TooLarge(NewtonBenchError):
     """Input exceeds a hard size limit of an exhaustive routine."""
-
-
-class SolverFailure(NewtonBenchError):
-    """A combinatorial solver callback failed."""
 
 
 class ConfigError(NewtonBenchError):

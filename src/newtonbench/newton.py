@@ -21,14 +21,16 @@ Conventions shared with the rest of the package:
     returns unscaled per-sample gradient rows.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import MissingHessian, NonFiniteResult, ShapeMismatch, SingularMatrix
+from .errors import NonFiniteResult, ShapeMismatch, SingularMatrix
 from . import linalg
 from . import net
+
+FD_STEP = np.cbrt(np.finfo(np.float64).eps)  # batch_hessian's step per max(1, max|y|)
 
 
 @dataclass
@@ -39,7 +41,8 @@ class LossProbe:
            with respect to y_i (no batch scaling).
     value: optional, Y (N x m) -> float, total loss of the batch; the
            target constructors never call it.
-    hessian: optional, Y (N x m) -> m x m batch-averaged Hessian.
+    hessian: optional, Y (N x m) -> m x m batch-averaged Hessian; used
+             when present, finite differences of grad otherwise.
     """
 
     grad: Callable[[np.ndarray], np.ndarray]
@@ -57,16 +60,10 @@ class NewtonConfig:
 
     variant: str = "hessian"  # "hessian" | "fisher"
     lam: float = 0.1
-    inversion: str = "direct"  # "direct" | "woodbury", fisher only
-    hessian_source: str = "auto"  # "auto" | "analytic" | "finite_diff"
 
     def __post_init__(self):
         if self.variant not in ("hessian", "fisher"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.inversion not in ("direct", "woodbury"):
-            raise ValueError(f"unknown inversion {self.inversion!r}")
-        if self.hessian_source not in ("auto", "analytic", "finite_diff"):
-            raise ValueError(f"unknown hessian_source {self.hessian_source!r}")
         if not np.isfinite(self.lam) or self.lam < 0:
             raise ValueError("lam must be finite and >= 0")
 
@@ -76,7 +73,6 @@ class NewtonTarget:
     """Frozen targets z* for one batch.  No gradient flows through z_star."""
 
     z_star: np.ndarray  # N x m
-    recipe: dict = field(default_factory=dict)
 
 
 def _checked_grads(probe, y):
@@ -86,31 +82,24 @@ def _checked_grads(probe, y):
     return g
 
 
-def batch_hessian(probe, y_bar, source="auto", fd_step=None):
+def batch_hessian(probe, y_bar):
     """Batch-averaged m x m Hessian of the probed loss at y_bar.
 
-    source "analytic" requires probe.hessian and raises MissingHessian
-    otherwise; "finite_diff" differentiates the gradient rows sample by
-    sample; "auto" prefers analytic and falls back to finite differences.
-    The result is symmetrized exactly.
+    The probe's analytic Hessian when it has one; otherwise central
+    differences of the gradient rows, sample by sample.  The result is
+    symmetrized exactly.
     """
     y = linalg.as_matrix(y_bar, "y_bar")
     n, m = y.shape
-    if source == "auto":
-        source = "analytic" if probe.has_hessian else "finite_diff"
-    if source == "analytic":
-        if not probe.has_hessian:
-            raise MissingHessian("probe has no Hessian callback")
+    if probe.has_hessian:
         h = np.asarray(probe.hessian(y), dtype=np.float64)
         if h.shape != (m, m):
             raise ShapeMismatch(f"hessian shape {h.shape}, expected {(m, m)}")
-    elif source == "finite_diff":
+    else:
         # Each sample's gradient row depends only on its own output row
         # (per-sample losses), so one probe call perturbs coordinate j of
         # every row at once: 2m calls total instead of 2m per sample.
-        step = fd_step
-        if step is None:
-            step = np.cbrt(np.finfo(np.float64).eps) * max(1.0, np.max(np.abs(y)))
+        step = FD_STEP * max(1.0, np.max(np.abs(y)))
         cols = np.empty((m, n, m))
         for j in range(m):
             yp = y.copy()
@@ -123,23 +112,20 @@ def batch_hessian(probe, y_bar, source="auto", fd_step=None):
         # cols[j, i, k] = d grad_k(y_i) / d y_ij; average the per-sample
         # Hessians H_i[k, j] over i
         h = np.mean(cols, axis=1).T
-    else:
-        raise ValueError(f"unknown hessian source {source!r}")
     if not np.all(np.isfinite(h)):
         raise NonFiniteResult("hessian contains non-finite entries")
     return 0.5 * (h + h.T)
 
 
-def newton_target_hessian(y_bar, probe, lam, hessian_source="auto"):
+def newton_target_hessian(y_bar, probe, lam):
     """Targets z_i = y_i - (H + lam I)^{-1} grad_i with the averaged Hessian.
 
     One factorization of H + lam I is shared across all rows.  Raises
-    SingularMatrix when the regularized Hessian is not invertible and
-    MissingHessian when hessian_source is "analytic" but the probe has none.
+    SingularMatrix when the regularized Hessian is not invertible.
     """
     y = linalg.as_matrix(y_bar, "y_bar")
     grads = _checked_grads(probe, y)
-    h = batch_hessian(probe, y, source=hessian_source)
+    h = batch_hessian(probe, y)
     return newton_target_from_parts(y, grads, h, lam)
 
 
@@ -163,19 +149,14 @@ def newton_target_fisher(y_bar, probe, lam, inversion="direct"):
         steps = linalg.woodbury_solve(grads, lam, grads)
     else:
         raise ValueError(f"unknown inversion {inversion!r}")
-    z = y - steps
-    return NewtonTarget(
-        z, {"variant": "fisher", "lam": float(lam), "inversion": inversion}
-    )
+    return NewtonTarget(y - steps)
 
 
 def newton_target(y_bar, probe, cfg: NewtonConfig) -> NewtonTarget:
     """Dispatch on cfg.variant; the entry point used by the trainers."""
     if cfg.variant == "hessian":
-        return newton_target_hessian(
-            y_bar, probe, cfg.lam, hessian_source=cfg.hessian_source
-        )
-    return newton_target_fisher(y_bar, probe, cfg.lam, inversion=cfg.inversion)
+        return newton_target_hessian(y_bar, probe, cfg.lam)
+    return newton_target_fisher(y_bar, probe, cfg.lam)
 
 
 def newton_target_from_parts(y_bar, grads, hessian, lam):
@@ -191,8 +172,7 @@ def newton_target_from_parts(y_bar, grads, hessian, lam):
     if g.shape != y.shape:
         raise ShapeMismatch(f"grads shape {g.shape}, expected {y.shape}")
     solver = linalg.TikhonovSolver(hessian, lam)
-    z = y - solver.solve_mat(g.T).T
-    return NewtonTarget(z, {"variant": "hessian", "lam": float(lam)})
+    return NewtonTarget(y - solver.solve_mat(g.T).T)
 
 
 def newton_loss_eval(y, target: NewtonTarget):

@@ -113,7 +113,9 @@ def dijkstra_grid(inst):
 
 
 def two_best_costs(inst):
-    """Costs of the best and the second-best simple path (inf if none).
+    """(best cost, second-best cost, best mask) over simple paths; the
+    second cost is inf when the grid has a single path, and the mask is
+    dijkstra_grid's.
 
     Yen's k=2 step: any other path leaves the best one at some cell for a
     different free neighbour, so one Dijkstra run per cell of the best path,
@@ -140,7 +142,7 @@ def two_best_costs(inst):
         second = min(second, _settle(costs, dist, heap, blocked.copy())[h - 1, w - 1])
         i, j = nxt
         best = best + costs[nxt]
-    return best, second
+    return best, second, mask
 
 
 def brute_force_shortest(inst):

@@ -8,12 +8,13 @@ evaluate the function itself:
     grad  ~ mean[(f(y+e) - b) * e / sigma^2]
     hess  ~ mean[(f(y+e) - b) * (e e^T / sigma^4 - I / sigma^2)]
 
-with e ~ N(0, sigma^2 I). The optional baseline b = f(y) cuts variance
-without changing the expectation. fy_loss_grad is the perturbed-argmax
-loss gradient mean[argmax(y+e)] - w_star, which never needs a loss value.
+with e ~ N(0, sigma^2 I). The baseline b = f(y) cuts variance without
+changing the expectation. fy_loss_grad is the perturbed-argmax loss
+gradient mean[argmax(y+e)] - w_star, which never needs a loss value.
 
-Draws come from a counter-based Philox stream keyed by cfg.seed, so
-estimates are bit-reproducible.
+Every estimator reduces one probe of f at y plus a draw set. Draws come
+from a counter-based Philox stream keyed by cfg.seed, so estimates are
+bit-reproducible and estimators called with one cfg share their draws.
 """
 
 from dataclasses import dataclass
@@ -27,7 +28,6 @@ from .errors import ConfigError, NonFiniteResult, ShapeMismatch
 class SmoothingConfig:
     sigma: float
     samples: int
-    variance_reduction: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -42,55 +42,48 @@ def _draws(cfg, m):
     return cfg.sigma * rng.standard_normal((cfg.samples, m))
 
 
-def _probe_scalar(f, points):
-    vals = np.array([float(f(p)) for p in points])
+def _probe(f, y, cfg, shape=()):
+    """(eps, vals): the draws and f at every y + eps[i], stacked; every
+    output must be finite and have the given shape."""
+    eps = _draws(cfg, y.shape[0])
+    try:
+        vals = np.array([f(p) for p in y + eps], dtype=np.float64)
+    except ValueError:
+        raise ShapeMismatch("black-box output shape changed between probes") from None
+    if vals.shape != (cfg.samples, *shape):
+        raise ShapeMismatch(f"black-box output shape {vals.shape[1:]}, expected {shape}")
     if not np.all(np.isfinite(vals)):
         raise NonFiniteResult("black-box probe returned non-finite values")
-    return vals
+    return eps, vals
 
 
 def smooth_grad(f, y, cfg):
     """Score-function gradient estimate of the Gaussian-smoothed f at y."""
     y = np.asarray(y, dtype=np.float64)
-    eps = _draws(cfg, y.shape[0])
-    b = float(f(y)) if cfg.variance_reduction else 0.0
-    vals = _probe_scalar(f, y + eps)
-    return ((vals - b)[:, None] * eps).mean(axis=0) / cfg.sigma**2
+    eps, vals = _probe(f, y, cfg)
+    return ((vals - float(f(y)))[:, None] * eps).mean(axis=0) / cfg.sigma**2
 
 
 def smooth_hessian(f, y, cfg):
     """Estimate of the smoothed Hessian, symmetrized exactly."""
     y = np.asarray(y, dtype=np.float64)
-    m = y.shape[0]
-    eps = _draws(cfg, m)
-    b = float(f(y)) if cfg.variance_reduction else 0.0
-    vals = _probe_scalar(f, y + eps)
-    w = vals - b
+    eps, vals = _probe(f, y, cfg)
+    w = vals - float(f(y))
     # mean_i w_i (e_i e_i^T / s^4 - I / s^2), accumulated as matrix products
     outer = (eps * w[:, None]).T @ eps / (cfg.samples * cfg.sigma**4)
-    h = outer - np.mean(w) / cfg.sigma**2 * np.eye(m)
+    h = outer - np.mean(w) / cfg.sigma**2 * np.eye(y.shape[0])
     return 0.5 * (h + h.T)
 
 
 def smooth_jacobian(f, y, cfg):
-    """Per-row smoothed gradients of a vector function, sharing one draw set."""
+    """(mean, jac) of a vector function from one draw set: the smoothed
+    output mean[f(y+e)] and its per-row smoothed gradients."""
     y = np.asarray(y, dtype=np.float64)
-    m = y.shape[0]
-    eps = _draws(cfg, m)
     base = np.asarray(f(y), dtype=np.float64)
     if base.ndim != 1:
         raise ShapeMismatch(f"vector black box must return 1-d output, got {base.shape}")
-    k = base.shape[0]
-    vals = np.empty((cfg.samples, k))
-    for i in range(cfg.samples):
-        out = np.asarray(f(y + eps[i]), dtype=np.float64)
-        if out.shape != (k,):
-            raise ShapeMismatch(f"output dim changed between probes: {out.shape}")
-        vals[i] = out
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteResult("black-box probe returned non-finite values")
-    b = base if cfg.variance_reduction else np.zeros(k)
-    return (vals - b).T @ eps / (cfg.samples * cfg.sigma**2)
+    eps, vals = _probe(f, y, cfg, base.shape)
+    return vals.mean(axis=0), (vals - base).T @ eps / (cfg.samples * cfg.sigma**2)
 
 
 def fy_loss_grad(y, w_star, argmax_solver, cfg):
@@ -104,14 +97,4 @@ def fy_loss_grad(y, w_star, argmax_solver, cfg):
         raise ShapeMismatch(
             f"target indicator shape {w_star.shape} != score shape {y.shape}"
         )
-    eps = _draws(cfg, y.shape[0])
-    acc = np.zeros_like(y)
-    for i in range(cfg.samples):
-        w = np.asarray(argmax_solver(y + eps[i]), dtype=np.float64)
-        if w.shape != y.shape:
-            raise ShapeMismatch(f"argmax output shape {w.shape} != {y.shape}")
-        acc += w
-    grad = acc / cfg.samples - w_star
-    if not np.all(np.isfinite(grad)):
-        raise NonFiniteResult("perturbed argmax returned non-finite values")
-    return grad
+    return _probe(argmax_solver, y, cfg, y.shape)[1].mean(axis=0) - w_star

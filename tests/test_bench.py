@@ -99,7 +99,7 @@ class TestGridDatagen:
         ds = datagen.gen_grid_data(6, 3, 20)
         rows = []
         for rec in ds.records:
-            rows.append(np.log(np.expm1(rec.costs.ravel() - trainers.COST_FLOOR)))
+            rows.append(np.log(np.expm1(rec.costs.ravel() - datagen.COST_FLOOR)))
         metrics = trainers.path_metrics(np.stack(rows), ds.records, 3)
         assert metrics["perfect_match"] == 100.0
 
@@ -155,7 +155,7 @@ class TestMetrics:
             datagen.GridRecord(features=None, mask=mask),
             datagen.GridRecord(features=None, mask=1 - mask),
         ]
-        raw = np.log(np.expm1(cheap.ravel() - trainers.COST_FLOOR))
+        raw = np.log(np.expm1(cheap.ravel() - datagen.COST_FLOOR))
         m = trainers.path_metrics(np.stack([raw, raw]), recs, 2)
         assert m["perfect_match"] == 50.0
 
@@ -233,6 +233,41 @@ class TestLambdaLimit:
             vec = update_direction(mode)
             cos = vec @ base / (np.linalg.norm(vec) * np.linalg.norm(base))
             assert cos >= 0.999
+
+
+class TestPathOutputGrads:
+    @staticmethod
+    def _setup(method, mode):
+        cfg = _quick_cfg(task="path", method=method, mode=mode, grid=3, batch=4, samples=6)
+        records = datagen.gen_grid_data(2, cfg.grid, cfg.batch).records
+        y = np.random.default_rng(2).normal(size=(cfg.batch, cfg.grid**2))
+        return cfg, records, y
+
+    @pytest.mark.parametrize("method", trainers.PATH_METHODS)
+    def test_rows_do_not_depend_on_mode(self, method):
+        modes = [m for m in trainers.MODES if (method, m) != ("ss_algorithm", "nl_hessian")]
+        rows = []
+        for mode in modes:
+            cfg, records, y = self._setup(method, mode)
+            rows.append(trainers.output_grads(cfg, y, records, 3)[0])
+        for other in rows[1:]:
+            assert np.array_equal(rows[0], other)
+
+    @pytest.mark.parametrize(
+        "method,mode",
+        [("ss_algorithm", "baseline"), ("ss_algorithm", "nl_fisher"), ("fy", "nl_hessian")],
+    )
+    def test_one_solve_per_draw_and_one_at_the_row(self, method, mode, monkeypatch):
+        cfg, records, y = self._setup(method, mode)
+        solve, calls = shortest_path.dijkstra_grid, []
+
+        def counted(inst):
+            calls.append(inst)
+            return solve(inst)
+
+        monkeypatch.setattr(shortest_path, "dijkstra_grid", counted)
+        trainers.output_grads(cfg, y, records, 1)
+        assert len(calls) == cfg.batch * (cfg.samples + 1)
 
 
 class TestRunExperiments:

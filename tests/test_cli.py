@@ -227,11 +227,9 @@ class TestExitCodes:
         [
             (errors.ConfigError, 2),
             (errors.ShapeMismatch, 2),
-            (errors.MissingHessian, 2),
             (FileNotFoundError, 2),
             (errors.NonFiniteResult, 3),
             (errors.SingularMatrix, 3),
-            (errors.SolverFailure, 3),
             (errors.TooLarge, 3),
         ],
     )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from newtonbench import diffsort, linalg, net, newton
-from newtonbench.errors import MissingHessian, ShapeMismatch, SingularMatrix
+from newtonbench.errors import ShapeMismatch, SingularMatrix
 
 from oracles import gauss_jordan_inverse, rel_err
 
@@ -81,13 +81,6 @@ class TestHessianTargets:
         t_fd = newton.newton_target_hessian(y, blind, 0.2)
         t_an = newton.newton_target_hessian(y, probe, 0.2)
         assert rel_err(t_fd.z_star, t_an.z_star) <= 1e-7
-
-    def test_analytic_source_without_hessian_raises(self):
-        probe = newton.LossProbe(value=lambda y: 0.0, grad=lambda y: np.zeros_like(y))
-        with pytest.raises(MissingHessian):
-            newton.newton_target_hessian(
-                np.zeros((2, 2)), probe, 0.1, hessian_source="analytic"
-            )
 
     def test_singular_regularized_hessian_raises(self):
         probe = quadratic_probe(-np.eye(3), np.ones(3))

@@ -122,13 +122,16 @@ class TestTwoBestCosts:
         for draw in draws:
             for _ in range(15):
                 inst = sp.GridInstance(height=h, width=w, node_costs=draw())
-                assert sp.two_best_costs(inst) == self.oracle_two_best(inst, paths)
+                best, second, mask = sp.two_best_costs(inst)
+                assert (best, second) == self.oracle_two_best(inst, paths)
+                np.testing.assert_array_equal(mask, sp.dijkstra_grid(inst))
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 1)])
     def test_single_path_has_no_second(self, shape):
         rng = np.random.default_rng(8)
         inst = random_grid(rng, *shape)
-        best, second = sp.two_best_costs(inst)
+        best, second, mask = sp.two_best_costs(inst)
+        np.testing.assert_array_equal(mask, np.ones(shape, dtype=np.int64))
         assert best == self.oracle_two_best(inst, enumerate_paths(*shape))[0]
         assert second == np.inf
 

@@ -2,22 +2,21 @@ import numpy as np
 import pytest
 
 from newtonbench import smoothing
-from newtonbench.errors import ConfigError, NonFiniteResult
+from newtonbench.errors import ConfigError, NonFiniteResult, ShapeMismatch
 from newtonbench.smoothing import SmoothingConfig
 
 
-def replica_se_grad(f, y, sigma, samples, seed, vr=True):
+def replica_se_grad(f, y, sigma, samples, seed):
     """Test-side re-derivation of the estimator's per-component SE."""
     rng = np.random.default_rng(seed)
     eps = sigma * rng.standard_normal((samples, y.size))
-    b = f(y) if vr else 0.0
-    terms = (np.array([f(y + e) for e in eps]) - b)[:, None] * eps / sigma**2
+    terms = (np.array([f(y + e) for e in eps]) - f(y))[:, None] * eps / sigma**2
     return terms.std(axis=0, ddof=1) / np.sqrt(samples)
 
 
 class TestSmoothGrad:
     def test_constant_with_vr_is_exact_zero(self):
-        cfg = SmoothingConfig(sigma=0.1, samples=50, variance_reduction=True, seed=1)
+        cfg = SmoothingConfig(sigma=0.1, samples=50, seed=1)
         g = smoothing.smooth_grad(lambda y: 3.25, np.zeros(4), cfg)
         assert np.array_equal(g, np.zeros(4))
 
@@ -50,24 +49,15 @@ class TestSmoothGrad:
         )
         assert not np.array_equal(a, other)
 
-    def test_vr_does_not_change_expectation(self):
-        f = lambda y: float(np.sin(y[0]) + y[1] ** 2)
-        y = np.array([0.4, -0.7])
-        s, n = 0.1, 20_000
-        g_on = smoothing.smooth_grad(
-            f, y, SmoothingConfig(sigma=s, samples=n, variance_reduction=True, seed=10)
-        )
-        g_off = smoothing.smooth_grad(
-            f, y, SmoothingConfig(sigma=s, samples=n, variance_reduction=False, seed=11)
-        )
-        se_on = replica_se_grad(f, y, s, n, seed=902, vr=True)
-        se_off = replica_se_grad(f, y, s, n, seed=903, vr=False)
-        assert np.all(np.abs(g_on - g_off) <= 4 * np.sqrt(se_on**2 + se_off**2))
-
     def test_nonfinite_probe_raises(self):
         cfg = SmoothingConfig(sigma=0.1, samples=10, seed=0)
         with pytest.raises(NonFiniteResult):
             smoothing.smooth_grad(lambda y: float("nan"), np.zeros(2), cfg)
+
+    def test_vector_output_raises(self):
+        cfg = SmoothingConfig(sigma=0.1, samples=10, seed=0)
+        with pytest.raises(ShapeMismatch):
+            smoothing.smooth_grad(lambda y: y.copy(), np.zeros(2), cfg)
 
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -127,15 +117,18 @@ class TestSmoothHessian:
 class TestSmoothJacobian:
     def test_constant_vector_exact_zero(self):
         cfg = SmoothingConfig(sigma=0.1, samples=40, seed=8)
-        j = smoothing.smooth_jacobian(
+        mean, j = smoothing.smooth_jacobian(
             lambda y: np.array([1.0, -2.0]), np.zeros(3), cfg
         )
+        assert np.array_equal(mean, [1.0, -2.0])
         assert np.array_equal(j, np.zeros((2, 3)))
 
     def test_identity_function(self):
         f = lambda y: y.copy()
         cfg = SmoothingConfig(sigma=0.1, samples=10_000, seed=9)
-        j = smoothing.smooth_jacobian(f, np.zeros(3), cfg)
+        mean, j = smoothing.smooth_jacobian(f, np.zeros(3), cfg)
+        # the mean of the draws themselves
+        assert np.array_equal(mean, smoothing._draws(cfg, 3).mean(axis=0))
         # row r is a linear smoothed grad; its SE is that of the scalar case
         se = replica_se_grad(lambda y: y[0], np.zeros(3), 0.1, 10_000, seed=906)
         assert np.all(np.abs(j - np.eye(3)) <= 3 * np.max(se))
@@ -144,7 +137,7 @@ class TestSmoothJacobian:
         f = lambda y: np.array([y[0] ** 2, y[1]])
         y = np.array([1.0, 1.0])
         cfg = SmoothingConfig(sigma=0.1, samples=20_000, seed=12)
-        j = smoothing.smooth_jacobian(f, y, cfg)
+        _, j = smoothing.smooth_jacobian(f, y, cfg)
         expected = np.array([[2.0, 0.0], [0.0, 1.0]])
         se0 = replica_se_grad(lambda v: v[0] ** 2, y, 0.1, 20_000, seed=907)
         se1 = replica_se_grad(lambda v: v[1], y, 0.1, 20_000, seed=908)
@@ -158,8 +151,21 @@ class TestSmoothJacobian:
         y = np.array([0.5, -0.3])
         cfg = SmoothingConfig(sigma=0.1, samples=500, seed=13)
         g = smoothing.smooth_grad(f, y, cfg)
-        j = smoothing.smooth_jacobian(fv, y, cfg)
+        _, j = smoothing.smooth_jacobian(fv, y, cfg)
         np.testing.assert_allclose(j[0], g, rtol=0, atol=1e-15)
+
+    def test_mean_is_the_fy_gradient_plus_target(self):
+        # one draw set: the smoothed argmax equals fy_loss_grad's bit for bit
+        y = np.array([0.3, 0.1, -0.2, 0.25])
+        w = np.array([0.0, 1.0, 0.0, 0.0])
+        cfg = SmoothingConfig(sigma=0.2, samples=300, seed=18)
+        mean, _ = smoothing.smooth_jacobian(onehot_argmax, y, cfg)
+        assert np.array_equal(mean - w, smoothing.fy_loss_grad(y, w, onehot_argmax, cfg))
+
+    def test_output_shape_change_raises(self):
+        cfg = SmoothingConfig(sigma=0.1, samples=10, seed=0)
+        with pytest.raises(ShapeMismatch):
+            smoothing.smooth_jacobian(lambda y: y[: 1 + int(y[0] > 0)], np.zeros(2), cfg)
 
 
 def onehot_argmax(y):
