@@ -224,18 +224,36 @@ def _json_object(path, lineno, line, fields):
     return obj
 
 
-def _record(kind, row):
+def _positive_int(path, meta, key):
+    value = meta[key]
+    if type(value) is not int or value < 1:
+        raise ConfigError(f"{path} line 1: {key} must be a positive int, got {value!r}")
+    return value
+
+
+def _record(kind, row, size, feature_dim):
     features = np.asarray(row["features"], dtype=np.float64)
+    shape = (size if kind == "rank" else size * size, feature_dim)
+    if features.shape != shape:
+        raise ValueError(f"features have shape {features.shape}, expected {shape}")
     if kind == "rank":
-        return RankRecord(features=features, ranking=tuple(row["ranking"]))
-    return GridRecord(features=features, mask=np.asarray(row["mask"], dtype=np.float64))
+        ranking = tuple(row["ranking"])
+        if not all(type(i) is int for i in ranking) or sorted(ranking) != list(range(size)):
+            raise ValueError(f"ranking {list(ranking)} is not a permutation of 0..{size - 1}")
+        return RankRecord(features=features, ranking=ranking)
+    mask = np.asarray(row["mask"], dtype=np.float64)
+    if mask.shape != (size, size) or not shortest_path.path_mask_is_valid(mask):
+        raise ValueError(f"mask is not a 0/1 corner-to-corner path of a {size}x{size} grid")
+    return GridRecord(features=features, mask=mask)
 
 
 def load_dataset(path):
     """Read either dataset kind back; diagnostic fields stay empty.
 
-    A line that is not a JSON object, lacks a field its kind needs or holds
-    a value of the wrong type raises ConfigError naming the file and line.
+    A line that is not a JSON object, lacks a field its kind needs, holds a
+    value of the wrong type or disagrees with the header (feature shape, a
+    ranking that is not a permutation, a mask that is not a path) raises
+    ConfigError naming the file and line.
     """
     with open(path) as fh:
         header = fh.readline()
@@ -244,16 +262,15 @@ def load_dataset(path):
             raise ConfigError(f"unrecognized dataset header in {path}")
         dataset, size_key, fields = _KINDS[kind]
         meta = _json_object(path, 1, header, (size_key, "feature_dim", "seed"))
+        size = _positive_int(path, meta, size_key)
+        feature_dim = _positive_int(path, meta, "feature_dim")
         records = []
         for lineno, line in enumerate(fh, start=2):
             row = _json_object(path, lineno, line, fields)
             try:
-                records.append(_record(kind, row))
+                records.append(_record(kind, row, size, feature_dim))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{path} line {lineno}: {exc}") from None
     return dataset(
-        **{size_key: meta[size_key]},
-        feature_dim=meta["feature_dim"],
-        seed=meta["seed"],
-        records=records,
+        **{size_key: size}, feature_dim=feature_dim, seed=meta["seed"], records=records
     )

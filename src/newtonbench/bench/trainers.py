@@ -21,7 +21,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy.special import expit
 
-from ..errors import ConfigError
+from ..errors import ConfigError, NonFiniteResult
 from .. import diffsort, net, newton, shortest_path, smoothing
 from . import datagen
 from .report import TrainReport
@@ -191,19 +191,16 @@ def _forward(model, records):
 
 
 def rank_metrics(score_rows, records):
-    """Exact-match and element-rank percentages against stored rankings."""
-    exact = 0
-    elements = 0
-    total_elements = 0
-    for row, rec in zip(score_rows, records):
-        pred = diffsort.hard_rank(row).order
-        truth = tuple(rec.ranking)
-        exact += int(pred == truth)
-        elements += sum(int(a == b) for a, b in zip(pred, truth))
-        total_elements += len(truth)
+    """Exact-match and element-rank percentages against stored rankings;
+    predictions are the descending order with ties to the lower index."""
+    scores = np.asarray(score_rows, dtype=np.float64)
+    if not np.all(np.isfinite(scores)):
+        raise NonFiniteResult("held-out scores have non-finite entries")
+    pred = np.argsort(-scores, axis=1, kind="stable")
+    hits = pred == np.array([rec.ranking for rec in records])
     return {
-        "exact_match": 100.0 * exact / len(records),
-        "element_rank": 100.0 * elements / total_elements,
+        "exact_match": 100.0 * int(np.sum(np.all(hits, axis=1))) / len(records),
+        "element_rank": 100.0 * int(np.sum(hits)) / hits.size,
     }
 
 
@@ -364,16 +361,6 @@ def run_experiment(cfg):
         final={k: v for k, v in curve[-1].items() if k != "step"},
         wall_clock=time.perf_counter() - started,
     )
-
-
-def __getattr__(name):
-    # The former per-task entry points, resolved on lookup rather than bound
-    # as globals: run_experiment then stays the only module attribute holding
-    # the function, so tools that wrap module functions by attribute name
-    # (stepbench's tracer) give its calls one name.
-    if name in ("run_ranking_experiment", "run_path_experiment"):
-        return run_experiment
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def ablate_lambda(cfg, lam_grid):

@@ -117,61 +117,40 @@ def truth_from_order(order):
 
 def hard_rank(y):
     """Descending argsort with ties broken by lower index first."""
-    y = _check_vector(y)
-    n = y.shape[0]
-    order = np.argsort(-y, kind="stable")
-    q = np.zeros((n, n))
-    q[np.arange(n), order] = 1.0
-    return GroundTruthRanking(n=n, order=tuple(int(i) for i in order), matrix=q)
+    return truth_from_order(np.argsort(-_check_vector(y), kind="stable"))
+
+
+# Each relaxation's forward returns P and its pullback: g_P -> g_y.
 
 
 def _softsort_fwd(y, tau):
-    n = y.shape[0]
-    sorted_desc = np.sort(y)[::-1]
-    diff = sorted_desc[:, None] - y[None, :]
-    c = -np.abs(diff) / tau
-    p = _row_softmax(c)
-    return p, {"sign": np.sign(diff), "p": p, "tau": tau, "n": n}
+    order = np.argsort(-y, kind="stable")
+    diff = y[order][:, None] - y[None, :]
+    p = _row_softmax(-np.abs(diff) / tau)
 
+    def pullback(g_p):
+        contrib = _softmax_rows_backward(p, g_p) * np.sign(diff) / tau
+        grad = np.sum(contrib, axis=0)
+        # gradient through the sorted vector: sorted_i = y[order[i]]
+        grad[order] -= np.sum(contrib, axis=1)
+        return grad
 
-def softsort_perm(y, tau):
-    y = _check_vector(y)
-    if tau <= 0:
-        raise ConfigError(f"tau must be > 0, got {tau}")
-    p, _ = _softsort_fwd(y, tau)
-    if not np.all(np.isfinite(p)):
-        raise NonFiniteResult("softsort produced non-finite probabilities")
-    return PermMatrix(n=y.shape[0], entries=p)
+    return p, pullback
 
 
 def _neuralsort_fwd(y, tau):
     n = y.shape[0]
-    s = np.sign(y[:, None] - y[None, :])
+    sign = np.sign(y[:, None] - y[None, :])
     a_one = np.sum(np.abs(y[:, None] - y[None, :]), axis=1)
     coeff = (n - 1 - 2 * np.arange(n)).astype(np.float64)
-    c = (coeff[:, None] * y[None, :] - a_one[None, :]) / tau
-    p = _row_softmax(c)
-    return p, {"p": p, "sign": s, "coeff": coeff, "tau": tau, "n": n}
+    p = _row_softmax((coeff[:, None] * y[None, :] - a_one[None, :]) / tau)
 
+    def pullback(g_p):
+        d_c = _softmax_rows_backward(p, g_p)
+        col = np.sum(d_c, axis=0)
+        return (coeff @ d_c - col * np.sum(sign, axis=1) + col @ sign) / tau
 
-def _neuralsort_bwd(aux, g_p):
-    d_c = _softmax_rows_backward(aux["p"], g_p)
-    s = aux["sign"]
-    col = np.sum(d_c, axis=0)
-    row_s = np.sum(s, axis=1)
-    term1 = aux["coeff"] @ d_c - col * row_s
-    term2 = col @ s
-    return (term1 + term2) / aux["tau"]
-
-
-def neuralsort_perm(y, tau):
-    y = _check_vector(y)
-    if tau <= 0:
-        raise ConfigError(f"tau must be > 0, got {tau}")
-    p, _ = _neuralsort_fwd(y, tau)
-    if not np.all(np.isfinite(p)):
-        raise NonFiniteResult("neuralsort produced non-finite probabilities")
-    return PermMatrix(n=y.shape[0], entries=p)
+    return p, pullback
 
 
 def _cdf_stay_pdf(family, x):
@@ -185,62 +164,47 @@ def _cdf_stay_pdf(family, x):
         s = expit(x)
         c = expit(-x)
         return s, c, s * c
-    if family == "cauchy":
-        at = np.arctan(x) / np.pi
-        return 0.5 + at, 0.5 - at, 1.0 / (np.pi * (1.0 + x * x))
-    raise ConfigError(f"unknown comparator family {family!r}")
-
-
-def _oddeven_layers(n):
-    return [[(i, i + 1) for i in range(t % 2, n - 1, 2)] for t in range(n)]
+    at = np.arctan(x) / np.pi
+    return 0.5 + at, 0.5 - at, 1.0 / (np.pi * (1.0 + x * x))
 
 
 def _dsn_fwd(y, beta, family):
+    """Odd-even network: layer t compares wires (i, j = i + 1) for
+    i = t % 2, t % 2 + 2, ...; the comparators of a layer touch disjoint
+    wires.  Layer matrices are read and written at flat positions: entry
+    (i, i) of an n x n matrix sits at i * (n + 1), and (i, j), (j, i) and
+    (j, j) sit 1, n and n + 1 further on; at these sizes a flat index is
+    several times cheaper than a (row, column) pair of index arrays.
+    """
     n = y.shape[0]
-    v = y.copy()
-    a = np.eye(n)
-    trace = []
-    for pairs in _oddeven_layers(n):
+    parities = []
+    for i in (np.arange(0, n - 1, 2), np.arange(1, n - 1, 2)):
+        k = i * (n + 1)
+        parities.append((i, i + 1, k, k + 1, k + n, k + n + 1))
+    v, a = y, np.eye(n)
+    layers = []
+    for t in range(n):
+        i, j, ii, ij, ji, jj = wires = parities[t % 2]
+        s, stay, pdf = _cdf_stay_pdf(family, beta * (v[i] - v[j]))
         m = np.eye(n)
-        svals = []
-        for i, j in pairs:
-            s, stay, _ = _cdf_stay_pdf(family, beta * (v[i] - v[j]))
-            m[i, i] = m[j, j] = stay
-            m[i, j] = m[j, i] = s
-            svals.append(s)
-        trace.append({"pairs": pairs, "s": svals, "v_in": v, "m": m, "a_in": a})
-        v = m @ v
-        a = m @ a
-    return a, {"trace": trace, "beta": beta, "family": family, "n": n}
+        flat = m.reshape(-1)
+        flat[ii] = flat[jj] = stay
+        flat[ij] = flat[ji] = s
+        layers.append((wires, pdf, m, v, a))
+        v, a = m @ v, m @ a
 
-
-def _dsn_bwd(aux, g_p):
-    beta, family = aux["beta"], aux["family"]
-    g_a = g_p.copy()
-    g_v = np.zeros(aux["n"])
-    for step in reversed(aux["trace"]):
-        m, v_in, a_in = step["m"], step["v_in"], step["a_in"]
-        # v_out = m @ v_in and a_out = m @ a_in both feed gradient into m
-        g_m = g_a @ a_in.T + np.outer(g_v, v_in)
-        g_a = m.T @ g_a
-        g_v = m.T @ g_v
-        for (i, j), s in zip(step["pairs"], step["s"]):
-            d_s = -g_m[i, i] + g_m[i, j] + g_m[j, i] - g_m[j, j]
-            _, _, pdf = _cdf_stay_pdf(family, beta * (v_in[i] - v_in[j]))
-            pull = d_s * beta * pdf
+    def pullback(g_p):
+        g_a, g_v = g_p, np.zeros(n)
+        for (i, j, ii, ij, ji, jj), pdf, m, v_in, a_in in reversed(layers):
+            # v_out = m @ v_in and a_out = m @ a_in both feed gradient into m
+            g_m = (g_a @ a_in.T + np.outer(g_v, v_in)).reshape(-1)
+            g_a, g_v = m.T @ g_a, m.T @ g_v
+            pull = (-g_m[ii] + g_m[ij] + g_m[ji] - g_m[jj]) * beta * pdf
             g_v[i] += pull
             g_v[j] -= pull
-    return g_v
+        return g_v
 
-
-def dsn_perm(y, beta, family):
-    y = _check_vector(y)
-    if beta <= 0:
-        raise ConfigError(f"beta must be > 0, got {beta}")
-    if family not in DSN_FAMILIES:
-        raise ConfigError(f"unknown comparator family {family!r}")
-    p, _ = _dsn_fwd(y, beta, family)
-    return PermMatrix(n=y.shape[0], entries=p)
+    return a, pullback
 
 
 def _perm_forward(y, cfg):
@@ -248,22 +212,27 @@ def _perm_forward(y, cfg):
         return _softsort_fwd(y, cfg.tau)
     if cfg.method == "neuralsort":
         return _neuralsort_fwd(y, cfg.tau)
-    family = cfg.method.split("_", 1)[1]
-    return _dsn_fwd(y, cfg.beta, family)
+    return _dsn_fwd(y, cfg.beta, cfg.method.split("_", 1)[1])
 
 
-def _perm_backward(cfg, aux, g_p):
-    if cfg.method == "softsort":
-        d_c = _softmax_rows_backward(aux["p"], g_p)
-        contrib = d_c * aux["sign"] / aux["tau"]
-        grad = np.sum(contrib, axis=0)
-        # gradient through the sorted vector: sorted_i = y[order[i]]
-        order = aux["order"]
-        np.add.at(grad, order, -np.sum(contrib, axis=1))
-        return grad
-    if cfg.method == "neuralsort":
-        return _neuralsort_bwd(aux, g_p)
-    return _dsn_bwd(aux, g_p)
+def _perm(y, cfg):
+    y = _check_vector(y)
+    p, _ = _perm_forward(y, cfg)
+    if not np.all(np.isfinite(p)):
+        raise NonFiniteResult(f"{cfg.method} produced non-finite probabilities")
+    return PermMatrix(n=y.shape[0], entries=p)
+
+
+def softsort_perm(y, tau):
+    return _perm(y, SortConfig("softsort", tau=tau))
+
+
+def neuralsort_perm(y, tau):
+    return _perm(y, SortConfig("neuralsort", tau=tau))
+
+
+def dsn_perm(y, beta, family):
+    return _perm(y, SortConfig(f"dsn_{family}", beta=beta))
 
 
 def ranking_loss(y, truth, cfg):
@@ -280,9 +249,7 @@ def ranking_loss(y, truth, cfg):
     n = y.shape[0]
     if truth.n != n:
         raise ShapeMismatch(f"ranking over {truth.n} elements, input has {n}")
-    p, aux = _perm_forward(y, cfg)
-    if cfg.method == "softsort":
-        aux["order"] = np.argsort(-y, kind="stable")
+    p, pullback = _perm_forward(y, cfg)
     q = truth.matrix[::-1] if cfg.method.startswith("dsn") else truth.matrix
 
     p_c = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
@@ -297,7 +264,7 @@ def ranking_loss(y, truth, cfg):
     g_comp = r.sum(axis=1, keepdims=True) - r
     g_p = (g_direct - g_comp) / (n * n)
 
-    grad = _perm_backward(cfg, aux, g_p)
+    grad = pullback(g_p)
     if not (np.isfinite(value) and np.all(np.isfinite(grad))):
         raise NonFiniteResult("ranking loss produced non-finite values")
     return value, grad

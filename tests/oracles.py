@@ -1,11 +1,13 @@
 """Independent brute-force oracles used by the test suite.
 
 These deliberately avoid the library's own code paths: plain Gauss-Jordan
-inversion, central finite differences, and exhaustive enumeration, so a bug
-in the package cannot cancel out in the checks.
+inversion, central finite differences, a comparator-at-a-time sorting
+network, and exhaustive enumeration, so a bug in the package cannot cancel
+out in the checks.
 """
 
 import numpy as np
+from scipy.special import expit
 
 
 def gauss_jordan_inverse(A):
@@ -45,6 +47,32 @@ def rel_err(approx, exact):
     exact = np.asarray(exact, dtype=np.float64)
     denom = max(float(np.max(np.abs(exact))), 1e-12)
     return float(np.max(np.abs(approx - exact))) / denom
+
+
+def sorting_network_reference(y, beta, family):
+    """Odd-even transposition network applied one comparator at a time.
+
+    Layer t compares wires (i, i + 1) for i = t % 2, t % 2 + 2, ...; each
+    comparator reads the current values and soft-swaps with weight
+    s = CDF(beta * (v_i - v_{i+1})), leaving CDF(-beta * (v_i - v_{i+1})) in
+    place.  Returns the product of the n layer matrices, last layer first.
+    """
+    v = np.array(y, dtype=np.float64)
+    n = v.size
+    a = np.eye(n)
+    for t in range(n):
+        m = np.eye(n)
+        for i in range(t % 2, n - 1, 2):
+            x = beta * (v[i] - v[i + 1])
+            if family == "logistic":
+                s, stay = expit(x), expit(-x)
+            else:
+                s, stay = 0.5 + np.arctan(x) / np.pi, 0.5 - np.arctan(x) / np.pi
+            m[i, i] = m[i + 1, i + 1] = stay
+            m[i, i + 1] = m[i + 1, i] = s
+        v = m @ v
+        a = m @ a
+    return a
 
 
 def enumerate_paths(h, w):

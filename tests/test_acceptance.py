@@ -290,14 +290,14 @@ def test_7_smoke_benchmarks(capsys, tmp_path):
     rank_cfg = trainers.ExperimentConfig(
         task="rank", method="neuralsort", steps=500, batch=20, n=2
     )
-    rank_rep = trainers.run_ranking_experiment(rank_cfg)
+    rank_rep = trainers.run_experiment(rank_cfg)
     assert rank_rep.final["exact_match"] >= 99.0
 
     path_cfg = trainers.ExperimentConfig(
         task="path", method="ss_loss", steps=300, batch=20, grid=2,
         sigma=0.1, samples=10,
     )
-    path_rep = trainers.run_path_experiment(path_cfg)
+    path_rep = trainers.run_experiment(path_cfg)
     assert path_rep.final["perfect_match"] >= 90.0
 
     out = tmp_path / "rank5.json"
@@ -327,7 +327,7 @@ def test_8_directional_sanity_reported(capsys):
                 task="rank", method="neuralsort", mode=mode, seed=seed,
                 steps=300, batch=20, n=10,
             )
-            rep = trainers.run_ranking_experiment(cfg)
+            rep = trainers.run_experiment(cfg)
             finals[mode].append(rep.final["element_rank"])
     base = float(np.mean(finals["baseline"]))
     hess = float(np.mean(finals["nl_hessian"]))

@@ -9,7 +9,7 @@ import pytest
 
 from newtonbench import diffsort, net, shortest_path
 from newtonbench.bench import checks, datagen, report, slices, trainers
-from newtonbench.errors import ConfigError
+from newtonbench.errors import ConfigError, NonFiniteResult
 
 from oracles import enumerate_paths
 
@@ -145,6 +145,24 @@ class TestMetrics:
         m = trainers.rank_metrics(rows, recs)
         assert m["exact_match"] == 50.0
         assert m["element_rank"] == pytest.approx(100.0 * 4 / 6)
+        # exact score ties: the same lower-index-first rule as hard_rank
+        rankings = [(0, 1, 2), (1, 0, 2), (0, 1, 2), (2, 0, 1), (1, 2, 0)]
+        rows = np.array(
+            [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.5, 0.5, 0.5], [1.0, 2.0, 2.0],
+             [1.0, 2.0, 2.0]]
+        )
+        recs = [datagen.RankRecord(features=None, ranking=r) for r in rankings]
+        m = trainers.rank_metrics(rows, recs)
+        preds = [diffsort.hard_rank(row).order for row in rows]
+        assert m["exact_match"] == 100.0 * sum(p == r for p, r in zip(preds, rankings)) / 5
+        hits = sum(a == b for p, r in zip(preds, rankings) for a, b in zip(p, r))
+        assert m["element_rank"] == 100.0 * hits / 15
+        assert (m["exact_match"], hits) == (60.0, 10)
+
+    def test_rank_metrics_rejects_non_finite_scores(self):
+        recs = [datagen.RankRecord(features=None, ranking=(0, 1))]
+        with pytest.raises(NonFiniteResult):
+            trainers.rank_metrics(np.array([[np.nan, 1.0]]), recs)
 
     def test_path_metrics_counts_by_hand(self):
         cheap = np.full((2, 2), 0.2)
@@ -270,11 +288,31 @@ class TestPathOutputGrads:
         assert len(calls) == cfg.batch * (cfg.samples + 1)
 
 
+class TestRankOutputGrads:
+    @pytest.mark.parametrize("method", trainers.RANK_METHODS)
+    @pytest.mark.parametrize("mode", trainers.MODES)
+    def test_one_loss_call_per_row_and_per_difference(self, method, mode, monkeypatch):
+        cfg = _quick_cfg(method=method, mode=mode, n=4, batch=5)
+        records = datagen.gen_ranking_data(2, cfg.n, cfg.batch).records
+        y = np.random.default_rng(2).normal(size=(cfg.batch, cfg.n))
+        loss, calls = diffsort.ranking_loss, []
+
+        def counted(row, truth, scfg):
+            calls.append(row)
+            return loss(row, truth, scfg)
+
+        monkeypatch.setattr(diffsort, "ranking_loss", counted)
+        trainers.output_grads(cfg, y, records, 1)
+        # nl_hessian adds central differences: two shifted batches per output coordinate
+        per_row = 2 * cfg.n + 1 if mode == "nl_hessian" else 1
+        assert len(calls) == cfg.batch * per_row
+
+
 class TestRunExperiments:
     def test_same_cfg_twice_byte_identical(self):
         cfg = _quick_cfg(mode="nl_fisher", seed=5)
-        first = trainers.run_ranking_experiment(cfg)
-        second = trainers.run_ranking_experiment(cfg)
+        first = trainers.run_experiment(cfg)
+        second = trainers.run_experiment(cfg)
         assert first.curve == second.curve
         assert first.final == second.final
         doc_a = report.build_report(
@@ -297,8 +335,8 @@ class TestRunExperiments:
             train_count=18,
             eval_count=12,
         )
-        a = trainers.run_path_experiment(cfg)
-        b = trainers.run_path_experiment(cfg)
+        a = trainers.run_experiment(cfg)
+        b = trainers.run_experiment(cfg)
         assert a.curve == b.curve
 
     def test_report_invariants(self):
@@ -327,14 +365,14 @@ class TestRunExperiments:
                 train_count=12,
                 eval_count=8,
             )
-            rep = trainers.run_path_experiment(cfg)
+            rep = trainers.run_experiment(cfg)
             assert "perfect_match" in rep.final
 
     def test_rank_n2_converges(self):
         cfg = trainers.ExperimentConfig(
             task="rank", method="neuralsort", steps=500, batch=20, n=2
         )
-        rep = trainers.run_ranking_experiment(cfg)
+        rep = trainers.run_experiment(cfg)
         assert rep.final["exact_match"] >= 99.0
 
 
@@ -343,10 +381,10 @@ class TestAblation:
         cfg = _quick_cfg(seed=2, steps=25)
         reports, columns = trainers.ablate_lambda(cfg, [0.5])
         assert len(reports) == 3
-        lone_h = trainers.run_ranking_experiment(
+        lone_h = trainers.run_experiment(
             _quick_cfg(seed=2, steps=25, mode="nl_hessian", lam=0.5)
         )
-        lone_f = trainers.run_ranking_experiment(
+        lone_f = trainers.run_experiment(
             _quick_cfg(seed=2, steps=25, mode="nl_fisher", lam=0.5)
         )
         assert reports[1].curve == lone_h.curve
@@ -372,7 +410,7 @@ class TestAblation:
         _, columns = trainers.ablate_lambda(cfg, [1.0, 1000.0])
         finals = []
         for seed in (0, 1, 2):
-            rep = trainers.run_ranking_experiment(
+            rep = trainers.run_experiment(
                 _quick_cfg(seed=seed, n=5, steps=100, batch=20, train_count=96,
                            eval_count=64)
             )
@@ -388,7 +426,7 @@ class TestReportDocument:
         cfg = _quick_cfg(seed=4, steps=20)
         echo = trainers.config_echo(cfg)
         runs = [
-            trainers.run_ranking_experiment(_quick_cfg(seed=s, steps=20))
+            trainers.run_experiment(_quick_cfg(seed=s, steps=20))
             for s in (4, 5)
         ]
         return echo, runs

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from newtonbench import errors
@@ -24,6 +25,19 @@ QUICK_RANK = [
     "--n",
     "3",
 ]
+QUICK_PATH = ["bench", "path", "--method", "fy", "--steps", "2", "--batch", "1", "--grid", "3"]
+
+RANK_HEADER = json.dumps({"kind": "rank", "n": 3, "feature_dim": 6, "seed": 0})
+PATH_HEADER = json.dumps({"kind": "path", "size": 3, "feature_dim": 6, "seed": 0})
+PATH_MASK = np.array([[1, 0, 0], [1, 0, 0], [1, 1, 1]])
+
+
+def rank_line(ranking, rows=3):
+    return json.dumps({"features": [[0.0] * 6] * rows, "ranking": ranking})
+
+
+def path_line(mask):
+    return json.dumps({"features": [[0.0] * 6] * 9, "mask": mask.tolist()})
 
 
 class TestGen:
@@ -285,20 +299,33 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize(
-        "lines,lineno",
+        "argv,lines,lineno",
         [
-            (["not json"], 1),
-            ([json.dumps({"kind": "rank", "n": 3, "feature_dim": 6, "seed": 0}), "{"], 2),
-            ([json.dumps({"kind": "rank", "n": 3, "feature_dim": 6, "seed": 0}),
-              json.dumps({"features": [[0.0] * 6] * 3, "mask": [0, 1]})], 2),
-            ([json.dumps({"kind": "path", "feature_dim": 6, "seed": 0})], 1),
+            (QUICK_RANK, ["not json"], 1),
+            (QUICK_RANK, [RANK_HEADER, "{"], 2),
+            (QUICK_RANK, [RANK_HEADER,
+                          json.dumps({"features": [[0.0] * 6] * 3, "mask": [0, 1]})], 2),
+            (QUICK_RANK, [json.dumps({"kind": "path", "feature_dim": 6, "seed": 0})], 1),
+            (QUICK_RANK, [RANK_HEADER.replace('"feature_dim": 6', '"feature_dim": "x"')], 1),
+            (QUICK_RANK, [RANK_HEADER.replace('"n": 3', '"n": 0')], 1),
+            (QUICK_RANK, [RANK_HEADER, rank_line([0, 1, 2]),
+                          rank_line([0, 1, 2], rows=2)], 3),
+            (QUICK_RANK, [RANK_HEADER, rank_line([0, 1, 2]), rank_line([0, 0, 1])], 3),
+            (QUICK_PATH, [PATH_HEADER, path_line(PATH_MASK), path_line(PATH_MASK * 2)], 3),
+            (QUICK_PATH, [PATH_HEADER, path_line(PATH_MASK),
+                          path_line(np.where(PATH_MASK == 1, 1.0, np.nan))], 3),
+            (QUICK_PATH, [PATH_HEADER, path_line(PATH_MASK), path_line(np.array([0, 1]))], 3),
+            (QUICK_PATH, [PATH_HEADER, path_line(PATH_MASK), path_line(np.ones((3, 3)))], 3),
         ],
-        ids=["header-not-json", "record-not-json", "record-no-ranking", "header-no-size"],
+        ids=["header-not-json", "record-not-json", "record-no-ranking", "header-no-size",
+             "header-feature-dim-not-int", "header-size-not-positive", "features-wrong-rows",
+             "ranking-not-permutation", "mask-doubled", "mask-nan", "mask-two-entries",
+             "mask-not-a-path"],
     )
-    def test_broken_dataset_line_is_2(self, lines, lineno, tmp_path, capsys):
+    def test_broken_dataset_line_is_2(self, argv, lines, lineno, tmp_path, capsys):
         ds = tmp_path / "bad.jsonl"
         ds.write_text("\n".join(lines) + "\n")
-        assert run_cli(QUICK_RANK + ["--mode", "baseline", "--data", str(ds)]) == 2
+        assert run_cli(argv + ["--mode", "baseline", "--data", str(ds)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {ds} line {lineno}: ")
         assert len(err.splitlines()) == 1

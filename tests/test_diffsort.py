@@ -7,7 +7,7 @@ from newtonbench import diffsort
 from newtonbench.diffsort import GroundTruthRanking, SortConfig
 from newtonbench.errors import ConfigError
 
-from oracles import central_diff_grad, rel_err
+from oracles import central_diff_grad, rel_err, sorting_network_reference
 
 ALL_METHODS = ["neuralsort", "softsort", "dsn_logistic", "dsn_cauchy"]
 
@@ -97,6 +97,18 @@ class TestDsn:
             p = diffsort.dsn_perm(y, beta=1e4, family="logistic").entries
             assert np.max(np.abs(p - truth.matrix_ascending())) <= 1e-4
 
+    @pytest.mark.parametrize("family", diffsort.DSN_FAMILIES)
+    def test_matches_per_comparator_reference(self, family):
+        # n=2 has an empty second layer and odd n ends every layer short
+        rng = np.random.default_rng(7)
+        for n in range(2, 13):
+            for scale in (0.01, 1.0, 50.0):
+                for beta in (0.5, 10.0):
+                    y = rng.standard_normal(n) * scale
+                    for v in (y, np.round(y / scale) * scale):  # the second has ties
+                        p = diffsort.dsn_perm(v, beta, family).entries
+                        assert np.array_equal(p, sorting_network_reference(v, beta, family))
+
     def test_rejects_unknown_family(self):
         with pytest.raises(ConfigError):
             diffsort.dsn_perm(np.array([1.0, 2.0]), beta=1.0, family="gumbel")
@@ -164,8 +176,8 @@ class TestRankingLoss:
     def test_grad_matches_finite_differences(self, method):
         rng = np.random.default_rng(100 + ALL_METHODS.index(method))
         cfg = SortConfig(method=method)
-        for _ in range(20):
-            n = 5
+        # n=2 ends on an empty network layer; odd n ends every layer short
+        for n in [5] * 20 + [2, 3, 4, 7]:
             y = spread_vector(rng, n)
             truth = diffsort.hard_rank(rng.standard_normal(n))
             _, grad = diffsort.ranking_loss(y, truth, cfg)
