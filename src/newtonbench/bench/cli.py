@@ -69,10 +69,9 @@ def _cfg_overrides(args, task):
 def _cmd_gen(args):
     if args.kind == "rank":
         ds = datagen.gen_ranking_data(args.seed, args.n, args.count, args.feature_dim)
-        datagen.save_rank_dataset(ds, args.out)
     else:
         ds = datagen.gen_grid_data(args.seed, args.grid, args.count, args.feature_dim)
-        datagen.save_grid_dataset(ds, args.out)
+    datagen.save_dataset(ds, args.out)
     print(f"wrote {args.count} records to {args.out}", file=sys.stderr)
     return 0
 
@@ -85,14 +84,7 @@ def _cmd_bench(args):
         seed_list = list(range(args.seeds))
     else:
         seed_list = [args.seed if args.seed is not None else 0]
-    if args.mode:
-        modes = [args.mode]
-    else:
-        modes = [
-            m
-            for m in trainers.MODES
-            if not (args.method == "ss_algorithm" and m == "nl_hessian")
-        ]
+    modes = [args.mode] if args.mode else trainers.method_modes(args.method)
     over = _cfg_overrides(args, task)
     # every configuration is checked before the first run starts
     cfgs = {

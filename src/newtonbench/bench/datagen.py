@@ -13,6 +13,10 @@ second-best path cost.  Without this the metrics have an arbitrary ceiling,
 since a near-tie flips the supervision under infinitesimal cost changes.
 The grid margin is exact (shortest_path.two_best_costs); it is checked up
 to MARGIN_CHECK_MAX_SIZE, above which rejection rises too steeply.
+
+Both kinds are one Dataset and share one JSON-lines format: a header line
+(kind, size key, feature_dim, count, seed), then one record per line.
+load_dataset checks every header field and every record against it.
 """
 
 import json
@@ -36,13 +40,9 @@ class RankRecord:
     ranking: tuple        # ranking[i] = index of the i-th largest latent
     latents: np.ndarray = None  # diagnostic only, never supervision
 
-
-@dataclass
-class RankDataset:
-    n: int
-    feature_dim: int
-    seed: int
-    records: list
+    def line(self):
+        row = {"features": self.features.tolist(), "ranking": list(self.ranking)}
+        return json.dumps(row, sort_keys=True)
 
 
 @dataclass
@@ -51,10 +51,15 @@ class GridRecord:
     mask: np.ndarray      # size x size, 0/1
     costs: np.ndarray = None  # diagnostic only, never supervision
 
+    def line(self):
+        row = {"features": self.features.tolist(), "mask": self.mask.astype(int).tolist()}
+        return json.dumps(row, sort_keys=True)
+
 
 @dataclass
-class GridDataset:
-    size: int
+class Dataset:
+    kind: str         # "rank" or "path"
+    size: int         # ranking length n, or grid side
     feature_dim: int
     seed: int
     records: list
@@ -97,7 +102,9 @@ def cost_readout(seed, feature_dim):
     return readout
 
 
-def _validate_common(count, feature_dim):
+def _validate_common(what, size, count, feature_dim):
+    if size < 2:
+        raise ConfigError(f"{what} must be >= 2, got {size}")
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
     if feature_dim < 1:
@@ -114,104 +121,87 @@ def min_latent_gap(n):
     return 1.0 / max(1, n - 1)
 
 
-def gen_ranking_data(seed, n, count, feature_dim=6):
-    """Feature sets whose hidden latent scores induce the stored ranking."""
-    if n < 2:
-        raise ConfigError(f"ranking length must be >= 2, got {n}")
-    _validate_common(count, feature_dim)
-    readout = latent_readout(seed, feature_dim)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 11)))
-    gap = min_latent_gap(n)
+def _draw_records(rng, count, shape, accept, failure):
+    """count records, each from the first normal feature draw of the given
+    shape that accept(features) turns into a record rather than None."""
     records = []
     for _ in range(count):
         for _attempt in range(_MAX_DRAWS_PER_RECORD):
-            features = rng.normal(0.0, 1.0, size=(n, feature_dim))
-            latents = readout(features)
-            gaps = np.diff(np.sort(latents))
-            if np.min(gaps) >= gap:
+            record = accept(rng.normal(0.0, 1.0, size=shape))
+            if record is not None:
                 break
         else:
-            raise ConfigError(f"could not separate latents by {gap} for n={n}")
-        ranking = hard_rank(latents).order
-        records.append(RankRecord(features=features, ranking=ranking, latents=latents))
-    return RankDataset(n=n, feature_dim=feature_dim, seed=seed, records=records)
+            raise ConfigError(failure)
+        records.append(record)
+    return records
+
+
+def gen_ranking_data(seed, n, count, feature_dim=6):
+    """Feature sets whose hidden latent scores induce the stored ranking."""
+    _validate_common("ranking length", n, count, feature_dim)
+    readout = latent_readout(seed, feature_dim)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 11)))
+    gap = min_latent_gap(n)
+
+    def accept(features):
+        latents = readout(features)
+        if np.min(np.diff(np.sort(latents))) < gap:
+            return None
+        return RankRecord(features=features, ranking=hard_rank(latents).order, latents=latents)
+
+    records = _draw_records(
+        rng, count, (n, feature_dim), accept, f"could not separate latents by {gap} for n={n}"
+    )
+    return Dataset("rank", n, feature_dim, seed, records)
 
 
 def gen_grid_data(seed, size, count, feature_dim=6):
     """Per-cell feature grids whose hidden costs induce the stored mask."""
-    if size < 2:
-        raise ConfigError(f"grid size must be >= 2, got {size}")
-    _validate_common(count, feature_dim)
+    _validate_common("grid size", size, count, feature_dim)
     readout = cost_readout(seed, feature_dim)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 12)))
-    check_margin = size <= MARGIN_CHECK_MAX_SIZE
-    records = []
-    for _ in range(count):
-        for _attempt in range(_MAX_DRAWS_PER_RECORD):
-            features = rng.normal(0.0, 1.0, size=(size * size, feature_dim))
-            costs = readout(features).reshape(size, size)
-            grid = shortest_path.GridInstance(height=size, width=size, node_costs=costs)
-            if not check_margin:
-                mask = shortest_path.dijkstra_grid(grid)
-                break
-            best, second, mask = shortest_path.two_best_costs(grid)
-            if second >= (1.0 + PATH_MARGIN) * best:
-                break
+
+    def accept(features):
+        costs = readout(features).reshape(size, size)
+        grid = shortest_path.GridInstance(height=size, width=size, node_costs=costs)
+        if size > MARGIN_CHECK_MAX_SIZE:
+            mask = shortest_path.dijkstra_grid(grid)
         else:
-            raise ConfigError(
-                f"could not find a {PATH_MARGIN:.0%} path margin at size {size}"
-            )
-        records.append(GridRecord(features=features, mask=mask, costs=costs))
-    return GridDataset(size=size, feature_dim=feature_dim, seed=seed, records=records)
+            best, second, mask = shortest_path.two_best_costs(grid)
+            if second < (1.0 + PATH_MARGIN) * best:
+                return None
+        return GridRecord(features=features, mask=mask, costs=costs)
+
+    records = _draw_records(
+        rng, count, (size * size, feature_dim), accept,
+        f"could not find a {PATH_MARGIN:.0%} path margin at size {size}",
+    )
+    return Dataset("path", size, feature_dim, seed, records)
 
 
-def save_rank_dataset(ds, path):
-    """JSON-lines: a meta header line, then one record per line.
+# per dataset kind: the header's size key and the fields of one record
+_KINDS = {"rank": ("n", ("features", "ranking")), "path": ("size", ("features", "mask"))}
 
-    Only features and the ranking are written; the latent scores are not
-    part of the file format.
-    """
+
+def save_dataset(ds, path):
+    """JSON-lines: the header line, then one record per line.  Only features
+    and supervision are written; latents and costs are not in the format."""
+    size_key, _fields = _KINDS[ds.kind]
+    meta = {
+        "kind": ds.kind,
+        size_key: ds.size,
+        "feature_dim": ds.feature_dim,
+        "count": len(ds.records),
+        "seed": ds.seed,
+    }
     with open(path, "w") as fh:
-        meta = {
-            "kind": "rank",
-            "n": ds.n,
-            "feature_dim": ds.feature_dim,
-            "count": len(ds.records),
-            "seed": ds.seed,
-        }
         fh.write(json.dumps(meta, sort_keys=True) + "\n")
         for rec in ds.records:
-            row = {
-                "features": rec.features.tolist(),
-                "ranking": list(rec.ranking),
-            }
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.write(rec.line() + "\n")
 
 
-def save_grid_dataset(ds, path):
-    """JSON-lines mirror of save_rank_dataset for the path task."""
-    with open(path, "w") as fh:
-        meta = {
-            "kind": "path",
-            "size": ds.size,
-            "feature_dim": ds.feature_dim,
-            "count": len(ds.records),
-            "seed": ds.seed,
-        }
-        fh.write(json.dumps(meta, sort_keys=True) + "\n")
-        for rec in ds.records:
-            row = {
-                "features": rec.features.tolist(),
-                "mask": rec.mask.astype(int).tolist(),
-            }
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
-# per dataset kind: its class, its size field and the fields of one record
-_KINDS = {
-    "rank": (RankDataset, "n", ("features", "ranking")),
-    "path": (GridDataset, "size", ("features", "mask")),
-}
+# stepbench/workloads.py still saves through these names
+save_rank_dataset = save_grid_dataset = save_dataset
 
 
 def _json_object(path, lineno, line, fields):
@@ -224,10 +214,10 @@ def _json_object(path, lineno, line, fields):
     return obj
 
 
-def _positive_int(path, meta, key):
+def _header_int(path, meta, key, least):
     value = meta[key]
-    if type(value) is not int or value < 1:
-        raise ConfigError(f"{path} line 1: {key} must be a positive int, got {value!r}")
+    if type(value) is not int or value < least:
+        raise ConfigError(f"{path} line 1: {key} must be an int >= {least}, got {value!r}")
     return value
 
 
@@ -236,6 +226,8 @@ def _record(kind, row, size, feature_dim):
     shape = (size if kind == "rank" else size * size, feature_dim)
     if features.shape != shape:
         raise ValueError(f"features have shape {features.shape}, expected {shape}")
+    if not np.all(np.isfinite(features)):
+        raise ValueError("features have non-finite entries")
     if kind == "rank":
         ranking = tuple(row["ranking"])
         if not all(type(i) is int for i in ranking) or sorted(ranking) != list(range(size)):
@@ -251,19 +243,21 @@ def load_dataset(path):
     """Read either dataset kind back; diagnostic fields stay empty.
 
     A line that is not a JSON object, lacks a field its kind needs, holds a
-    value of the wrong type or disagrees with the header (feature shape, a
-    ranking that is not a permutation, a mask that is not a path) raises
-    ConfigError naming the file and line.
+    value of the wrong type or disagrees with the header (feature shape or
+    finiteness, a ranking that is not a permutation, a mask that is not a
+    path) raises ConfigError naming the file and line.  The header's count
+    is compared after the last record, so a broken record is named first.
     """
     with open(path) as fh:
         header = fh.readline()
         kind = _json_object(path, 1, header, ("kind",))["kind"]
         if not isinstance(kind, str) or kind not in _KINDS:
             raise ConfigError(f"unrecognized dataset header in {path}")
-        dataset, size_key, fields = _KINDS[kind]
+        size_key, fields = _KINDS[kind]
         meta = _json_object(path, 1, header, (size_key, "feature_dim", "seed"))
-        size = _positive_int(path, meta, size_key)
-        feature_dim = _positive_int(path, meta, "feature_dim")
+        size = _header_int(path, meta, size_key, 1)
+        feature_dim = _header_int(path, meta, "feature_dim", 1)
+        seed = _header_int(path, meta, "seed", 0)
         records = []
         for lineno, line in enumerate(fh, start=2):
             row = _json_object(path, lineno, line, fields)
@@ -271,6 +265,9 @@ def load_dataset(path):
                 records.append(_record(kind, row, size, feature_dim))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{path} line {lineno}: {exc}") from None
-    return dataset(
-        **{size_key: size}, feature_dim=feature_dim, seed=meta["seed"], records=records
-    )
+    count = meta.get("count")
+    if type(count) is not int or count != len(records):
+        raise ConfigError(
+            f"{path} line 1: count is {count!r}, the file holds {len(records)} records"
+        )
+    return Dataset(kind, size, feature_dim, seed, records)

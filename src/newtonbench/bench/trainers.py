@@ -76,6 +76,12 @@ def lambda_preset(task, method, mode, n=5):
     return table[key]
 
 
+def method_modes(method):
+    """The modes method trains in, in MODES order: ss_algorithm has no
+    nl_hessian, since the Hessian of its smoothed solver output is intractable."""
+    return [m for m in MODES if (method, m) != ("ss_algorithm", "nl_hessian")]
+
+
 @dataclass
 class ExperimentConfig:
     task: str
@@ -111,7 +117,7 @@ class ExperimentConfig:
             )
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.method == "ss_algorithm" and self.mode == "nl_hessian":
+        if self.mode not in method_modes(self.method):
             raise ConfigError(
                 "nl_hessian is unavailable for ss_algorithm: the Hessian of "
                 "the smoothed solver output is intractable; use baseline or "
@@ -168,11 +174,10 @@ def _load_data(cfg):
         ds = gen(cfg.seed, size, cfg.train_count + cfg.eval_count, cfg.feature_dim)
         return ds, ds.records[: cfg.train_count], ds.records[cfg.train_count :]
     ds = datagen.load_dataset(cfg.data_path)
-    if not isinstance(ds, datagen.RankDataset if rank else datagen.GridDataset):
+    if ds.kind != cfg.task:
         raise ConfigError(f"{cfg.data_path} is not a {'ranking' if rank else 'grid'} dataset")
-    stored = ds.n if rank else ds.size
-    if stored != size:
-        raise ConfigError(f"{cfg.data_path} holds size {stored}, the run asks for {size}")
+    if ds.size != size:
+        raise ConfigError(f"{cfg.data_path} holds size {ds.size}, the run asks for {size}")
     # loaded datasets hold out a third, capped at the configured eval size
     k = min(cfg.eval_count, max(1, len(ds.records) // 3))
     train, heldout = ds.records[:-k], ds.records[-k:]

@@ -32,8 +32,8 @@ class TestRankDatagen:
     def test_fixed_seed_identical_bytes(self, tmp_path):
         a = tmp_path / "a.jsonl"
         b = tmp_path / "b.jsonl"
-        datagen.save_rank_dataset(datagen.gen_ranking_data(7, 4, 20), a)
-        datagen.save_rank_dataset(datagen.gen_ranking_data(7, 4, 20), b)
+        datagen.save_dataset(datagen.gen_ranking_data(7, 4, 20), a)
+        datagen.save_dataset(datagen.gen_ranking_data(7, 4, 20), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_ranking_is_hard_rank_of_latents(self):
@@ -59,14 +59,22 @@ class TestRankDatagen:
     def test_roundtrip_drops_diagnostics(self, tmp_path):
         path = tmp_path / "rank.jsonl"
         ds = datagen.gen_ranking_data(2, 3, 5, feature_dim=4)
-        datagen.save_rank_dataset(ds, path)
+        datagen.save_dataset(ds, path)
         back = datagen.load_dataset(path)
-        assert (back.n, back.feature_dim, back.seed) == (3, 4, 2)
+        assert (back.kind, back.size, back.feature_dim, back.seed) == ("rank", 3, 4, 2)
         assert len(back.records) == 5
         for orig, rec in zip(ds.records, back.records):
             np.testing.assert_array_equal(rec.features, orig.features)
             assert rec.ranking == orig.ranking
             assert rec.latents is None
+
+    def test_generated_bytes_locked(self, tmp_path):
+        # stepbench's rank dataset
+        path = tmp_path / "rank.jsonl"
+        datagen.save_dataset(datagen.gen_ranking_data(0, 10, 384), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "a19aeb3ff858d40decee5719294a344532d4d0606f9faff2dd898c2541e2c43e"
+        )
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ConfigError):
@@ -81,8 +89,8 @@ class TestGridDatagen:
     def test_fixed_seed_identical_bytes(self, tmp_path):
         a = tmp_path / "a.jsonl"
         b = tmp_path / "b.jsonl"
-        datagen.save_grid_dataset(datagen.gen_grid_data(9, 3, 12), a)
-        datagen.save_grid_dataset(datagen.gen_grid_data(9, 3, 12), b)
+        datagen.save_dataset(datagen.gen_grid_data(9, 3, 12), a)
+        datagen.save_dataset(datagen.gen_grid_data(9, 3, 12), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_mask_is_dijkstra_of_hidden_costs(self):
@@ -120,15 +128,24 @@ class TestGridDatagen:
     )
     def test_generated_bytes_locked_above_3x3(self, tmp_path, size, count, digest):
         path = tmp_path / "grid.jsonl"
-        datagen.save_grid_dataset(datagen.gen_grid_data(0, size, count), path)
+        datagen.save_dataset(datagen.gen_grid_data(0, size, count), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_generated_bytes_locked_without_margin_check(self, tmp_path):
+        # above MARGIN_CHECK_MAX_SIZE every draw is kept and solved once
+        assert 6 > datagen.MARGIN_CHECK_MAX_SIZE
+        path = tmp_path / "grid.jsonl"
+        datagen.save_dataset(datagen.gen_grid_data(1, 6, 10), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "bad95376cb65b9db88db0f7e5637fd5acb785c54847c0f80d67ed85c758aa05c"
+        )
 
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "grid.jsonl"
         ds = datagen.gen_grid_data(1, 3, 4, feature_dim=5)
-        datagen.save_grid_dataset(ds, path)
+        datagen.save_dataset(ds, path)
         back = datagen.load_dataset(path)
-        assert (back.size, back.feature_dim, back.seed) == (3, 5, 1)
+        assert (back.kind, back.size, back.feature_dim, back.seed) == ("path", 3, 5, 1)
         for orig, rec in zip(ds.records, back.records):
             np.testing.assert_array_equal(rec.features, orig.features)
             np.testing.assert_array_equal(rec.mask, orig.mask)

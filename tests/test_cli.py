@@ -40,6 +40,10 @@ def path_line(mask):
     return json.dumps({"features": [[0.0] * 6] * 9, "mask": mask.tolist()})
 
 
+# valid records that let a run train when the header is not checked
+RANK_RECORDS = [rank_line([0, 1, 2])] * 12
+
+
 class TestGen:
     def test_rank_roundtrip_and_determinism(self, tmp_path):
         a = tmp_path / "a.jsonl"
@@ -52,7 +56,7 @@ class TestGen:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
         ds = datagen.load_dataset(a)
-        assert isinstance(ds, datagen.RankDataset)
+        assert ds.kind == "rank"
         assert len(ds.records) == 12
 
     def test_path_gen(self, tmp_path):
@@ -62,7 +66,7 @@ class TestGen:
         )
         assert code == 0
         ds = datagen.load_dataset(out)
-        assert isinstance(ds, datagen.GridDataset)
+        assert ds.kind == "path"
         assert ds.size == 3
 
 
@@ -316,11 +320,17 @@ class TestExitCodes:
                           path_line(np.where(PATH_MASK == 1, 1.0, np.nan))], 3),
             (QUICK_PATH, [PATH_HEADER, path_line(PATH_MASK), path_line(np.array([0, 1]))], 3),
             (QUICK_PATH, [PATH_HEADER, path_line(PATH_MASK), path_line(np.ones((3, 3)))], 3),
+            (QUICK_RANK, [RANK_HEADER, rank_line([0, 1, 2]).replace("0.0", "NaN", 1)], 2),
+            (QUICK_RANK, [RANK_HEADER.replace('"seed": 0', '"seed": "x"'), *RANK_RECORDS], 1),
+            (QUICK_RANK, [RANK_HEADER.replace('"seed": 0', '"seed": -1'), *RANK_RECORDS], 1),
+            (QUICK_RANK, [RANK_HEADER.replace("}", ', "count": 5}'), *RANK_RECORDS], 1),
+            (QUICK_RANK, [RANK_HEADER, *RANK_RECORDS], 1),
         ],
         ids=["header-not-json", "record-not-json", "record-no-ranking", "header-no-size",
              "header-feature-dim-not-int", "header-size-not-positive", "features-wrong-rows",
              "ranking-not-permutation", "mask-doubled", "mask-nan", "mask-two-entries",
-             "mask-not-a-path"],
+             "mask-not-a-path", "features-nan", "header-seed-not-int", "header-seed-negative",
+             "count-mismatch", "count-missing"],
     )
     def test_broken_dataset_line_is_2(self, argv, lines, lineno, tmp_path, capsys):
         ds = tmp_path / "bad.jsonl"
@@ -329,6 +339,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {ds} line {lineno}: ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "gen,message",
+        [(["path", "--grid", "3"], "is not a ranking dataset"),
+         (["rank", "--n", "3"], "holds size 3, the run asks for 4")],
+        ids=["grid-file", "other-size"],
+    )
+    def test_dataset_of_other_kind_or_size_is_2(self, gen, message, tmp_path, capsys):
+        ds = tmp_path / "ds.jsonl"
+        assert run_cli(["gen", *gen, "--count", "30", "--out", str(ds)]) == 0
+        capsys.readouterr()
+        argv = ["bench", "rank", "--n", "4", "--mode", "baseline", "--steps", "2"]
+        assert run_cli(argv + ["--data", str(ds)]) == 2
+        assert capsys.readouterr().err == f"config error: {ds} {message}\n"
 
     def test_numeric_failure_is_3(self):
         # finite bounds whose sweep overflows the ranking loss

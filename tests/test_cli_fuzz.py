@@ -31,7 +31,10 @@ CONFIG_FLOATS = (
 # options whose value counts something the run must do at least once
 COUNTS = ("--steps", "--batch", "--n", "--grid", "--samples", "--seeds", "--grids")
 # --data choices, resolved to files by the datasets fixture
-DATA = ("rank", "path", "missing", "not-json", "bad-header", "no-ranking", "bad-mask")
+DATA = (
+    "rank", "path", "missing", "not-json", "bad-header", "no-ranking", "bad-mask",
+    "count-mismatch",
+)
 
 
 @pytest.fixture(scope="module")
@@ -45,11 +48,15 @@ def datasets(tmp_path_factory):
     # a 3x3 path whose mask entries are doubled: the right shape, not 0/1
     grid_header = json.dumps({"kind": "path", "size": 3, "feature_dim": 6, "seed": 0})
     doubled = json.dumps({"features": [[0.0] * 6] * 9, "mask": [[2, 0, 0], [2, 0, 0], [2, 2, 2]]})
+    # the valid rank set under a header that claims one record more
+    with open(files["rank"]) as fh:
+        miscounted = fh.read().replace('"count": 30', '"count": 31', 1)
     for name, body in (
         ("not-json", header + "\nnot json\n"),
         ("bad-header", "{kind: rank}\n"),
         ("no-ranking", header + '\n{"features": [[0.0]]}\n'),
         ("bad-mask", grid_header + "\n" + doubled + "\n"),
+        ("count-mismatch", miscounted),
     ):
         with open(files[name], "w") as fh:
             fh.write(body)
