@@ -136,6 +136,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be finite, got {value}")
         if self.sigma <= 0 or self.samples < 1:
             raise ConfigError("sigma must be > 0 and samples >= 1")
+        # the smoothing rules on sigma (a finite fourth power), before the first run
+        smoothing.SmoothingConfig(sigma=self.sigma, samples=self.samples)
         if self.lr <= 0:
             raise ConfigError(f"learning rate must be > 0, got {self.lr}")
         if self.batch > self.train_count:
@@ -275,7 +277,8 @@ def _path_grads(cfg, y, batch, step):
         if cfg.method == "ss_loss":
 
             def hamming(u):
-                return float(np.sum(np.abs(_mask_of_raw(u, size) - mask)))
+                # the sum of |solved - mask| over 0/1 masks, exactly
+                return float(np.count_nonzero(_mask_of_raw(u, size) != mask))
 
             rows[j] = smoothing.smooth_grad(hamming, y[j], scfg)
             if hess is not None:

@@ -4,11 +4,14 @@ Instances are grids of positive node costs; feasible solutions are simple
 4-neighbor paths from the top-left to the bottom-right cell, paying the cost
 of every visited cell including both endpoints. dijkstra_grid is the exact
 solver and two_best_costs the exact best and second-best costs, both on one
-Dijkstra loop; brute_force_shortest is the enumeration oracle for small
-grids, and indicator_argmax exposes the solver as a score maximizer over
-flattened path indicators for perturbed-argmax training.
+Dijkstra loop over flat cell indices in plain Python lists (the same IEEE
+sums as numpy scalars, without their per-element cost);
+brute_force_shortest is the enumeration oracle for small grids, and
+indicator_argmax exposes the solver as a score maximizer over flattened
+path indicators for perturbed-argmax training.
 """
 
+import functools
 import heapq
 from dataclasses import dataclass
 
@@ -29,14 +32,12 @@ class GridInstance:
     node_costs: np.ndarray
 
     def __post_init__(self):
-        self.node_costs = np.asarray(self.node_costs, dtype=np.float64)
-        if self.node_costs.shape != (self.height, self.width):
-            raise ShapeMismatch(
-                f"costs shape {self.node_costs.shape} != ({self.height}, {self.width})"
-            )
-        if not np.all(np.isfinite(self.node_costs)):
+        costs = self.node_costs = np.asarray(self.node_costs, dtype=np.float64)
+        if costs.shape != (self.height, self.width):
+            raise ShapeMismatch(f"costs shape {costs.shape} != ({self.height}, {self.width})")
+        if not np.isfinite(costs).all():
             raise NonFiniteResult("grid costs must be finite")
-        if np.any(self.node_costs <= 0):
+        if (costs <= 0).any():
             raise ValueError("grid costs must be positive")
 
 
@@ -69,23 +70,72 @@ def path_mask_is_valid(mask):
     return seen == cells
 
 
-def _settle(costs, dist, heap, settled):
-    """Dijkstra from the seeded heap, updating dist in place; cells seeded as
-    settled are never entered, which is how a caller blocks them."""
-    h, w = costs.shape
+@functools.cache  # one immutable table per grid shape, shared by every solve of it
+def _neighbours(h, w):
+    """Per flat cell k = i*w + j, its in-grid neighbours in _PRED_ORDER."""
+    return tuple(
+        tuple(
+            (i + di) * w + j + dj
+            for di, dj in _PRED_ORDER
+            if 0 <= i + di < h and 0 <= j + dj < w
+        )
+        for i in range(h)
+        for j in range(w)
+    )
+
+
+def _settle(cost, nbrs, dist, heap, done):
+    """Dijkstra over flat cells from the seeded heap of (dist, cell) entries,
+    which order as (dist, i, j) do; updates the dist list in place and returns
+    the cells in settling order.  Cells seeded as done are never entered,
+    which is how a caller blocks them."""
+    order = []
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, i, j = heapq.heappop(heap)
-        if settled[i, j]:
+        d, k = pop(heap)
+        if done[k]:
             continue
-        settled[i, j] = True
-        for di, dj in _PRED_ORDER:
-            ni, nj = i + di, j + dj
-            if 0 <= ni < h and 0 <= nj < w and not settled[ni, nj]:
-                nd = d + costs[ni, nj]
-                if nd < dist[ni, nj]:
-                    dist[ni, nj] = nd
-                    heapq.heappush(heap, (nd, ni, nj))
-    return dist
+        done[k] = True
+        order.append(k)
+        for n in nbrs[k]:
+            if not done[n]:
+                nd = d + cost[n]
+                if nd < dist[n]:
+                    dist[n] = nd
+                    push(heap, (nd, n))
+    return order
+
+
+def _best_path(cost, h, w):
+    """Flat cells of the best path from the start to the goal, backtracked
+    from the goal with the up/left/down/right tie rule.
+
+    The backtrack steps only to a neighbour that settled before the current
+    cell.  That changes nothing when every cost counts, since a predecessor
+    is then strictly cheaper; when a cost is absorbed by a far larger sum,
+    two neighbours pass the cost test for each other, and the settling order
+    is what keeps the walk from bouncing between them.  The neighbour that
+    last relaxed a cell always qualifies, so the walk ends.
+    """
+    n, nbrs = h * w, _neighbours(h, w)
+    dist = [np.inf] * n
+    dist[0] = cost[0]
+    order = _settle(cost, nbrs, dist, [(cost[0], 0)], [False] * n)
+    if dist[-1] == np.inf:
+        raise NonFiniteResult("shortest path cost overflows to inf")
+    rank = [n] * n
+    for r, k in enumerate(order):
+        rank[k] = r
+    k = n - 1
+    path = [k]
+    while k:
+        for p in nbrs[k]:
+            if rank[p] < rank[k] and dist[p] + cost[k] == dist[k]:
+                k = p
+                break
+        path.append(k)
+    path.reverse()
+    return path
 
 
 def dijkstra_grid(inst):
@@ -93,23 +143,13 @@ def dijkstra_grid(inst):
 
     Cost ties are resolved during backtracking by preferring the up, left,
     down, right predecessor in that order, so equal-cost instances always
-    produce the same mask.
+    produce the same mask.  A grid whose best cost overflows raises
+    NonFiniteResult.
     """
-    h, w, costs = inst.height, inst.width, inst.node_costs
-    dist = np.full((h, w), np.inf)
-    dist[0, 0] = costs[0, 0]
-    _settle(costs, dist, [(dist[0, 0], 0, 0)], np.zeros((h, w), dtype=bool))
-    mask = np.zeros((h, w), dtype=np.int64)
-    i, j = h - 1, w - 1
-    mask[i, j] = 1
-    while (i, j) != (0, 0):
-        for di, dj in _PRED_ORDER:
-            pi, pj = i + di, j + dj
-            if 0 <= pi < h and 0 <= pj < w and dist[pi, pj] + costs[i, j] == dist[i, j]:
-                i, j = pi, pj
-                break
-        mask[i, j] = 1
-    return mask
+    h, w = inst.height, inst.width
+    mask = np.zeros(h * w, dtype=np.int64)
+    mask[_best_path(inst.node_costs.ravel().tolist(), h, w)] = 1
+    return mask.reshape(h, w)
 
 
 def two_best_costs(inst):
@@ -123,26 +163,25 @@ def two_best_costs(inst):
     fold of cell costs in path order and float addition is monotone, so both
     costs equal the two lowest of an exhaustive walk exactly.
     """
-    h, w, costs = inst.height, inst.width, inst.node_costs
-    mask = dijkstra_grid(inst)
-    blocked = np.zeros((h, w), dtype=bool)
-    i, j, best, second = 0, 0, costs[0, 0], np.inf
-    while (i, j) != (h - 1, w - 1):
-        blocked[i, j] = True
-        dist = np.full((h, w), np.inf)
-        heap = []
-        for di, dj in _PRED_ORDER:
-            c = (i + di, j + dj)
-            if 0 <= c[0] < h and 0 <= c[1] < w and not blocked[c]:
-                if mask[c]:  # a shortest path never touches itself: c is next
-                    nxt = c
-                else:
-                    dist[c] = best + costs[c]
-                    heapq.heappush(heap, (dist[c], *c))
-        second = min(second, _settle(costs, dist, heap, blocked.copy())[h - 1, w - 1])
-        i, j = nxt
-        best = best + costs[nxt]
-    return best, second, mask
+    h, w = inst.height, inst.width
+    cost = inst.node_costs.ravel().tolist()
+    nbrs, path = _neighbours(h, w), _best_path(cost, h, w)
+    blocked = [False] * (h * w)
+    best, second = cost[0], np.inf
+    for k, nxt in zip(path, path[1:]):
+        blocked[k] = True
+        dist, heap = [np.inf] * (h * w), []
+        for c in nbrs[k]:
+            if not blocked[c] and c != nxt:
+                dist[c] = best + cost[c]
+                heap.append((dist[c], c))
+        heapq.heapify(heap)
+        _settle(cost, nbrs, dist, heap, blocked.copy())
+        second = min(second, dist[-1])
+        best = best + cost[nxt]
+    mask = np.zeros(h * w, dtype=np.int64)
+    mask[path] = 1
+    return best, second, mask.reshape(h, w)
 
 
 def brute_force_shortest(inst):

@@ -33,6 +33,10 @@ class SmoothingConfig:
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ConfigError(f"sigma must be finite and > 0, got {self.sigma}")
+        try:
+            float(self.sigma) ** 4  # smooth_hessian divides by it
+        except OverflowError:
+            raise ConfigError(f"sigma**4 must be a finite float, got sigma={self.sigma}") from None
         if self.samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
 

@@ -2,8 +2,8 @@
 
 These deliberately avoid the library's own code paths: plain Gauss-Jordan
 inversion, central finite differences, a comparator-at-a-time sorting
-network, and exhaustive enumeration, so a bug in the package cannot cancel
-out in the checks.
+network, exhaustive enumeration and Bellman-Ford relaxation, so a bug in the
+package cannot cancel out in the checks.
 """
 
 import numpy as np
@@ -95,3 +95,40 @@ def enumerate_paths(h, w):
                 path.pop()
     extend([(0, 0)], {(0, 0)})
     return paths
+
+
+def tie_rule_mask(costs):
+    """The documented shortest-path mask of a cost grid: Bellman-Ford in
+    plain floats to a fixed point, then a backtrack from the goal that steps
+    to the first of the up, left, down, right neighbours p with
+    dist[p] + cost[cell] == dist[cell].  Needs costs no sum absorbs."""
+    costs = np.asarray(costs, dtype=np.float64)
+    h, w = costs.shape
+    c = costs.tolist()
+    steps = ((-1, 0), (0, -1), (1, 0), (0, 1))
+
+    def neighbours(r, col):
+        return [(r + dr, col + dc) for dr, dc in steps if 0 <= r + dr < h and 0 <= col + dc < w]
+
+    dist = [[float("inf")] * w for _ in range(h)]
+    dist[0][0] = c[0][0]
+    changed = True
+    while changed:
+        changed = False
+        for r in range(h):
+            for col in range(w):
+                for pr, pc in neighbours(r, col):
+                    if dist[pr][pc] + c[r][col] < dist[r][col]:
+                        dist[r][col] = dist[pr][pc] + c[r][col]
+                        changed = True
+    mask = np.zeros((h, w), dtype=np.int64)
+    cell = (h - 1, w - 1)
+    mask[cell] = 1
+    while cell != (0, 0):
+        r, col = cell
+        cell = next(
+            (pr, pc) for pr, pc in neighbours(r, col)
+            if dist[pr][pc] + c[r][col] == dist[r][col]
+        )
+        mask[cell] = 1
+    return mask

@@ -290,9 +290,12 @@ class TestPathOutputGrads:
 
     @pytest.mark.parametrize(
         "method,mode",
-        [("ss_algorithm", "baseline"), ("ss_algorithm", "nl_fisher"), ("fy", "nl_hessian")],
+        [("ss_algorithm", "baseline"), ("ss_algorithm", "nl_fisher"), ("fy", "nl_hessian")]
+        + [("ss_loss", mode) for mode in trainers.MODES],
     )
     def test_one_solve_per_draw_and_one_at_the_row(self, method, mode, monkeypatch):
+        # every solve goes through the module attribute with one GridInstance,
+        # which is what stepbench's per-call solver count and grid keys rely on
         cfg, records, y = self._setup(method, mode)
         solve, calls = shortest_path.dijkstra_grid, []
 
@@ -302,7 +305,13 @@ class TestPathOutputGrads:
 
         monkeypatch.setattr(shortest_path, "dijkstra_grid", counted)
         trainers.output_grads(cfg, y, records, 1)
-        assert len(calls) == cfg.batch * (cfg.samples + 1)
+        # ss_loss nl_hessian smooths the gradient and the Hessian separately
+        passes = 2 if (method, mode) == ("ss_loss", "nl_hessian") else 1
+        assert len(calls) == cfg.batch * (cfg.samples + 1) * passes
+        for inst in calls:
+            assert isinstance(inst, shortest_path.GridInstance)
+            assert inst.node_costs.dtype == np.float64
+            assert inst.node_costs.shape == (cfg.grid, cfg.grid)
 
 
 class TestRankOutputGrads:

@@ -158,6 +158,11 @@ def run(argv):
 @example(argv=["check", "oracles", "--grids=0"])
 @example(argv=["slice", "grad", "--coord=0", "--lo=-inf"])
 @example(argv=["slice", "grad", "--coord=0", "--base=nan,1,2"])
+# sigma=1e8 floors perturbed costs at 1e-9 beside sums of 1e8, where they add nothing
+@example(argv=["bench", "path", "--method=fy", "--grid=3", "--steps=3", "--samples=4",
+               "--batch=4", "--mode=baseline", "--sigma=1e8"])
+# finite, but sigma**4 overflows the float range
+@example(argv=["bench", "path", "--mode=nl_hessian", "--sigma=1e100"])
 def test_argv_grammar_exits_cleanly(datasets, argv):
     values = dict(tok.split("=", 1) for tok in argv if tok.startswith("--"))
     argv = [f"--data={datasets[tok[7:]]}" if tok.startswith("--data=") else tok

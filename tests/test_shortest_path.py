@@ -2,13 +2,32 @@ import numpy as np
 import pytest
 
 from newtonbench import shortest_path as sp
-from newtonbench.errors import ShapeMismatch, TooLarge
+from newtonbench.errors import NonFiniteResult, ShapeMismatch, TooLarge
 
-from oracles import enumerate_paths
+from oracles import enumerate_paths, tie_rule_mask
 
 
 def random_grid(rng, h, w, low=0.1, high=2.0):
     return sp.GridInstance(height=h, width=w, node_costs=rng.uniform(low, high, (h, w)))
+
+
+def is_simple_corner_path(mask):
+    """Whether the 0/1 mask's cells can be walked, each once, from the
+    top-left to the bottom-right corner in 4-neighbour steps.  Unlike
+    path_mask_is_valid, the walk may pass next to its own earlier cells."""
+    mask = np.asarray(mask)
+    if not np.all((mask == 0) | (mask == 1)) or not mask[0, 0]:
+        return False
+    cells = set(zip(*np.nonzero(mask)))
+    goal = (mask.shape[0] - 1, mask.shape[1] - 1)
+
+    def walk(cell, seen):
+        if cell == goal:
+            return len(seen) == len(cells)
+        steps = ((cell[0] + di, cell[1] + dj) for di, dj in ((-1, 0), (0, -1), (1, 0), (0, 1)))
+        return any(walk(nxt, seen | {nxt}) for nxt in steps if nxt in cells and nxt not in seen)
+
+    return walk((0, 0), {(0, 0)})
 
 
 class TestDijkstra:
@@ -52,6 +71,22 @@ class TestDijkstra:
         np.testing.assert_array_equal(a, b)
         assert sp.path_mask_is_valid(a)
 
+    @pytest.mark.parametrize(
+        "draw",
+        [lambda rng, shape: rng.integers(1, 4, shape).astype(np.float64),
+         lambda rng, shape: rng.choice([0.1, 0.2, 0.3], shape)],
+        ids=["integer", "few-valued"],
+    )
+    def test_tie_rule_matches_bellman_ford_oracle(self, draw):
+        # tied grids: the up/left/down/right rule alone decides the mask
+        rng = np.random.default_rng(9)
+        for h in range(1, 7):
+            for w in range(1, 7):
+                for _ in range(4):
+                    costs = draw(rng, (h, w))
+                    mask = sp.dijkstra_grid(sp.GridInstance(height=h, width=w, node_costs=costs))
+                    np.testing.assert_array_equal(mask, tie_rule_mask(costs))
+
     def test_monotonicity_in_costs(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
@@ -67,6 +102,38 @@ class TestDijkstra:
                 assert new_cost >= base_cost
             else:
                 assert new_cost == pytest.approx(base_cost, abs=1e-12)
+
+
+class TestAbsorbedCosts:
+    """Costs below half an ulp of the running sum add nothing, so two
+    neighbours can each pass the backtrack's cost test for the other."""
+
+    def test_minimal_absorbing_grid_ends_on_a_simple_path(self):
+        costs = np.array([[5e307, 1e308, 1e-300], [1e-300, 1, 1], [5e307, 1e-300, 1]])
+        inst = sp.GridInstance(height=3, width=3, node_costs=costs)
+        mask = sp.dijkstra_grid(inst)
+        assert is_simple_corner_path(mask)
+        np.testing.assert_array_equal(sp.two_best_costs(inst)[2], mask)
+
+    def test_extreme_grids_end_on_a_simple_path_or_overflow(self):
+        rng = np.random.default_rng(10)
+        for _ in range(300):
+            h, w = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            costs = rng.choice([1e-300, 1e-9, 1.0, 1e8, 5e307, 1e308], (h, w))
+            inst = sp.GridInstance(height=h, width=w, node_costs=costs)
+            try:
+                mask = sp.dijkstra_grid(inst)
+            except NonFiniteResult:
+                continue
+            assert is_simple_corner_path(mask), costs
+            np.testing.assert_array_equal(sp.two_best_costs(inst)[2], mask)
+
+    def test_overflowing_best_cost_raises(self):
+        inst = sp.GridInstance(height=3, width=3, node_costs=np.full((3, 3), 1e308))
+        with pytest.raises(NonFiniteResult):
+            sp.dijkstra_grid(inst)
+        with pytest.raises(NonFiniteResult):
+            sp.two_best_costs(inst)
 
 
 class TestBruteForce:

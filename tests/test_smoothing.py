@@ -65,7 +65,8 @@ class TestSmoothGrad:
         with pytest.raises(ConfigError):
             SmoothingConfig(sigma=0.1, samples=0)
 
-    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    # 1e100: finite, but sigma**4 overflows the float range
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 1e100])
     def test_nonfinite_sigma_rejected(self, sigma):
         with pytest.raises(ConfigError):
             SmoothingConfig(sigma=sigma, samples=10)
