@@ -136,7 +136,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be finite, got {value}")
         if self.sigma <= 0 or self.samples < 1:
             raise ConfigError("sigma must be > 0 and samples >= 1")
-        # the smoothing rules on sigma (a finite fourth power), before the first run
+        # the smoothing rules on sigma (a finite normal fourth power), before the first run
         smoothing.SmoothingConfig(sigma=self.sigma, samples=self.samples)
         if self.lr <= 0:
             raise ConfigError(f"learning rate must be > 0, got {self.lr}")

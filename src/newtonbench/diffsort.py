@@ -19,6 +19,8 @@ are supervised by the same GroundTruthRanking.
 All gradients are analytic reverse-mode, no autodiff framework involved.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,11 +79,52 @@ class GroundTruthRanking:
         return self.matrix[::-1].copy()
 
 
+# The loss runs hundreds of times per training step on small rows, so its
+# hot path calls the ufunc reductions (np.add.reduce and friends) directly:
+# they compute exactly what np.sum, np.max and np.all do, without the Python
+# wrappers in front of them.
+_sum, _max, _all = np.add.reduce, np.maximum.reduce, np.logical_and.reduce
+
+
+def _frozen(a):
+    a.setflags(write=False)
+    return a
+
+
+# Per-n constants, built once and read-only so no caller can alter them.
+@functools.cache
+def _eye(n):
+    return _frozen(np.eye(n))
+
+
+@functools.cache
+def _off_diag(n):
+    # comp = p @ _off_diag(n) gives comp_ij = sum_{k != j} p_ik
+    return _frozen(np.ones((n, n)) - np.eye(n))
+
+
+@functools.cache
+def _neuralsort_coeff(n):
+    # row i of NeuralSort weighs y by n - 1 - 2i
+    return _frozen((n - 1 - 2 * np.arange(n)).astype(np.float64))
+
+
+@functools.cache
+def _dsn_wires(n):
+    """Per layer parity, the wire indices i, j = i + 1 of its comparators and
+    the flat positions of their (i, i), (i, j), (j, i) and (j, j) entries."""
+    parities = []
+    for i in (np.arange(0, n - 1, 2), np.arange(1, n - 1, 2)):
+        k = i * (n + 1)
+        parities.append(tuple(_frozen(a) for a in (i, i + 1, k, k + 1, k + n, k + n + 1)))
+    return tuple(parities)
+
+
 def _check_vector(y):
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or y.shape[0] < 1:
         raise ShapeMismatch(f"expected a nonempty vector, got shape {y.shape}")
-    if not np.all(np.isfinite(y)):
+    if not _all(np.isfinite(y)):
         raise NonFiniteResult("input vector has non-finite entries")
     return y
 
@@ -92,16 +135,15 @@ def _row_softmax(c):
     The denominator sums the shifted exponentials in value-sorted order, so
     reordering the entries of a row never changes the computed probabilities.
     """
-    shifted = c - np.max(c, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    denom = np.sum(np.sort(e, axis=1), axis=1, keepdims=True)
-    return e / denom
+    e = np.exp(c - _max(c, axis=1, keepdims=True))
+    ordered = e.copy()
+    ordered.sort(axis=1)
+    return e / _sum(ordered, axis=1, keepdims=True)
 
 
 def _softmax_rows_backward(p, g_p):
     # rows are independent softmaxes: dL/dc = p * (g - sum(g*p))
-    inner = np.sum(g_p * p, axis=1, keepdims=True)
-    return p * (g_p - inner)
+    return p * (g_p - _sum(g_p * p, axis=1, keepdims=True))
 
 
 def truth_from_order(order):
@@ -130,25 +172,24 @@ def _softsort_fwd(y, tau):
 
     def pullback(g_p):
         contrib = _softmax_rows_backward(p, g_p) * np.sign(diff) / tau
-        grad = np.sum(contrib, axis=0)
+        grad = _sum(contrib, axis=0)
         # gradient through the sorted vector: sorted_i = y[order[i]]
-        grad[order] -= np.sum(contrib, axis=1)
+        grad[order] -= _sum(contrib, axis=1)
         return grad
 
     return p, pullback
 
 
 def _neuralsort_fwd(y, tau):
-    n = y.shape[0]
-    sign = np.sign(y[:, None] - y[None, :])
-    a_one = np.sum(np.abs(y[:, None] - y[None, :]), axis=1)
-    coeff = (n - 1 - 2 * np.arange(n)).astype(np.float64)
-    p = _row_softmax((coeff[:, None] * y[None, :] - a_one[None, :]) / tau)
+    coeff = _neuralsort_coeff(y.shape[0])
+    diff = y[:, None] - y
+    sign = np.sign(diff)
+    p = _row_softmax((coeff[:, None] * y - _sum(np.abs(diff), axis=1)) / tau)
 
     def pullback(g_p):
         d_c = _softmax_rows_backward(p, g_p)
-        col = np.sum(d_c, axis=0)
-        return (coeff @ d_c - col * np.sum(sign, axis=1) + col @ sign) / tau
+        col = _sum(d_c, axis=0)
+        return (coeff @ d_c - col * _sum(sign, axis=1) + col @ sign) / tau
 
     return p, pullback
 
@@ -177,16 +218,13 @@ def _dsn_fwd(y, beta, family):
     several times cheaper than a (row, column) pair of index arrays.
     """
     n = y.shape[0]
-    parities = []
-    for i in (np.arange(0, n - 1, 2), np.arange(1, n - 1, 2)):
-        k = i * (n + 1)
-        parities.append((i, i + 1, k, k + 1, k + n, k + n + 1))
-    v, a = y, np.eye(n)
+    parities, eye = _dsn_wires(n), _eye(n)
+    v, a = y, eye
     layers = []
     for t in range(n):
         i, j, ii, ij, ji, jj = wires = parities[t % 2]
         s, stay, pdf = _cdf_stay_pdf(family, beta * (v[i] - v[j]))
-        m = np.eye(n)
+        m = eye.copy()
         flat = m.reshape(-1)
         flat[ii] = flat[jj] = stay
         flat[ij] = flat[ji] = s
@@ -197,7 +235,7 @@ def _dsn_fwd(y, beta, family):
         g_a, g_v = g_p, np.zeros(n)
         for (i, j, ii, ij, ji, jj), pdf, m, v_in, a_in in reversed(layers):
             # v_out = m @ v_in and a_out = m @ a_in both feed gradient into m
-            g_m = (g_a @ a_in.T + np.outer(g_v, v_in)).reshape(-1)
+            g_m = (g_a @ a_in.T + g_v[:, None] * v_in).reshape(-1)
             g_a, g_v = m.T @ g_a, m.T @ g_v
             pull = (-g_m[ii] + g_m[ij] + g_m[ji] - g_m[jj]) * beta * pdf
             g_v[i] += pull
@@ -252,19 +290,21 @@ def ranking_loss(y, truth, cfg):
     p, pullback = _perm_forward(y, cfg)
     q = truth.matrix[::-1] if cfg.method.startswith("dsn") else truth.matrix
 
-    p_c = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    comp = p @ (np.ones((n, n)) - np.eye(n))  # comp_ij = sum_{k != j} P_ik
+    neg_q, not_q = -q, 1.0 - q
+
+    p_c = np.minimum(np.maximum(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
+    comp = p @ _off_diag(n)  # comp_ij = sum_{k != j} P_ik
     comp_c = np.maximum(comp, PROB_CLAMP)
-    value = float(np.mean(-q * np.log(p_c) - (1.0 - q) * np.log(comp_c)))
+    terms = neg_q * np.log(p_c) - not_q * np.log(comp_c)
+    value = float(_sum(terms, axis=None) / terms.size)  # np.mean's arithmetic
 
     mask_p = (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP)
-    g_direct = np.where(mask_p, -q / p_c, 0.0)
+    g_direct = np.where(mask_p, neg_q / p_c, 0.0)
     # d(-log comp_ij)/dP_ab = -1/comp_ij for every b != j in row a
-    r = np.where(comp > PROB_CLAMP, (1.0 - q) / comp_c, 0.0)
-    g_comp = r.sum(axis=1, keepdims=True) - r
-    g_p = (g_direct - g_comp) / (n * n)
+    r = np.where(comp > PROB_CLAMP, not_q / comp_c, 0.0)
+    g_p = (g_direct - (_sum(r, axis=1, keepdims=True) - r)) / (n * n)
 
     grad = pullback(g_p)
-    if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+    if not (math.isfinite(value) and _all(np.isfinite(grad))):
         raise NonFiniteResult("ranking loss produced non-finite values")
     return value, grad

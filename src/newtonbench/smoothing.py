@@ -33,10 +33,16 @@ class SmoothingConfig:
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ConfigError(f"sigma must be finite and > 0, got {self.sigma}")
+        # smooth_hessian divides by sigma**4: it must neither overflow nor
+        # fall below the normal range, where its reciprocal overflows
         try:
-            float(self.sigma) ** 4  # smooth_hessian divides by it
+            fourth = float(self.sigma) ** 4
         except OverflowError:
-            raise ConfigError(f"sigma**4 must be a finite float, got sigma={self.sigma}") from None
+            fourth = np.inf
+        if not np.finfo(float).tiny <= fourth < np.inf:
+            raise ConfigError(
+                f"sigma**4 must be a finite normal float, got sigma={self.sigma}"
+            )
         if self.samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
 

@@ -270,6 +270,35 @@ class TestLambdaLimit:
             assert cos >= 0.999
 
 
+class TestRankOutputGrads:
+    @pytest.mark.parametrize(
+        "method,mode",
+        [("neuralsort", mode) for mode in trainers.MODES] + [("dsn_logistic", "nl_fisher")],
+    )
+    def test_loss_calls_per_step_and_none_in_eval(self, method, mode, monkeypatch):
+        # one ranking_loss call per row through the module attribute, which is
+        # what stepbench's per-call counts (420 and 20 per step) rely on
+        cfg = _quick_cfg(method=method, mode=mode, n=4, batch=5, steps=3, eval_every=1)
+        loss, calls, at_eval = diffsort.ranking_loss, [], []
+
+        def counted(y, truth, scfg):
+            calls.append(np.shape(y))
+            return loss(y, truth, scfg)
+
+        def metrics(score_rows, records):
+            at_eval.append(len(calls))
+            return rank_metrics(score_rows, records)
+
+        rank_metrics = trainers.rank_metrics
+        monkeypatch.setattr(diffsort, "ranking_loss", counted)
+        monkeypatch.setattr(trainers, "rank_metrics", metrics)
+        trainers.run_experiment(cfg)
+        # central differences probe each of the n coordinates up and down
+        per_step = cfg.batch * (2 * cfg.n + 1 if mode == "nl_hessian" else 1)
+        assert at_eval == [step * per_step for step in range(cfg.steps + 1)]
+        assert calls == [(cfg.n,)] * (cfg.steps * per_step)
+
+
 class TestPathOutputGrads:
     @staticmethod
     def _setup(method, mode):

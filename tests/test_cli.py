@@ -232,6 +232,8 @@ class TestExitCodes:
             ["bench", "path", "--sigma", "nan"],
             ["bench", "rank", "--data", "no/such/dataset.jsonl"],
             ["ablate", "lambda", "--tau", "nan"],
+            # sigma**4 underflows to 0; the Hessian would divide by it
+            ["bench", "path", "--mode", "nl_hessian", "--sigma", "1e-100", "--grid", "3"],
         ],
     )
     def test_bad_values_exit_2_without_traceback(self, args, capsys):

@@ -3,16 +3,19 @@
 Every argv drawn here must end with exit code 0, 2 (configuration) or 3
 (numerics); a run that fails after argparse must say why in one stderr line
 (an argparse rejection is SystemExit(2) with its usage text), and no
-RuntimeWarning may reach stderr. Two further rules hold for the drawn argv:
+RuntimeWarning may reach stderr. Three further rules hold for the drawn argv:
 a non-finite damping, temperature, smoothing, sweep-bound or base value is
-a configuration error, and a size or count below 1 never succeeds, because
-a run that does nothing must not report success. Sizes stay tiny (grid <= 3,
+a configuration error, so is a smoothing sigma that is not positive or whose
+fourth power is not a finite normal float, and a size or count below 1 never
+succeeds, because a run that does nothing must not report success. Sizes stay tiny (grid <= 3,
 steps <= 2, grids <= 1) so the test runs in seconds.
 """
 
 import contextlib
 import io
 import json
+import math
+import sys
 import warnings
 
 import pytest
@@ -125,6 +128,15 @@ ARGV = st.one_of(
 )
 
 
+def smoothable(text):
+    """Whether a --sigma value passes the configuration checks: positive,
+    with a fourth power that is a finite normal float."""
+    try:
+        return float(text) > 0 and sys.float_info.min <= float(text) ** 4 < math.inf
+    except OverflowError:
+        return False
+
+
 def run(argv):
     """(exit code, stderr text) of one in-process CLI call; the code is None
     when argparse rejects the argv."""
@@ -163,6 +175,8 @@ def run(argv):
                "--batch=4", "--mode=baseline", "--sigma=1e8"])
 # finite, but sigma**4 overflows the float range
 @example(argv=["bench", "path", "--mode=nl_hessian", "--sigma=1e100"])
+# sigma**4 underflows to 0, which the Hessian estimate divides by
+@example(argv=["bench", "path", "--mode=nl_hessian", "--grid=3", "--steps=2", "--sigma=1e-100"])
 def test_argv_grammar_exits_cleanly(datasets, argv):
     values = dict(tok.split("=", 1) for tok in argv if tok.startswith("--"))
     argv = [f"--data={datasets[tok[7:]]}" if tok.startswith("--data=") else tok
@@ -180,6 +194,8 @@ def test_argv_grammar_exits_cleanly(datasets, argv):
         assert not progress or code == 3, (argv, err)
         assert all(" final=" in line for line in progress), (argv, err)
     if any(set(values.get(flag, "").split(",")) & NON_FINITE for flag in CONFIG_FLOATS):
+        assert code == 2, (argv, code, err)
+    if "--sigma" in values and not smoothable(values["--sigma"]):
         assert code == 2, (argv, code, err)
     if any(int(values.get(flag, 1)) < 1 for flag in COUNTS):
         assert code != 0, (argv, err)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -199,6 +200,37 @@ class TestRankingLoss:
         ]
         t_best = ts[int(np.argmin(losses))]
         assert diffsort.hard_rank(np.array([t_best, 1.0, -1.0])).order == (0, 1, 2)
+
+
+    def test_bytes_locked(self):
+        # sha256 of every (value, gradient) bit pattern over all methods, with
+        # saturated, tied and wide-range rows; any one-ulp drift changes it
+        rng = np.random.default_rng(2024)
+        h = hashlib.sha256()
+        for method in diffsort.METHODS:
+            key = "beta" if method.startswith("dsn") else "tau"
+            for n in (2, 5, 10, 12):
+                for scale in (1e-3, 1.0, 1e2):
+                    for param in (0.1, 1.0, 10.0):
+                        cfg = SortConfig(method=method, **{key: param})
+                        y = rng.standard_normal(n) * scale
+                        truth = diffsort.truth_from_order(rng.permutation(n))
+                        for v in (y, np.round(y / scale) * scale):  # the second has ties
+                            value, grad = diffsort.ranking_loss(v, truth, cfg)
+                            h.update(np.float64(value).tobytes() + grad.tobytes())
+        assert h.hexdigest() == (
+            "0f9620997196cb9eb4c7e74eb7ec709a849e8b83e7af257a086100a610a438ef"
+        )
+
+    def test_cached_constants_are_read_only(self):
+        n = 5
+        cached = [diffsort._eye(n), diffsort._off_diag(n), diffsort._neuralsort_coeff(n)]
+        cached += [a for wires in diffsort._dsn_wires(n) for a in wires]
+        for a in cached:
+            with pytest.raises(ValueError):
+                a.flat[0] = 7
+        # the losses computed after the attempts still use the true constants
+        assert np.array_equal(diffsort._off_diag(n), np.ones((n, n)) - np.eye(n))
 
 
 class TestStochasticityInvariants:

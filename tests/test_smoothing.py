@@ -71,6 +71,18 @@ class TestSmoothGrad:
         with pytest.raises(ConfigError):
             SmoothingConfig(sigma=sigma, samples=10)
 
+    # sigma**4 underflows to 0 at 1e-100 and is subnormal at 1e-77 and 1e-78,
+    # where smooth_hessian's division by it would overflow
+    @pytest.mark.parametrize("sigma", [1e-100, 1e-78, 1e-77])
+    def test_sigma_fourth_power_below_normal_rejected(self, sigma):
+        with pytest.raises(ConfigError):
+            SmoothingConfig(sigma=sigma, samples=10)
+
+    def test_smallest_normal_fourth_power_accepted(self):
+        sigma = 1e-76  # sigma**4 is about 1e-304, a normal float
+        assert sigma**4 >= np.finfo(float).tiny
+        SmoothingConfig(sigma=sigma, samples=10)
+
 
 class TestSmoothHessian:
     def test_constant_with_vr_is_exact_zero(self):
