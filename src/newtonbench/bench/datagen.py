@@ -32,6 +32,7 @@ PATH_MARGIN = 0.05
 COST_FLOOR = 0.1  # the least cell cost of costs_from_raw
 MARGIN_CHECK_MAX_SIZE = 5
 _MAX_DRAWS_PER_RECORD = 10000
+_DRAW_BLOCK = 64  # candidate feature draws per generator call
 
 
 @dataclass
@@ -123,15 +124,24 @@ def min_latent_gap(n):
 
 def _draw_records(rng, count, shape, accept, failure):
     """count records, each from the first normal feature draw of the given
-    shape that accept(features) turns into a record rather than None."""
+    shape that accept(features) turns into a record rather than None.
+
+    Candidates come from blocks of _DRAW_BLOCK draws.  A block fills in the
+    order of single draws, so the records are those of one draw at a time.
+    """
     records = []
+    block, k = None, _DRAW_BLOCK
     for _ in range(count):
         for _attempt in range(_MAX_DRAWS_PER_RECORD):
-            record = accept(rng.normal(0.0, 1.0, size=shape))
+            if k == _DRAW_BLOCK:
+                block, k = rng.normal(0.0, 1.0, size=(_DRAW_BLOCK, *shape)), 0
+            record = accept(block[k])
+            k += 1
             if record is not None:
                 break
         else:
             raise ConfigError(failure)
+        record.features = record.features.copy()  # a view would hold the whole block
         records.append(record)
     return records
 
@@ -145,7 +155,8 @@ def gen_ranking_data(seed, n, count, feature_dim=6):
 
     def accept(features):
         latents = readout(features)
-        if np.min(np.diff(np.sort(latents))) < gap:
+        s = np.sort(latents)
+        if np.minimum.reduce(s[1:] - s[:-1]) < gap:  # np.min(np.diff(s)), without wrappers
             return None
         return RankRecord(features=features, ranking=hard_rank(latents).order, latents=latents)
 

@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.special import expit
 
 from ..errors import ConfigError, NonFiniteResult
 from .. import diffsort, net, newton, shortest_path, smoothing
@@ -288,7 +287,8 @@ def _path_grads(cfg, y, batch, step):
             rows[j] = jac.T @ (mean_mask - mask)
         else:
             scores = -datagen.costs_from_raw(y[j])
-            slope = -expit(y[j])  # d scores / d raw
+            sig = diffsort.expit(y[j])
+            slope = -sig  # d scores / d raw
             if hess is None:
                 rows[j] = smoothing.fy_loss_grad(scores, mask, argmax, scfg) * slope
                 continue
@@ -296,7 +296,7 @@ def _path_grads(cfg, y, batch, step):
             mean_mask, jac = smoothing.smooth_jacobian(argmax, scores, scfg)
             g_scores = mean_mask - mask
             rows[j] = g_scores * slope
-            curv = expit(y[j]) * (1.0 - expit(y[j]))  # d^2 scores / d raw^2
+            curv = sig * (1.0 - sig)  # d^2 scores / d raw^2
             h_j = (slope[:, None] * jac) * slope[None, :] - np.diag(g_scores * curv)
             hess += 0.5 * (h_j + h_j.T)
     if hess is not None:

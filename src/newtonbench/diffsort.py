@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, NonFiniteResult, ShapeMismatch
 
@@ -194,6 +193,38 @@ def _neuralsort_fwd(y, tau):
     return p, pullback
 
 
+# The logistic is 1 / (1 + exp(-x)) in the C library's exp, which math.exp
+# calls; numpy's own exp rounds differently on a few percent of inputs.
+_exp = math.exp
+
+
+def _expit1(t):
+    try:
+        return 1.0 / (1.0 + _exp(-t))
+    except OverflowError:  # exp(-t) is inf, and 1 / (1 + inf) is 0
+        return 0.0
+
+
+def _logistic(t):
+    """The logistic of each float in the list t, as a list.  The sorting
+    network's hot path: without overflow no call per element but exp."""
+    try:
+        return [1.0 / (1.0 + _exp(-u)) for u in t]
+    except OverflowError:
+        return [_expit1(u) for u in t]
+
+
+def expit(x):
+    """The logistic CDF 1 / (1 + exp(-x)), elementwise, as a float64 array.
+
+    Each element is the C expression 1.0 / (1.0 + exp(-t)) with libm's exp,
+    so it matches C implementations of that expression bit for bit; where
+    exp(-t) overflows the element is 1 / (1 + inf) = 0.0.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    return np.array(_logistic(x.ravel().tolist())).reshape(x.shape)
+
+
 def _cdf_stay_pdf(family, x):
     """CDF(x), CDF(-x), and pdf(x) for the comparator family.
 
@@ -202,8 +233,9 @@ def _cdf_stay_pdf(family, x):
     which matters because products of stay weights feed log-loss terms.
     """
     if family == "logistic":
-        s = expit(x)
-        c = expit(-x)
+        t = x.tolist()
+        sc = np.array(_logistic(t + [-u for u in t]))  # CDF(x), then CDF(-x)
+        s, c = sc[: len(t)], sc[len(t):]
         return s, c, s * c
     at = np.arctan(x) / np.pi
     return 0.5 + at, 0.5 - at, 1.0 / (np.pi * (1.0 + x * x))

@@ -85,6 +85,46 @@ class TestRankDatagen:
             datagen.gen_ranking_data(0, 3, 10, feature_dim=0)
 
 
+class TestDrawRecords:
+    @staticmethod
+    def _record_if(keep, features):
+        return datagen.RankRecord(features=features, ranking=()) if keep else None
+
+    def test_block_draws_match_one_at_a_time(self):
+        # about 130 candidates, so the draws span several blocks
+        def accept(features):
+            return self._record_if(features[0, 0] > 0.5, features)
+
+        got = datagen._draw_records(np.random.default_rng(5), 40, (3, 2), accept, "none")
+        rng, want = np.random.default_rng(5), []
+        while len(want) < 40:
+            features = rng.normal(0.0, 1.0, size=(3, 2))
+            if features[0, 0] > 0.5:
+                want.append(features)
+        for rec, features in zip(got, want, strict=True):
+            assert np.array_equal(rec.features, features)
+            assert rec.features.base is None  # owns its data, not a view of a block
+
+    def test_gives_up_after_max_draws_for_one_record(self, monkeypatch):
+        monkeypatch.setattr(datagen, "_MAX_DRAWS_PER_RECORD", 5)
+        calls = []
+
+        def every(k):
+            def accept(features):
+                calls.append(1)
+                return self._record_if(len(calls) % k == 0, features)
+
+            return accept
+
+        # four rejections, then an accept, per record: the limit resets for each
+        rng = np.random.default_rng(0)
+        assert len(datagen._draw_records(rng, 30, (2,), every(5), "none")) == 30
+        calls.clear()
+        with pytest.raises(ConfigError, match="no separation"):
+            datagen._draw_records(rng, 30, (2,), every(6), "no separation")
+        assert len(calls) == 5
+
+
 class TestGridDatagen:
     def test_fixed_seed_identical_bytes(self, tmp_path):
         a = tmp_path / "a.jsonl"

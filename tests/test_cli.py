@@ -1,10 +1,14 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import newtonbench
 from newtonbench import errors
 from newtonbench.bench import cli, datagen, report
 
@@ -360,3 +364,19 @@ class TestExitCodes:
         # finite bounds whose sweep overflows the ranking loss
         code = run_cli(["slice", "grad", "--coord", "0", "--lo", "0.1", "--hi", "1e308"])
         assert code == 3
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test-only dependency; importing it costs a fresh process
+    # most of its start-up time and memory
+    src = os.path.dirname(os.path.dirname(os.path.abspath(newtonbench.__file__)))
+    code = (
+        "import sys, newtonbench.bench.cli\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,8 +1,10 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
+from scipy.special import expit as scipy_expit
 
 from newtonbench import diffsort
 from newtonbench.diffsort import GroundTruthRanking, SortConfig
@@ -122,6 +124,29 @@ def test_sort_config_rejects_nonfinite(method, field, value):
     # also for the parameter the method does not use
     with pytest.raises(ConfigError):
         SortConfig(method=method, **{field: value})
+
+
+class TestExpit:
+    # +-0, the least subnormal and normal, the ends of exp's finite range
+    # and its overflow, huge values and the infinities
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+             709.78, -709.78, 745.2, -745.2, 1e300, -1e300, np.inf, -np.inf, np.nan]
+
+    def test_bit_identical_to_scipy(self):
+        rng = np.random.default_rng(20)
+        draws = [rng.standard_normal(250_000) * scale for scale in (1e-3, 1.0, 30.0, 800.0)]
+        x = np.concatenate(draws + [self.EDGES])
+        with pytest.raises(OverflowError):  # so -745.2 and -1e300 take that branch
+            math.exp(745.2)
+        got = diffsort.expit(x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        assert np.array_equal(got.view(np.int64), scipy_expit(x).view(np.int64))
+
+    def test_keeps_shape(self):
+        x = np.array([[-800.0, 0.5], [3.0, 800.0]])
+        np.testing.assert_array_equal(diffsort.expit(x), scipy_expit(x))
+        assert diffsort.expit(2.0).shape == ()
+        assert diffsort.expit(np.empty(0)).dtype == np.float64
 
 
 class TestHardRank:
