@@ -112,7 +112,7 @@ def check_oracles(seed=0, grids_per_size=100, sizes=(3, 4, 5)):
                 height=size, width=size, node_costs=costs
             )
             result = shortest_path.dijkstra_grid(inst)
-            dij_cost = shortest_path.path_cost(inst, result)
+            dij_cost = shortest_path.two_best_costs(inst)[0]  # summed in path order
             best, mask, unique = shortest_path.brute_force_shortest(inst)
             max_rel = max(max_rel, abs(dij_cost - best) / best)
             if unique:

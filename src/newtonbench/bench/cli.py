@@ -6,6 +6,7 @@ check (numeric self-tests), slice (gradient slices). Exit codes: 0 success,
 """
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -44,26 +45,10 @@ def _seed(text):
 
 
 def _cfg_overrides(args, task):
-    keys = (
-        "method",
-        "seed",
-        "steps",
-        "batch",
-        "n",
-        "grid",
-        "sigma",
-        "samples",
-        "tau",
-        "beta",
-        "lam",
-        "data_path",
-    )
-    over = {"task": task}
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            over[key] = val
-    return over
+    """The ExperimentConfig fields among the parsed flags that were given."""
+    fields = {f.name for f in dataclasses.fields(trainers.ExperimentConfig)}
+    over = {k: v for k, v in vars(args).items() if k in fields and v is not None}
+    return {**over, "task": task}
 
 
 def _cmd_gen(args):
@@ -94,7 +79,6 @@ def _cmd_bench(args):
         ]
         for mode in modes
     }
-    echo = trainers.config_echo(cfgs[modes[0]][0])
     mode_runs = {}
     for mode, mode_cfgs in cfgs.items():
         runs = []
@@ -106,6 +90,8 @@ def _cmd_bench(args):
             )
             runs.append(rep)
         mode_runs[mode] = (mode_cfgs[-1].lam, runs)
+    # the first run's echo names the data every run used
+    echo = dict(mode_runs[modes[0]][1][0].config)
     echo["mode"] = "+".join(modes)
     echo["seed"] = seed_list[0]
     echo["seeds"] = seed_list
@@ -120,9 +106,7 @@ def _cmd_bench(args):
 
 def _cmd_ablate(args):
     lam_grid = _parse_floats(args.lambdas)
-    over = _cfg_overrides(args, "rank")
-    over.pop("lam", None)
-    cfg = trainers.ExperimentConfig(**over)
+    cfg = trainers.ExperimentConfig(**_cfg_overrides(args, "rank"))
     reports, columns = trainers.ablate_lambda(cfg, lam_grid)
     for rep in reports:
         print(
@@ -207,7 +191,7 @@ def build_parser():
             g.add_argument("--grid", type=int, default=4, help="grid side length")
         g.add_argument("--count", type=int, default=384)
         g.add_argument("--seed", type=_seed, default=0)
-        g.add_argument("--feature-dim", type=int, default=6)
+        g.add_argument("--feature-dim", type=int, default=datagen.FEATURE_DIM)
         g.add_argument("--out", required=True)
         g.set_defaults(fn=_cmd_gen)
 

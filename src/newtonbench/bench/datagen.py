@@ -28,6 +28,7 @@ from ..errors import ConfigError
 from .. import shortest_path
 from ..diffsort import hard_rank
 
+FEATURE_DIM = 6  # the generators' default feature width
 PATH_MARGIN = 0.05
 COST_FLOOR = 0.1  # the least cell cost of costs_from_raw
 MARGIN_CHECK_MAX_SIZE = 5
@@ -66,18 +67,13 @@ class Dataset:
     records: list
 
 
-def _readout_params(seed, feature_dim, tag):
-    """Fixed readout weights, decoupled from the record draw stream."""
+def _readout(seed, feature_dim, tag):
+    """The hidden scalar map of a generator: linear plus a bounded tanh term,
+    with weights fixed by (seed, tag) apart from the record draw stream."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, tag)))
     w = rng.normal(0.0, 1.0, size=feature_dim) / np.sqrt(feature_dim)
     u = rng.normal(0.0, 1.0, size=feature_dim) / np.sqrt(feature_dim)
     amp = rng.uniform(0.5, 1.5)
-    return w, u, amp
-
-
-def latent_readout(seed, feature_dim):
-    """The hidden score map of gen_ranking_data, for oracle evaluation."""
-    w, u, amp = _readout_params(seed, feature_dim, tag=1)
 
     def readout(features):
         f = np.asarray(features, dtype=np.float64)
@@ -90,17 +86,6 @@ def costs_from_raw(raw):
     """Positive cell costs from unconstrained values; the hidden costs and
     the trained path models share this map, so their scales line up."""
     return np.logaddexp(0.0, raw) + COST_FLOOR
-
-
-def cost_readout(seed, feature_dim):
-    """The hidden cell-cost map of gen_grid_data; strictly positive."""
-    w, u, amp = _readout_params(seed, feature_dim, tag=2)
-
-    def readout(features):
-        f = np.asarray(features, dtype=np.float64)
-        return costs_from_raw(f @ w + amp * np.tanh(f @ u))
-
-    return readout
 
 
 def _validate_common(what, size, count, feature_dim):
@@ -146,10 +131,10 @@ def _draw_records(rng, count, shape, accept, failure):
     return records
 
 
-def gen_ranking_data(seed, n, count, feature_dim=6):
+def gen_ranking_data(seed, n, count, feature_dim=FEATURE_DIM):
     """Feature sets whose hidden latent scores induce the stored ranking."""
     _validate_common("ranking length", n, count, feature_dim)
-    readout = latent_readout(seed, feature_dim)
+    readout = _readout(seed, feature_dim, tag=1)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 11)))
     gap = min_latent_gap(n)
 
@@ -166,14 +151,14 @@ def gen_ranking_data(seed, n, count, feature_dim=6):
     return Dataset("rank", n, feature_dim, seed, records)
 
 
-def gen_grid_data(seed, size, count, feature_dim=6):
+def gen_grid_data(seed, size, count, feature_dim=FEATURE_DIM):
     """Per-cell feature grids whose hidden costs induce the stored mask."""
     _validate_common("grid size", size, count, feature_dim)
-    readout = cost_readout(seed, feature_dim)
+    readout = _readout(seed, feature_dim, tag=2)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 12)))
 
     def accept(features):
-        costs = readout(features).reshape(size, size)
+        costs = costs_from_raw(readout(features)).reshape(size, size)
         grid = shortest_path.GridInstance(height=size, width=size, node_costs=costs)
         if size > MARGIN_CHECK_MAX_SIZE:
             mask = shortest_path.dijkstra_grid(grid)

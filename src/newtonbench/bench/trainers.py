@@ -25,9 +25,13 @@ from .. import diffsort, net, newton, shortest_path, smoothing
 from . import datagen
 from .report import TrainReport
 
-RANK_METHODS = ("neuralsort", "softsort", "dsn_logistic", "dsn_cauchy")
-PATH_METHODS = ("ss_loss", "ss_algorithm", "fy")
+# seed-stream tag of each path method's smoothing draws
+_PATH_SEED_TAGS = {"ss_loss": 301, "ss_algorithm": 302, "fy": 303}
+RANK_METHODS = diffsort.METHODS
+PATH_METHODS = tuple(_PATH_SEED_TAGS)
 MODES = ("baseline", "nl_hessian", "nl_fisher")
+# every run trains a feature_dim -> HIDDEN -> 1 tanh MLP by OPTIMIZER at step size LR
+HIDDEN, LR, OPTIMIZER = 32, 0.003, "adam"
 
 # Regularization presets, keyed by (mode, method); the rank task switches
 # tables at length n > 7.  Chosen once from a coarse sweep at desk scale.
@@ -96,12 +100,8 @@ class ExperimentConfig:
     samples: int = 10
     tau: float = None          # None keeps the per-method default
     beta: float = None
-    feature_dim: int = 6
     train_count: int = 256
     eval_count: int = 128
-    hidden: int = 32
-    lr: float = 0.003
-    optimizer: str = "adam"
     eval_every: int = None     # None resolves to max(1, steps // 20)
     data_path: str = None
 
@@ -122,23 +122,19 @@ class ExperimentConfig:
                 "the smoothed solver output is intractable; use baseline or "
                 "nl_fisher"
             )
-        for name in ("steps", "batch", "train_count", "eval_count", "hidden"):
+        for name in ("steps", "batch", "train_count", "eval_count"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.task == "rank" and self.n < 2:
             raise ConfigError(f"ranking length must be >= 2, got {self.n}")
         if self.task == "path" and self.grid < 2:
             raise ConfigError(f"grid side must be >= 2, got {self.grid}")
-        for name in ("lam", "sigma", "tau", "beta", "lr"):
+        for name in ("lam", "tau", "beta"):
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
-        if self.sigma <= 0 or self.samples < 1:
-            raise ConfigError("sigma must be > 0 and samples >= 1")
-        # the smoothing rules on sigma (a finite normal fourth power), before the first run
+        # the smoothing rules on sigma and samples, before the first run
         smoothing.SmoothingConfig(sigma=self.sigma, samples=self.samples)
-        if self.lr <= 0:
-            raise ConfigError(f"learning rate must be > 0, got {self.lr}")
         if self.batch > self.train_count:
             raise ConfigError("batch cannot exceed train_count")
         if self.lam is None:
@@ -154,8 +150,10 @@ class ExperimentConfig:
 
 
 def config_echo(cfg):
-    """Plain-dict echo of the experiment knobs for report embedding."""
+    """Plain-dict echo of the experiment knobs for report embedding, with the
+    fixed model and optimizer."""
     echo = asdict(cfg)
+    echo.update(hidden=HIDDEN, lr=LR, optimizer=OPTIMIZER)
     if echo["data_path"] is None:
         del echo["data_path"]
     return echo
@@ -172,7 +170,7 @@ def _load_data(cfg):
     size = cfg.n if rank else cfg.grid
     if not cfg.data_path:
         gen = datagen.gen_ranking_data if rank else datagen.gen_grid_data
-        ds = gen(cfg.seed, size, cfg.train_count + cfg.eval_count, cfg.feature_dim)
+        ds = gen(cfg.seed, size, cfg.train_count + cfg.eval_count)
         return ds, ds.records[: cfg.train_count], ds.records[cfg.train_count :]
     ds = datagen.load_dataset(cfg.data_path)
     if ds.kind != cfg.task:
@@ -242,10 +240,6 @@ def path_metrics(raw_rows, records, size):
         pred = _mask_of_raw(raw, size).reshape(size, size)
         hits += int(np.array_equal(pred, np.asarray(rec.mask, dtype=np.float64)))
     return {"perfect_match": 100.0 * hits / len(records)}
-
-
-# seed-stream tag of each path method's smoothing draws
-_PATH_SEED_TAGS = {"ss_loss": 301, "ss_algorithm": 302, "fy": 303}
 
 
 def _path_grads(cfg, y, batch, step):
@@ -338,11 +332,11 @@ def run_experiment(cfg):
     started = time.perf_counter()
     ds, train, heldout = _load_data(cfg)
     model = net.Mlp.init(
-        [ds.feature_dim, cfg.hidden, 1],
+        [ds.feature_dim, HIDDEN, 1],
         ["tanh", "identity"],
         np.random.SeedSequence((cfg.seed, 201)),
     )
-    opt = net.OptimizerState.create(cfg.optimizer, cfg.lr, model)
+    opt = net.OptimizerState.create(OPTIMIZER, LR, model)
     batch_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 202)))
 
     curve = []
@@ -362,8 +356,11 @@ def run_experiment(cfg):
         if step % cfg.eval_every == 0 or step == cfg.steps:
             evaluate(step)
 
+    # the data the run used: a loaded file sets its own width and split
+    echo = config_echo(cfg)
+    echo.update(feature_dim=ds.feature_dim, train_count=len(train), eval_count=len(heldout))
     return TrainReport(
-        config=config_echo(cfg),
+        config=echo,
         seed=cfg.seed,
         curve=curve,
         final={k: v for k, v in curve[-1].items() if k != "step"},

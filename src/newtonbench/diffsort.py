@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import ConfigError, NonFiniteResult, ShapeMismatch
 
-DSN_FAMILIES = ("logistic", "cauchy")
 METHODS = ("neuralsort", "softsort", "dsn_logistic", "dsn_cauchy")
 
 PROB_CLAMP = 1e-12

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ConfigError, NonFiniteResult, ShapeMismatch
 
 ACTIVATIONS = ("relu", "tanh", "identity")
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and floor
 
 
 def _act(name, z):
@@ -139,9 +140,6 @@ def backward(model, tape, output_grads):
 class OptimizerState:
     kind: str
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m_w: list = field(default_factory=list)
     m_b: list = field(default_factory=list)
@@ -175,17 +173,17 @@ def optimizer_step(state, model, grads):
             b -= state.lr * gb
         return model, state
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     params = list(zip(model.weights, state.m_w, state.v_w, grads.weights)) + list(
         zip(model.biases, state.m_b, state.v_b, grads.biases)
     )
     for theta, m, v, g in params:
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        theta -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        theta -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return model, state
 
 

@@ -220,25 +220,6 @@ def brute_force_shortest(inst):
     return state["best"], state["mask"], state["ties"] == 1
 
 
-def path_cost(inst, mask):
-    """Total node cost of the masked cells, summed in row-major order."""
-    m = np.asarray(mask)
-    if m.shape != (inst.height, inst.width):
-        raise ShapeMismatch(f"mask shape {m.shape} != grid {inst.height}x{inst.width}")
-    total = 0.0
-    for i in range(inst.height):
-        for j in range(inst.width):
-            if m[i, j]:
-                total += inst.node_costs[i, j]
-    return total
-
-
-def as_argmax_scores(inst):
-    """Flattened negated costs: maximizing <scores, indicator> over path
-    indicators is the same problem as minimizing path cost."""
-    return (-inst.node_costs).ravel()
-
-
 def indicator_argmax(scores, height, width):
     """Best path indicator for a flattened score vector.
 

@@ -52,6 +52,20 @@ def _draws(cfg, m):
     return cfg.sigma * rng.standard_normal((cfg.samples, m))
 
 
+def _checked(vals, shape, what):
+    """vals, once it has the given shape and only finite entries."""
+    if vals.shape != shape:
+        raise ShapeMismatch(f"black-box {what} shape {vals.shape}, expected {shape}")
+    if not np.isfinite(vals).all():
+        raise NonFiniteResult(f"black-box {what} has non-finite values")
+    return vals
+
+
+def _base(f, y):
+    """f(y), the scalar baseline, checked as _probe checks each draw's value."""
+    return _checked(np.asarray(f(y), dtype=np.float64), (), "base value")
+
+
 def _probe(f, y, cfg, shape=()):
     """(eps, vals): the draws and f at every y + eps[i], stacked; every
     output must be finite and have the given shape."""
@@ -60,25 +74,21 @@ def _probe(f, y, cfg, shape=()):
         vals = np.array([f(p) for p in y + eps], dtype=np.float64)
     except ValueError:
         raise ShapeMismatch("black-box output shape changed between probes") from None
-    if vals.shape != (cfg.samples, *shape):
-        raise ShapeMismatch(f"black-box output shape {vals.shape[1:]}, expected {shape}")
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteResult("black-box probe returned non-finite values")
-    return eps, vals
+    return eps, _checked(vals, (cfg.samples, *shape), "probe")
 
 
 def smooth_grad(f, y, cfg):
     """Score-function gradient estimate of the Gaussian-smoothed f at y."""
     y = np.asarray(y, dtype=np.float64)
     eps, vals = _probe(f, y, cfg)
-    return ((vals - float(f(y)))[:, None] * eps).mean(axis=0) / cfg.sigma**2
+    return ((vals - _base(f, y))[:, None] * eps).mean(axis=0) / cfg.sigma**2
 
 
 def smooth_hessian(f, y, cfg):
     """Estimate of the smoothed Hessian, symmetrized exactly."""
     y = np.asarray(y, dtype=np.float64)
     eps, vals = _probe(f, y, cfg)
-    w = vals - float(f(y))
+    w = vals - _base(f, y)
     # mean_i w_i (e_i e_i^T / s^4 - I / s^2), accumulated as matrix products
     outer = (eps * w[:, None]).T @ eps / (cfg.samples * cfg.sigma**4)
     h = outer - np.mean(w) / cfg.sigma**2 * np.eye(y.shape[0])
@@ -92,6 +102,7 @@ def smooth_jacobian(f, y, cfg):
     base = np.asarray(f(y), dtype=np.float64)
     if base.ndim != 1:
         raise ShapeMismatch(f"vector black box must return 1-d output, got {base.shape}")
+    _checked(base, base.shape, "base value")
     eps, vals = _probe(f, y, cfg, base.shape)
     return vals.mean(axis=0), (vals - base).T @ eps / (cfg.samples * cfg.sigma**2)
 

@@ -97,6 +97,11 @@ def enumerate_paths(h, w):
     return paths
 
 
+def mask_cost(costs, mask):
+    """Total cost of the masked cells, summed in row-major order."""
+    return sum(float(c) for c, m in zip(np.ravel(costs), np.ravel(mask)) if m)
+
+
 def tie_rule_mask(costs):
     """The documented shortest-path mask of a cost grid: Bellman-Ford in
     plain floats to a fixed point, then a backtrack from the goal that steps

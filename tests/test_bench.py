@@ -284,12 +284,10 @@ class TestLambdaLimit:
         # with overwhelming damping both Newton modes shrink toward a
         # rescaled plain gradient, so first-step directions must agree
         cfg = _quick_cfg(seed=3)
-        ds = datagen.gen_ranking_data(
-            cfg.seed, cfg.n, cfg.train_count + cfg.eval_count, cfg.feature_dim
-        )
+        ds = datagen.gen_ranking_data(cfg.seed, cfg.n, cfg.train_count + cfg.eval_count)
         batch = ds.records[: cfg.batch]
         model = net.Mlp.init(
-            [cfg.feature_dim, cfg.hidden, 1],
+            [datagen.FEATURE_DIM, trainers.HIDDEN, 1],
             ["tanh", "identity"],
             np.random.SeedSequence((cfg.seed, 201)),
         )

@@ -137,6 +137,17 @@ class TestBench:
         doc = json.loads(out.read_text())
         assert doc["config"]["data_path"] == str(ds)
 
+    def test_dataset_reuse_echoes_the_data_the_run_used(self, tmp_path):
+        ds = tmp_path / "ds.jsonl"
+        gen = ["gen", "rank", "--n", "3", "--count", "40", "--feature-dim", "3"]
+        assert run_cli(gen + ["--out", str(ds)]) == 0
+        out = tmp_path / "r.json"
+        args = QUICK_RANK + ["--mode", "baseline", "--data", str(ds), "--out", str(out)]
+        assert run_cli(args) == 0
+        config = json.loads(out.read_text())["config"]
+        # the last third is held out: 13 of 40 records
+        assert (config["feature_dim"], config["train_count"], config["eval_count"]) == (3, 27, 13)
+
     @pytest.mark.parametrize(
         "kind,stored,asked",
         [("rank", ["--n", "4"], ["--n", "7"]), ("path", ["--grid", "3"], ["--grid", "4"])],

@@ -100,7 +100,7 @@ class TestDsn:
             p = diffsort.dsn_perm(y, beta=1e4, family="logistic").entries
             assert np.max(np.abs(p - truth.matrix_ascending())) <= 1e-4
 
-    @pytest.mark.parametrize("family", diffsort.DSN_FAMILIES)
+    @pytest.mark.parametrize("family", ["logistic", "cauchy"])
     def test_matches_per_comparator_reference(self, family):
         # n=2 has an empty second layer and odd n ends every layer short
         rng = np.random.default_rng(7)

@@ -125,7 +125,7 @@ class TestOptimizer:
         grads = net.ParamGrads(weights=[g.copy()], biases=[np.zeros(1)])
         net.optimizer_step(state, model, grads)
         # first step: m_hat = g, v_hat = g^2, so update = -lr * g / (|g| + eps)
-        expected = np.array([[1.0, -1.0]]) - 0.001 * g / (np.abs(g) + state.eps)
+        expected = np.array([[1.0, -1.0]]) - 0.001 * g / (np.abs(g) + net.ADAM_EPS)
         np.testing.assert_allclose(model.weights[0], expected, atol=1e-9)
 
     def test_nonfinite_grads_raise(self):

@@ -1,8 +1,10 @@
-"""No package module reads another module's private (underscore) names."""
+"""No package module reads another module's private (underscore) names,
+and every public top-level name of the package has a caller."""
 
 import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -51,3 +53,60 @@ def test_detector_sees_both_forms():
         (1, "import _fmt"),
         (2, "smoothing._draws"),
     ]
+
+
+def _defined(node):
+    """The public names a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if not n.startswith("_")]
+
+
+def _reads(node):
+    """Every name a statement reads: bare names, attributes and imports."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, ast.alias):
+            found.add(n.name)
+    return found
+
+
+def uncalled(modules, callers):
+    """Sorted public names defined at the top level of the module sources
+    that no other top-level statement of the caller sources reads; both
+    arguments map a path to its source."""
+    reads = {
+        (path, node.lineno): _reads(node)
+        for path, source in callers.items()
+        for node in ast.parse(source).body
+    }
+    return sorted(
+        name
+        for path, source in modules.items()
+        for node in ast.parse(source).body
+        for name in _defined(node)
+        if not any(name in r for key, r in reads.items() if key != (path, node.lineno))
+    )
+
+
+def test_every_public_name_has_a_caller():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "newtonbench").rglob("*.py"))
+    callers = package + sorted((root / "stepbench").glob("*.py"))
+    callers.append(root / "tests" / "test_acceptance.py")
+    source = {p: p.read_text() for p in callers}
+    assert uncalled({p: source[p] for p in package}, source) == []
+
+
+def test_caller_detector_ignores_a_definition_reading_itself():
+    source = "def loop(n):\n    return loop(n - 1)\nA = 1\nB = A\nC = D = 2\nprint(D)\n"
+    assert uncalled({"m": source}, {"m": source}) == ["B", "C", "loop"]

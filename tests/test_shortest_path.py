@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from newtonbench import shortest_path as sp
-from newtonbench.errors import NonFiniteResult, ShapeMismatch, TooLarge
+from newtonbench.errors import NonFiniteResult, TooLarge
 
-from oracles import enumerate_paths, tie_rule_mask
+from oracles import enumerate_paths, mask_cost, tie_rule_mask
 
 
 def random_grid(rng, h, w, low=0.1, high=2.0):
@@ -35,7 +35,7 @@ class TestDijkstra:
         inst = sp.GridInstance(height=1, width=1, node_costs=np.array([[4.2]]))
         out = sp.dijkstra_grid(inst)
         np.testing.assert_array_equal(out, [[1]])
-        assert sp.path_cost(inst, out) == 4.2
+        assert mask_cost(inst.node_costs, out) == 4.2
 
     def test_two_by_two_hand_case(self):
         inst = sp.GridInstance(
@@ -43,7 +43,7 @@ class TestDijkstra:
         )
         out = sp.dijkstra_grid(inst)
         np.testing.assert_array_equal(out, [[1, 0], [1, 1]])
-        assert sp.path_cost(inst, out) == 3.0
+        assert mask_cost(inst.node_costs, out) == 3.0
 
     def test_matches_enumeration_oracle_on_4x4(self):
         rng = np.random.default_rng(0)
@@ -54,7 +54,7 @@ class TestDijkstra:
                 sum(inst.node_costs[i, j] for i, j in path)
                 for path in enumerate_paths(4, 4)
             )
-            assert sp.path_cost(inst, d_mask) == pytest.approx(best, abs=1e-12)
+            assert mask_cost(inst.node_costs, d_mask) == pytest.approx(best, abs=1e-12)
 
     def test_masks_always_valid(self):
         rng = np.random.default_rng(1)
@@ -92,12 +92,12 @@ class TestDijkstra:
         for _ in range(20):
             inst = random_grid(rng, 4, 4)
             base_mask = sp.dijkstra_grid(inst)
-            base_cost = sp.path_cost(inst, base_mask)
+            base_cost = mask_cost(inst.node_costs, base_mask)
             i, j = int(rng.integers(4)), int(rng.integers(4))
             bumped = inst.node_costs.copy()
             bumped[i, j] += 1.0
             new_inst = sp.GridInstance(height=4, width=4, node_costs=bumped)
-            new_cost = sp.path_cost(new_inst, sp.dijkstra_grid(new_inst))
+            new_cost = mask_cost(new_inst.node_costs, sp.dijkstra_grid(new_inst))
             if base_mask[i, j]:
                 assert new_cost >= base_cost
             else:
@@ -147,7 +147,7 @@ class TestBruteForce:
         inst = sp.GridInstance(height=2, width=2, node_costs=np.ones((2, 2)))
         _, bf, _ = sp.brute_force_shortest(inst)
         dj = sp.dijkstra_grid(inst)
-        assert sp.path_cost(inst, bf) == sp.path_cost(inst, dj) == 3.0
+        assert mask_cost(inst.node_costs, bf) == mask_cost(inst.node_costs, dj) == 3.0
 
     def test_agrees_with_dijkstra_up_to_5x5(self):
         rng = np.random.default_rng(3)
@@ -156,8 +156,8 @@ class TestBruteForce:
                 inst = random_grid(rng, h, w)
                 _, bf, _ = sp.brute_force_shortest(inst)
                 dj = sp.dijkstra_grid(inst)
-                assert sp.path_cost(inst, bf) == pytest.approx(
-                    sp.path_cost(inst, dj), abs=1e-12
+                assert mask_cost(inst.node_costs, bf) == pytest.approx(
+                    mask_cost(inst.node_costs, dj), abs=1e-12
                 )
                 # generic random costs: unique optimum, masks must agree
                 np.testing.assert_array_equal(bf, dj)
@@ -204,42 +204,23 @@ class TestTwoBestCosts:
 
 
 class TestPathCost:
+    """The best cost two_best_costs reports, a left fold in path order."""
+
     def test_near_zero_costs(self):
         inst = sp.GridInstance(height=1, width=4, node_costs=np.full((1, 4), 1e-9))
-        mask = np.ones((1, 4), dtype=np.int64)
-        assert sp.path_cost(inst, mask) == pytest.approx(4e-9, rel=1e-12)
+        assert sp.two_best_costs(inst)[0] == pytest.approx(4e-9, rel=1e-12)
 
     def test_hand_case(self):
         inst = sp.GridInstance(
             height=2, width=2, node_costs=np.array([[1.0, 10.0], [1.0, 1.0]])
         )
-        assert sp.path_cost(inst, np.array([[1, 0], [1, 1]])) == 3.0
-
-    def test_matches_double_loop_oracle_exactly(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            h, w = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-            inst = random_grid(rng, h, w)
-            mask = (rng.uniform(size=(h, w)) < 0.5).astype(np.int64)
-            expected = 0.0
-            for i in range(h):
-                for j in range(w):
-                    if mask[i, j]:
-                        expected += inst.node_costs[i, j]
-            assert sp.path_cost(inst, mask) == expected
-
-    def test_shape_mismatch(self):
-        inst = sp.GridInstance(height=2, width=2, node_costs=np.ones((2, 2)))
-        with pytest.raises(ShapeMismatch):
-            sp.path_cost(inst, np.ones((3, 2)))
+        assert sp.two_best_costs(inst)[0] == 3.0
 
 
 class TestArgmaxView:
     def test_uniform_costs_any_shortest_is_argmax(self):
         inst = sp.GridInstance(height=2, width=3, node_costs=np.full((2, 3), 0.7))
-        scores = sp.as_argmax_scores(inst)
-        np.testing.assert_array_equal(scores, np.full(6, -0.7))
-        w = sp.indicator_argmax(scores, 2, 3)
+        w = sp.indicator_argmax(-inst.node_costs.ravel(), 2, 3)
         assert w.sum() == 4  # minimum-length path visits h+w-1 cells
         assert sp.path_mask_is_valid(w.reshape(2, 3).astype(np.int64))
 
@@ -247,12 +228,12 @@ class TestArgmaxView:
         inst = sp.GridInstance(
             height=2, width=2, node_costs=np.array([[1.0, 10.0], [1.0, 1.0]])
         )
-        w = sp.indicator_argmax(sp.as_argmax_scores(inst), 2, 2)
+        w = sp.indicator_argmax(-inst.node_costs.ravel(), 2, 2)
         np.testing.assert_array_equal(w.reshape(2, 2), [[1, 0], [1, 1]])
 
     def test_equivalence_with_dijkstra_on_random_grids(self):
         rng = np.random.default_rng(6)
         for _ in range(30):
             inst = random_grid(rng, 4, 4)
-            w = sp.indicator_argmax(sp.as_argmax_scores(inst), 4, 4)
+            w = sp.indicator_argmax(-inst.node_costs.ravel(), 4, 4)
             np.testing.assert_array_equal(w.reshape(4, 4), sp.dijkstra_grid(inst))

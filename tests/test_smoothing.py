@@ -181,6 +181,31 @@ class TestSmoothJacobian:
             smoothing.smooth_jacobian(lambda y: y[: 1 + int(y[0] > 0)], np.zeros(2), cfg)
 
 
+# f(y) gets the draws' checks: a bad base value alone used to leak into the estimate
+@pytest.mark.parametrize(
+    "estimator,value,base,error",
+    [
+        (smoothing.smooth_grad, 1.0, float("nan"), NonFiniteResult),
+        (smoothing.smooth_grad, 1.0, np.ones(1), ShapeMismatch),
+        (smoothing.smooth_hessian, 1.0, float("inf"), NonFiniteResult),
+        (smoothing.smooth_hessian, 1.0, np.ones(1), ShapeMismatch),
+        (smoothing.smooth_jacobian, np.ones(3), np.array([1.0, np.nan, 1.0]), NonFiniteResult),
+    ],
+    ids=["grad-nan", "grad-shape", "hessian-inf", "hessian-shape", "jacobian-nan"],
+)
+def test_base_value_checked_like_the_draws(estimator, value, base, error):
+    y = np.zeros(3)
+    calls = []
+
+    def f(u):
+        calls.append(u)
+        return base if np.array_equal(u, y) else value
+
+    with pytest.raises(error):
+        estimator(f, y, SmoothingConfig(sigma=0.1, samples=5, seed=0))
+    assert len(calls) <= 6  # at most the five draws and the base
+
+
 def onehot_argmax(y):
     w = np.zeros_like(y)
     w[int(np.argmax(y))] = 1.0
