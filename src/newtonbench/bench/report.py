@@ -1,4 +1,4 @@
-"""Report assembly, hashing, serialization, and schema validation.
+"""Report assembly, hashing, serialization, and layout validation.
 
 A report file is a pure function of (config, seed list): wall-clock timing
 is surfaced on stderr by the CLI but never serialized, so repeating an
@@ -6,8 +6,9 @@ invocation reproduces the output byte for byte.
 """
 
 import hashlib
-import importlib.resources
 import json
+import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,7 @@ import numpy as np
 from ..errors import ConfigError
 
 SCHEMA_VERSION = 1
+MODES = ("baseline", "nl_hessian", "nl_fisher")
 FLOAT_FMT = ".12g"
 
 
@@ -125,16 +127,55 @@ def ablation_tsv(lambdas, columns):
     return "\n".join(lines) + "\n"
 
 
-def load_schema():
-    ref = importlib.resources.files("newtonbench.bench") / "report_schema.json"
-    return json.loads(ref.read_text())
+def _check(ok, rule):
+    if not ok:
+        raise ValueError(f"invalid report: {rule}")
+
+
+def _check_keys(x, keys, what, extra=False):
+    ok = isinstance(x, dict) and x.keys() >= {*keys} and (extra or len(x) == len(keys))
+    _check(ok, f"{what} must have {'' if extra else 'exactly '}the keys {keys}")
+
+
+def _is_number(v, top=math.inf, whole=False):
+    """As in JSON Schema, a bool is no number and 1.0 is whole; NaN is in no range."""
+    ok = isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v <= top
+    return ok and (not whole or v % 1 == 0)
+
+
+def _is_numbers(x, least, top=100):
+    return isinstance(x, dict) and len(x) >= least and all(_is_number(x[k], top) for k in x)
 
 
 def validate_report(doc):
-    """Validate against the shipped schema; raises on mismatch."""
-    import jsonschema
-
-    jsonschema.validate(instance=doc, schema=load_schema())
+    """Raise ValueError naming the first rule of the report layout that doc breaks."""
+    _check_keys(doc, ("schema_version", "kind", "config", "modes"), "a report")
+    version, config, modes = doc["schema_version"], doc["config"], doc["modes"]
+    _check(version == 1 and not isinstance(version, bool), "schema_version must be 1")
+    _check(doc["kind"] in ("rank", "path"), "kind must be rank or path")
+    _check_keys(config, ("task", "method", "hash"), "config", extra=True)
+    _check(config["task"] in ("rank", "path"), "config.task must be rank or path")
+    _check(isinstance(config["method"], str), "config.method must be a string")
+    ok = isinstance(config["hash"], str) and re.fullmatch("[0-9a-f]{64}", config["hash"])
+    _check(ok, "config.hash must be 64 lowercase hex digits")
+    ok = isinstance(modes, dict) and modes and modes.keys() <= {*MODES}
+    _check(ok, f"modes must hold 1 to 3 of {MODES}")
+    for entry in modes.values():
+        _check_keys(entry, ("lam", "seeds", "final_mean", "final_std"), "a mode")
+        _check(_is_number(entry["lam"]), "lam must be a number >= 0")
+        _check(isinstance(entry["seeds"], list) and entry["seeds"], "a mode needs 1+ seeds")
+        for run in entry["seeds"]:
+            _check_keys(run, ("seed", "curve", "final"), "a run")
+            _check(_is_number(run["seed"], whole=True), "seed must be an integer >= 0")
+            _check(isinstance(run["curve"], list) and run["curve"], "a curve needs 1+ points")
+            for point in run["curve"]:
+                _check_keys(point, ("step",), "a curve point", extra=True)
+                _check(_is_number(point["step"], whole=True), "step must be an integer >= 0")
+                metrics = {k: v for k, v in point.items() if k != "step"}
+                _check(_is_numbers(metrics, 0), "curve metrics must be in [0, 100]")
+            _check(_is_numbers(run["final"], 1), "final needs 1+ numbers in [0, 100]")
+        _check(_is_numbers(entry["final_mean"], 1), "final_mean needs 1+ numbers in [0, 100]")
+        _check(_is_numbers(entry["final_std"], 0, math.inf), "final_std needs numbers >= 0")
 
 
 def write_text(path, text):

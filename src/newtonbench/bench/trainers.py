@@ -23,13 +23,12 @@ import numpy as np
 from ..errors import ConfigError, NonFiniteResult
 from .. import diffsort, net, newton, shortest_path, smoothing
 from . import datagen
-from .report import TrainReport
+from .report import MODES, TrainReport
 
 # seed-stream tag of each path method's smoothing draws
 _PATH_SEED_TAGS = {"ss_loss": 301, "ss_algorithm": 302, "fy": 303}
 RANK_METHODS = diffsort.METHODS
 PATH_METHODS = tuple(_PATH_SEED_TAGS)
-MODES = ("baseline", "nl_hessian", "nl_fisher")
 # every run trains a feature_dim -> HIDDEN -> 1 tanh MLP by OPTIMIZER at step size LR
 HIDDEN, LR, OPTIMIZER = 32, 0.003, "adam"
 
@@ -135,7 +134,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be finite, got {value}")
         # the smoothing rules on sigma and samples, before the first run
         smoothing.SmoothingConfig(sigma=self.sigma, samples=self.samples)
-        if self.batch > self.train_count:
+        if not self.data_path and self.batch > self.train_count:  # --data: see _load_data
             raise ConfigError("batch cannot exceed train_count")
         if self.lam is None:
             self.lam = lambda_preset(self.task, self.method, self.mode, self.n)

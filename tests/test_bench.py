@@ -1,9 +1,12 @@
 """Dataset generation, training loops, and report plumbing."""
 
+import copy
 import dataclasses
 import hashlib
 import json
+import pathlib
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -514,7 +517,132 @@ class TestAblation:
             assert abs(columns[mode][-1] - center) <= spread
 
 
+# the JSON Schema of version-1 reports: an independent reference for
+# report.validate_report, which the package checks without it
+REPORT_SCHEMA = json.loads(pathlib.Path(__file__).with_name("report_schema.json").read_text())
+DROP = object()
+MODE = ("modes", "baseline")
+RUN = MODE + ("seeds", 0)
+POINT = RUN + ("curve", 1)
+# name: (path into a real report, new value, DROP, or a function of the old value)
+OFF_LAYOUT = {
+    "not-an-object": ((), []),
+    "missing-top-key": (("kind",), DROP),
+    "extra-top-key": (("wall_clock",), 1.0),
+    "version-2": (("schema_version",), 2),
+    "version-true": (("schema_version",), True),
+    "unknown-kind": (("kind",), "sort"),
+    "config-not-object": (("config",), []),
+    "unknown-task": (("config", "task"), "sort"),
+    "method-not-string": (("config", "method"), 3),
+    "missing-hash": (("config", "hash"), DROP),
+    "hash-63-digits": (("config", "hash"), lambda h: h[:-1]),
+    "hash-uppercase": (("config", "hash"), str.upper),
+    "empty-modes": (("modes",), {}),
+    "unknown-mode": (("modes",), lambda m: {**m, "newton": m["baseline"]}),
+    "mode-extra-key": (MODE + ("note",), 0),
+    "mode-missing-key": (MODE + ("final_std",), DROP),
+    "lam-negative": (MODE + ("lam",), -1),
+    "lam-string": (MODE + ("lam",), "0"),
+    "lam-bool": (MODE + ("lam",), False),
+    "empty-seeds": (MODE + ("seeds",), []),
+    "run-extra-key": (RUN + ("wall_clock",), 1.0),
+    "run-missing-final": (RUN + ("final",), DROP),
+    "seed-negative": (RUN + ("seed",), -1),
+    "seed-bool": (RUN + ("seed",), True),
+    "seed-fraction": (RUN + ("seed",), 1.5),
+    "empty-curve": (RUN + ("curve",), []),
+    "point-without-step": (POINT + ("step",), DROP),
+    "step-negative": (POINT + ("step",), -1),
+    "step-fraction": (POINT + ("step",), 0.5),
+    "metric-over-100": (POINT + ("element_rank",), 101),
+    "metric-negative": (POINT + ("element_rank",), -0.5),
+    "metric-string": (POINT + ("element_rank",), "50"),
+    "empty-final": (RUN + ("final",), {}),
+    "final-over-100": (RUN + ("final", "element_rank"), 100.5),
+    "empty-final-mean": (MODE + ("final_mean",), {}),
+    "final-std-negative": (MODE + ("final_std", "element_rank"), -0.1),
+    "final-std-string": (MODE + ("final_std", "element_rank"), "0"),
+}
+LAWFUL = {
+    "version-float": (("schema_version",), 1.0),
+    "extra-config-key": (("config", "note"), "x"),
+    "three-modes": (("modes",), lambda m: {k: m["baseline"] for k in trainers.MODES}),
+    "lam-int": (MODE + ("lam",), 0),
+    "seed-whole-float": (RUN + ("seed",), 1.0),
+    "step-whole-float": (POINT + ("step",), 1.0),
+    "point-without-metrics": (POINT, {"step": 1}),
+    "int-metrics": (RUN + ("final",), {"element_rank": 50, "exact_match": 0}),
+    "empty-final-std": (MODE + ("final_std",), {}),
+}
+# the only reports validate_report rejects and the schema lets through: its
+# minimum/maximum comparisons pass NaN, and its pattern's `$` matches before
+# a trailing newline
+STRICTER = {
+    "nan-metric": (POINT + ("element_rank",), float("nan")),
+    "nan-final-std": (MODE + ("final_std", "element_rank"), float("nan")),
+    "hash-newline": (("config", "hash"), lambda h: h + "\n"),
+}
+
+
+def _mutated(doc, path, value):
+    doc = copy.deepcopy(doc)
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value(parent[path[-1]]) if callable(value) else value
+    return doc
+
+
+def _schema_accepts(doc):
+    try:
+        jsonschema.validate(instance=doc, schema=REPORT_SCHEMA)
+    except jsonschema.ValidationError:
+        return False
+    return True
+
+
+def _package_accepts(doc):
+    try:
+        report.validate_report(doc)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def real_report():
+    """A two-seed report as a file holds it."""
+    echo = trainers.config_echo(_quick_cfg(seed=4, steps=20))
+    runs = [trainers.run_experiment(_quick_cfg(seed=s, steps=20)) for s in (4, 5)]
+    doc = report.build_report("rank", echo, {"baseline": (0.0, runs)})
+    return json.loads(report.render_json(doc))
+
+
 class TestReportDocument:
+    @pytest.mark.parametrize("name", sorted(OFF_LAYOUT))
+    def test_off_layout_reports_fail_both_checks(self, name, real_report):
+        doc = _mutated(real_report, *OFF_LAYOUT[name])
+        assert json.dumps(doc, sort_keys=True) != json.dumps(real_report, sort_keys=True)
+        with pytest.raises(ValueError, match="invalid report"):
+            report.validate_report(doc)
+        assert not _schema_accepts(doc)
+
+    @pytest.mark.parametrize("name", sorted(LAWFUL))
+    def test_lawful_variants_pass_both_checks(self, name, real_report):
+        doc = _mutated(real_report, *LAWFUL[name])
+        assert _package_accepts(doc) and _schema_accepts(doc)
+
+    @pytest.mark.parametrize("name", sorted(STRICTER))
+    def test_stricter_than_the_schema_only_on_nan_and_hash_newline(self, name, real_report):
+        doc = _mutated(real_report, *STRICTER[name])
+        assert not _package_accepts(doc) and _schema_accepts(doc)
+
     def _runs(self):
         cfg = _quick_cfg(seed=4, steps=20)
         echo = trainers.config_echo(cfg)
@@ -524,10 +652,8 @@ class TestReportDocument:
         ]
         return echo, runs
 
-    def test_report_validates_against_schema(self):
-        echo, runs = self._runs()
-        doc = report.build_report("rank", echo, {"baseline": (0.0, runs)})
-        report.validate_report(doc)
+    def test_report_validates_against_schema(self, real_report):
+        assert _package_accepts(real_report) and _schema_accepts(real_report)
 
     def test_hash_ignores_output_knobs(self):
         echo, _ = self._runs()

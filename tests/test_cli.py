@@ -159,6 +159,20 @@ class TestBench:
                 "--batch", "4", "--data", str(ds)]
         assert run_cli(args) == 2
 
+    def test_dataset_batch_is_bounded_by_its_training_split(self, tmp_path, capsys):
+        # 900 records hold out 128, so 772 train: a batch of 300 fits them,
+        # though it exceeds the generated data's train_count of 256
+        ds = tmp_path / "ds.jsonl"
+        assert run_cli(["gen", "rank", "--n", "3", "--count", "900", "--out", str(ds)]) == 0
+        args = ["bench", "rank", "--n", "3", "--mode", "baseline", "--steps", "2"]
+        out = tmp_path / "r.json"
+        assert run_cli(args + ["--batch", "300", "--data", str(ds), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["train_count"] == 772
+        assert run_cli(args + ["--batch", "773", "--data", str(ds)]) == 2
+        assert "dataset too small" in capsys.readouterr().err
+        assert run_cli(args + ["--batch", "300"]) == 2
+        assert "batch cannot exceed train_count" in capsys.readouterr().err
+
 
 class TestAblateCli:
     def test_lambda_column_verbatim(self, tmp_path):
@@ -377,17 +391,30 @@ class TestExitCodes:
         assert code == 3
 
 
-def test_cli_import_leaves_scipy_out():
-    # scipy is a test-only dependency; importing it costs a fresh process
-    # most of its start-up time and memory
+def test_cli_import_leaves_scipy_out(tmp_path):
+    # the package runs on numpy alone: a fresh process that imports the CLI
+    # and runs a rank and a path bench loads no other third-party module
+    # (scipy and jsonschema are test-only references).  Modules loaded at
+    # start-up come from the environment's site hooks, and numpy's Cython
+    # extensions register cython_runtime and _cython_<version>.
     src = os.path.dirname(os.path.dirname(os.path.abspath(newtonbench.__file__)))
     code = (
-        "import sys, newtonbench.bench.cli\n"
-        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        "import sys\n"
+        "startup = set(sys.modules)\n"
+        "from newtonbench.bench import cli\n"
+        "for kind in ('rank', 'path'):\n"
+        "    argv = ['bench', kind, '--steps', '2', '--out', sys.argv[1] + kind]\n"
+        "    assert cli.main(argv) == 0\n"
+        "tops = {m.partition('.')[0] for m in set(sys.modules) - startup}\n"
+        "own = {'numpy', 'newtonbench', 'cython_runtime'}\n"
+        "print(sorted(m for m in tops - own - set(sys.stdlib_module_names)\n"
+        "             if not m.startswith('_cython_')))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-c", code, str(tmp_path / "report-")], capture_output=True,
+        text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    for kind in ("rank", "path"):
+        assert json.loads((tmp_path / f"report-{kind}").read_text())["kind"] == kind

@@ -1,11 +1,13 @@
 """No package module reads another module's private (underscore) names,
-and every public top-level name of the package has a caller."""
+every public top-level name of the package has a caller, and the package
+imports nothing but the standard library and numpy."""
 
 import ast
 import importlib
 import inspect
 import pathlib
 import pkgutil
+import sys
 
 import pytest
 
@@ -110,3 +112,37 @@ def test_every_public_name_has_a_caller():
 def test_caller_detector_ignores_a_definition_reading_itself():
     source = "def loop(n):\n    return loop(n - 1)\nA = 1\nB = A\nC = D = 2\nprint(D)\n"
     assert uncalled({"m": source}, {"m": source}) == ["B", "C", "loop"]
+
+
+def foreign_imports(source):
+    """Sorted (line, module) of every import in source, function-local ones
+    included, that names neither the standard library, numpy, nor the
+    package; relative imports are the package's own."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "newtonbench"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, n) for n in names if n.partition(".")[0] not in allowed]
+    return sorted(found)
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    root = pathlib.Path(__file__).resolve().parents[1] / "src"
+    found = {
+        str(p.relative_to(root)): foreign_imports(p.read_text())
+        for p in sorted(root.rglob("*.py"))
+    }
+    assert {path: imports for path, imports in found.items() if imports} == {}
+
+
+def test_import_detector_sees_local_and_dotted_imports():
+    source = (
+        "import os, numpy.linalg\nfrom . import net\nfrom ..errors import E\n"
+        "def f():\n    import jsonschema\n    from scipy.special import expit\n"
+    )
+    assert foreign_imports(source) == [(5, "jsonschema"), (6, "scipy.special")]
