@@ -31,7 +31,7 @@ def check_grad(seed=0, count=50, n=5):
     rng = np.random.default_rng(np.random.SeedSequence((seed, 401)))
     h = np.cbrt(np.finfo(np.float64).eps)
     per_method = {}
-    for method in ("neuralsort", "softsort", "dsn_logistic", "dsn_cauchy"):
+    for method in diffsort.METHODS:
         scfg = diffsort.SortConfig(method=method)
         worst = 0.0
         for _ in range(count):

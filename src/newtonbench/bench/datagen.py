@@ -14,9 +14,10 @@ since a near-tie flips the supervision under infinitesimal cost changes.
 The grid margin is exact (shortest_path.two_best_costs); it is checked up
 to MARGIN_CHECK_MAX_SIZE, above which rejection rises too steeply.
 
-Both kinds are one Dataset and share one JSON-lines format: a header line
-(kind, size key, feature_dim, count, seed), then one record per line.
-load_dataset checks every header field and every record against it.
+Both kinds are one Dataset of stacked arrays, one per field (features, and
+labels: int64 orders or float64 masks), and share one JSON-lines format: a
+header line, then one record per line.  load_dataset checks every header
+field (kind, size key, feature_dim, count, seed) and every record.
 """
 
 import json
@@ -37,34 +38,14 @@ _DRAW_BLOCK = 64  # candidate feature draws per generator call
 
 
 @dataclass
-class RankRecord:
-    features: np.ndarray  # n x feature_dim
-    ranking: tuple        # ranking[i] = index of the i-th largest latent
-    latents: np.ndarray = None  # diagnostic only, never supervision
-
-    def line(self):
-        row = {"features": self.features.tolist(), "ranking": list(self.ranking)}
-        return json.dumps(row, sort_keys=True)
-
-
-@dataclass
-class GridRecord:
-    features: np.ndarray  # size^2 x feature_dim
-    mask: np.ndarray      # size x size, 0/1
-    costs: np.ndarray = None  # diagnostic only, never supervision
-
-    def line(self):
-        row = {"features": self.features.tolist(), "mask": self.mask.astype(int).tolist()}
-        return json.dumps(row, sort_keys=True)
-
-
-@dataclass
 class Dataset:
     kind: str         # "rank" or "path"
     size: int         # ranking length n, or grid side
     feature_dim: int
     seed: int
-    records: list
+    features: np.ndarray  # (count, rows, feature_dim) float64; rows is n or size^2
+    labels: np.ndarray    # rank: (count, n) int64 orders; path: (count, size, size) float64 masks
+    hidden: np.ndarray = None  # latents or costs; diagnostic only, None after a load
 
 
 def _readout(seed, feature_dim, tag):
@@ -108,27 +89,30 @@ def min_latent_gap(n):
 
 
 def _draw_records(rng, count, shape, accept, failure):
-    """count records, each from the first normal feature draw of the given
-    shape that accept(features) turns into a record rather than None.
+    """(features, labels, hidden) of count records, each from the first
+    normal feature draw of the given shape that accept(features) turns into
+    (label, hidden) rather than None.
 
     Candidates come from blocks of _DRAW_BLOCK draws.  A block fills in the
     order of single draws, so the records are those of one draw at a time.
     """
-    records = []
+    features = np.empty((count, *shape))
+    kept = []
     block, k = None, _DRAW_BLOCK
-    for _ in range(count):
+    for i in range(count):
         for _attempt in range(_MAX_DRAWS_PER_RECORD):
             if k == _DRAW_BLOCK:
                 block, k = rng.normal(0.0, 1.0, size=(_DRAW_BLOCK, *shape)), 0
-            record = accept(block[k])
+            row = accept(block[k])
             k += 1
-            if record is not None:
+            if row is not None:
                 break
         else:
             raise ConfigError(failure)
-        record.features = record.features.copy()  # a view would hold the whole block
-        records.append(record)
-    return records
+        features[i] = block[k - 1]
+        kept.append(row)
+    labels, hidden = zip(*kept)
+    return features, np.array(labels), np.array(hidden)
 
 
 def gen_ranking_data(seed, n, count, feature_dim=FEATURE_DIM):
@@ -143,12 +127,12 @@ def gen_ranking_data(seed, n, count, feature_dim=FEATURE_DIM):
         s = np.sort(latents)
         if np.minimum.reduce(s[1:] - s[:-1]) < gap:  # np.min(np.diff(s)), without wrappers
             return None
-        return RankRecord(features=features, ranking=hard_rank(latents).order, latents=latents)
+        return hard_rank(latents).order, latents
 
-    records = _draw_records(
+    arrays = _draw_records(
         rng, count, (n, feature_dim), accept, f"could not separate latents by {gap} for n={n}"
     )
-    return Dataset("rank", n, feature_dim, seed, records)
+    return Dataset("rank", n, feature_dim, seed, *arrays)
 
 
 def gen_grid_data(seed, size, count, feature_dim=FEATURE_DIM):
@@ -166,34 +150,35 @@ def gen_grid_data(seed, size, count, feature_dim=FEATURE_DIM):
             best, second, mask = shortest_path.two_best_costs(grid)
             if second < (1.0 + PATH_MARGIN) * best:
                 return None
-        return GridRecord(features=features, mask=mask, costs=costs)
+        return mask.astype(np.float64), costs
 
-    records = _draw_records(
+    arrays = _draw_records(
         rng, count, (size * size, feature_dim), accept,
         f"could not find a {PATH_MARGIN:.0%} path margin at size {size}",
     )
-    return Dataset("path", size, feature_dim, seed, records)
+    return Dataset("path", size, feature_dim, seed, *arrays)
 
 
-# per dataset kind: the header's size key and the fields of one record
-_KINDS = {"rank": ("n", ("features", "ranking")), "path": ("size", ("features", "mask"))}
+# per dataset kind: the header's size key and the label key of one record
+_KINDS = {"rank": ("n", "ranking"), "path": ("size", "mask")}
 
 
 def save_dataset(ds, path):
     """JSON-lines: the header line, then one record per line.  Only features
-    and supervision are written; latents and costs are not in the format."""
-    size_key, _fields = _KINDS[ds.kind]
+    and labels are written; the hidden latents or costs are not in the format."""
+    size_key, label_key = _KINDS[ds.kind]
     meta = {
         "kind": ds.kind,
         size_key: ds.size,
         "feature_dim": ds.feature_dim,
-        "count": len(ds.records),
+        "count": len(ds.features),
         "seed": ds.seed,
     }
     with open(path, "w") as fh:
         fh.write(json.dumps(meta, sort_keys=True) + "\n")
-        for rec in ds.records:
-            fh.write(rec.line() + "\n")
+        for features, label in zip(ds.features, ds.labels):
+            row = {"features": features.tolist(), label_key: label.astype(int).tolist()}
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 # stepbench/workloads.py still saves through these names
@@ -217,9 +202,8 @@ def _header_int(path, meta, key, least):
     return value
 
 
-def _record(kind, row, size, feature_dim):
+def _record(kind, row, size, shape):
     features = np.asarray(row["features"], dtype=np.float64)
-    shape = (size if kind == "rank" else size * size, feature_dim)
     if features.shape != shape:
         raise ValueError(f"features have shape {features.shape}, expected {shape}")
     if not np.all(np.isfinite(features)):
@@ -228,42 +212,49 @@ def _record(kind, row, size, feature_dim):
         ranking = tuple(row["ranking"])
         if not all(type(i) is int for i in ranking) or sorted(ranking) != list(range(size)):
             raise ValueError(f"ranking {list(ranking)} is not a permutation of 0..{size - 1}")
-        return RankRecord(features=features, ranking=ranking)
+        return features, ranking
     mask = np.asarray(row["mask"], dtype=np.float64)
     if mask.shape != (size, size) or not shortest_path.path_mask_is_valid(mask):
         raise ValueError(f"mask is not a 0/1 corner-to-corner path of a {size}x{size} grid")
-    return GridRecord(features=features, mask=mask)
+    return features, mask
 
 
 def load_dataset(path):
-    """Read either dataset kind back; diagnostic fields stay empty.
+    """Read either dataset kind back, with hidden None.
 
     A line that is not a JSON object, lacks a field its kind needs, holds a
     value of the wrong type or disagrees with the header (feature shape or
     finiteness, a ranking that is not a permutation, a mask that is not a
-    path) raises ConfigError naming the file and line.  The header's count
-    is compared after the last record, so a broken record is named first.
+    path) raises ConfigError naming the file and line; a file that is not
+    UTF-8 names the file.  The count is compared last, so a bad record is named first.
     """
-    with open(path) as fh:
-        header = fh.readline()
-        kind = _json_object(path, 1, header, ("kind",))["kind"]
-        if not isinstance(kind, str) or kind not in _KINDS:
-            raise ConfigError(f"unrecognized dataset header in {path}")
-        size_key, fields = _KINDS[kind]
-        meta = _json_object(path, 1, header, (size_key, "feature_dim", "seed"))
-        size = _header_int(path, meta, size_key, 1)
-        feature_dim = _header_int(path, meta, "feature_dim", 1)
-        seed = _header_int(path, meta, "seed", 0)
-        records = []
-        for lineno, line in enumerate(fh, start=2):
-            row = _json_object(path, lineno, line, fields)
-            try:
-                records.append(_record(kind, row, size, feature_dim))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{path} line {lineno}: {exc}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline()
+            kind = _json_object(path, 1, header, ("kind",))["kind"]
+            if not isinstance(kind, str) or kind not in _KINDS:
+                raise ConfigError(f"unrecognized dataset header in {path}")
+            size_key, label_key = _KINDS[kind]
+            meta = _json_object(path, 1, header, (size_key, "feature_dim", "seed"))
+            size = _header_int(path, meta, size_key, 1)
+            feature_dim = _header_int(path, meta, "feature_dim", 1)
+            seed = _header_int(path, meta, "seed", 0)
+            feature_shape = (size if kind == "rank" else size * size, feature_dim)
+            records = []
+            for lineno, line in enumerate(fh, start=2):
+                row = _json_object(path, lineno, line, ("features", label_key))
+                try:
+                    records.append(_record(kind, row, size, feature_shape))
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"{path} line {lineno}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path} is not UTF-8 text") from None
     count = meta.get("count")
     if type(count) is not int or count != len(records):
         raise ConfigError(
             f"{path} line 1: count is {count!r}, the file holds {len(records)} records"
         )
-    return Dataset(kind, size, feature_dim, seed, records)
+    label_shape, dtype = ((size,), np.int64) if kind == "rank" else ((size, size), np.float64)
+    features = np.array([f for f, _ in records]).reshape(-1, *feature_shape)
+    labels = np.array([label for _, label in records], dtype=dtype).reshape(-1, *label_shape)
+    return Dataset(kind, size, feature_dim, seed, features, labels)

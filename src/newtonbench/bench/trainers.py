@@ -132,7 +132,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
-        # the smoothing rules on sigma and samples, before the first run
+        # the sort rules on tau and beta and the smoothing rules, before the first run
+        if self.task == "rank":
+            diffsort.SortConfig(method=self.method, tau=self.tau, beta=self.beta)
         smoothing.SmoothingConfig(sigma=self.sigma, samples=self.samples)
         if not self.data_path and self.batch > self.train_count:  # --data: see _load_data
             raise ConfigError("batch cannot exceed train_count")
@@ -153,7 +155,7 @@ def config_echo(cfg):
     fixed model and optimizer."""
     echo = asdict(cfg)
     echo.update(hidden=HIDDEN, lr=LR, optimizer=OPTIMIZER)
-    if echo["data_path"] is None:
+    if not echo["data_path"]:  # "" generates, as None does (_load_data)
         del echo["data_path"]
     return echo
 
@@ -164,53 +166,50 @@ def _sub_seed(*parts):
 
 
 def _load_data(cfg):
-    """(dataset, training records, held-out records) for cfg's task."""
+    """(dataset, train count) for cfg's task; the records past train count are held out."""
     rank = cfg.task == "rank"
     size = cfg.n if rank else cfg.grid
     if not cfg.data_path:
         gen = datagen.gen_ranking_data if rank else datagen.gen_grid_data
-        ds = gen(cfg.seed, size, cfg.train_count + cfg.eval_count)
-        return ds, ds.records[: cfg.train_count], ds.records[cfg.train_count :]
+        return gen(cfg.seed, size, cfg.train_count + cfg.eval_count), cfg.train_count
     ds = datagen.load_dataset(cfg.data_path)
     if ds.kind != cfg.task:
         raise ConfigError(f"{cfg.data_path} is not a {'ranking' if rank else 'grid'} dataset")
     if ds.size != size:
         raise ConfigError(f"{cfg.data_path} holds size {ds.size}, the run asks for {size}")
     # loaded datasets hold out a third, capped at the configured eval size
-    k = min(cfg.eval_count, max(1, len(ds.records) // 3))
-    train, heldout = ds.records[:-k], ds.records[-k:]
-    if len(train) < cfg.batch:
+    train_count = len(ds.features) - min(cfg.eval_count, max(1, len(ds.features) // 3))
+    if train_count < cfg.batch:
         raise ConfigError("dataset too small for the requested batch size")
-    return ds, train, heldout
+    return ds, train_count
 
 
-def _forward(model, records):
-    feats = np.concatenate([r.features for r in records], axis=0)
-    out, tape = net.forward(model, feats)
-    return out.reshape(len(records), -1), tape
+def _forward(model, features):
+    out, tape = net.forward(model, features.reshape(-1, features.shape[-1]))
+    return out.reshape(len(features), -1), tape
 
 
 # ---------------------------------------------------------------- rank task
 
 
-def rank_metrics(score_rows, records):
+def rank_metrics(score_rows, rankings):
     """Exact-match and element-rank percentages against stored rankings;
     predictions are the descending order with ties to the lower index."""
     scores = np.asarray(score_rows, dtype=np.float64)
     if not np.all(np.isfinite(scores)):
         raise NonFiniteResult("held-out scores have non-finite entries")
     pred = np.argsort(-scores, axis=1, kind="stable")
-    hits = pred == np.array([rec.ranking for rec in records])
+    hits = pred == rankings
     return {
-        "exact_match": 100.0 * int(np.sum(np.all(hits, axis=1))) / len(records),
+        "exact_match": 100.0 * int(np.sum(np.all(hits, axis=1))) / len(rankings),
         "element_rank": 100.0 * int(np.sum(hits)) / hits.size,
     }
 
 
-def _rank_grads(cfg, y, batch, step):
+def _rank_grads(cfg, y, rankings, step):
     """Ranking-loss gradient rows; finite-difference curvature for nl_hessian."""
     scfg = diffsort.SortConfig(method=cfg.method, tau=cfg.tau, beta=cfg.beta)
-    truths = [diffsort.truth_from_order(r.ranking) for r in batch]
+    truths = [diffsort.truth_from_order(r) for r in rankings]
 
     def grads_of(v):
         return np.stack(
@@ -232,16 +231,14 @@ def _mask_of_raw(raw, size):
     return shortest_path.dijkstra_grid(inst).astype(np.float64).ravel()
 
 
-def path_metrics(raw_rows, records, size):
+def path_metrics(raw_rows, masks, size):
     """Perfect-match percentage of predicted against stored path masks."""
-    hits = 0
-    for raw, rec in zip(raw_rows, records):
-        pred = _mask_of_raw(raw, size).reshape(size, size)
-        hits += int(np.array_equal(pred, np.asarray(rec.mask, dtype=np.float64)))
-    return {"perfect_match": 100.0 * hits / len(records)}
+    pred = np.array([_mask_of_raw(raw, size) for raw in raw_rows]).reshape(masks.shape)
+    hits = int(np.sum(np.all(pred == masks, axis=(1, 2))))
+    return {"perfect_match": 100.0 * hits / len(masks)}
 
 
-def _path_grads(cfg, y, batch, step):
+def _path_grads(cfg, y, masks, step):
     """Smoothed gradient rows, plus averaged curvature for nl_hessian.
 
     ss_loss smooths the Hamming loss of the solver's mask; ss_algorithm
@@ -259,8 +256,7 @@ def _path_grads(cfg, y, batch, step):
     def argmax(s):
         return shortest_path.indicator_argmax(s, size, size)
 
-    for j, rec in enumerate(batch):
-        mask = np.asarray(rec.mask, dtype=np.float64).ravel()
+    for j, mask in enumerate(masks.reshape(n, m)):
         scfg = smoothing.SmoothingConfig(
             sigma=cfg.sigma,
             samples=cfg.samples,
@@ -300,12 +296,12 @@ def _path_grads(cfg, y, batch, step):
 # ---------------------------------------------------------------- training
 
 
-def output_grads(cfg, y, batch, step):
-    """Per-sample loss gradient rows for y, and the batch-averaged curvature
-    when cfg.mode is nl_hessian (None otherwise)."""
+def output_grads(cfg, y, labels, step):
+    """Per-sample loss gradient rows for y against its label rows, and the
+    batch-averaged curvature when cfg.mode is nl_hessian (None otherwise)."""
     if cfg.task == "rank":
-        return _rank_grads(cfg, y, batch, step)
-    return _path_grads(cfg, y, batch, step)
+        return _rank_grads(cfg, y, labels, step)
+    return _path_grads(cfg, y, labels, step)
 
 
 def output_rows(cfg, y, grad_rows, curvature):
@@ -319,17 +315,12 @@ def output_rows(cfg, y, grad_rows, curvature):
     return n * newton.inject_fisher(grad_rows / n, cfg.lam)
 
 
-def _metrics(cfg, out_rows, records):
-    if cfg.task == "rank":
-        return rank_metrics(out_rows, records)
-    return path_metrics(out_rows, records, cfg.grid)
-
-
 def run_experiment(cfg):
     """Train the per-element scorer (rank) or per-cell cost predictor (path)
     under cfg, evaluating the held-out metrics along the way."""
     started = time.perf_counter()
-    ds, train, heldout = _load_data(cfg)
+    ds, train_count = _load_data(cfg)
+    held_features, held_labels = ds.features[train_count:], ds.labels[train_count:]
     model = net.Mlp.init(
         [ds.feature_dim, HIDDEN, 1],
         ["tanh", "identity"],
@@ -341,15 +332,18 @@ def run_experiment(cfg):
     curve = []
 
     def evaluate(step):
-        out_rows, _ = _forward(model, heldout)
-        curve.append({"step": step, **_metrics(cfg, out_rows, heldout)})
+        out_rows, _ = _forward(model, held_features)
+        if cfg.task == "rank":
+            metrics = rank_metrics(out_rows, held_labels)
+        else:
+            metrics = path_metrics(out_rows, held_labels, cfg.grid)
+        curve.append({"step": step, **metrics})
 
     evaluate(0)
     for step in range(1, cfg.steps + 1):
-        idx = batch_rng.choice(len(train), size=cfg.batch, replace=False)
-        batch = [train[i] for i in idx]
-        y, tape = _forward(model, batch)
-        rows = output_rows(cfg, y, *output_grads(cfg, y, batch, step))
+        idx = batch_rng.choice(train_count, size=cfg.batch, replace=False)
+        y, tape = _forward(model, ds.features[idx])
+        rows = output_rows(cfg, y, *output_grads(cfg, y, ds.labels[idx], step))
         grads = net.backward(model, tape, rows.reshape(-1, 1))
         net.optimizer_step(opt, model, grads)
         if step % cfg.eval_every == 0 or step == cfg.steps:
@@ -357,7 +351,7 @@ def run_experiment(cfg):
 
     # the data the run used: a loaded file sets its own width and split
     echo = config_echo(cfg)
-    echo.update(feature_dim=ds.feature_dim, train_count=len(train), eval_count=len(heldout))
+    echo.update(feature_dim=ds.feature_dim, train_count=train_count, eval_count=len(held_labels))
     return TrainReport(
         config=echo,
         seed=cfg.seed,

@@ -41,14 +41,13 @@ class TestRankDatagen:
 
     def test_ranking_is_hard_rank_of_latents(self):
         ds = datagen.gen_ranking_data(3, 5, 30)
-        for rec in ds.records:
-            assert rec.ranking == diffsort.hard_rank(rec.latents).order
+        for ranking, latents in zip(ds.labels, ds.hidden, strict=True):
+            assert tuple(ranking) == diffsort.hard_rank(latents).order
 
     def test_latent_oracle_scores_perfectly(self):
         # a readout that sees the true latents leaves no ranking errors
         ds = datagen.gen_ranking_data(11, 5, 40)
-        rows = np.stack([rec.latents for rec in ds.records])
-        metrics = trainers.rank_metrics(rows, ds.records)
+        metrics = trainers.rank_metrics(ds.hidden, ds.labels)
         assert metrics["exact_match"] == 100.0
         assert metrics["element_rank"] == 100.0
 
@@ -56,8 +55,8 @@ class TestRankDatagen:
         for n in (2, 5, 10):
             ds = datagen.gen_ranking_data(5, n, 10)
             gap = datagen.min_latent_gap(n)
-            for rec in ds.records:
-                assert np.min(np.diff(np.sort(rec.latents))) >= gap
+            for latents in ds.hidden:
+                assert np.min(np.diff(np.sort(latents))) >= gap
 
     def test_roundtrip_drops_diagnostics(self, tmp_path):
         path = tmp_path / "rank.jsonl"
@@ -65,11 +64,10 @@ class TestRankDatagen:
         datagen.save_dataset(ds, path)
         back = datagen.load_dataset(path)
         assert (back.kind, back.size, back.feature_dim, back.seed) == ("rank", 3, 4, 2)
-        assert len(back.records) == 5
-        for orig, rec in zip(ds.records, back.records):
-            np.testing.assert_array_equal(rec.features, orig.features)
-            assert rec.ranking == orig.ranking
-            assert rec.latents is None
+        assert len(back.features) == len(back.labels) == 5
+        np.testing.assert_array_equal(back.features, ds.features)
+        np.testing.assert_array_equal(back.labels, ds.labels)
+        assert back.hidden is None
 
     def test_generated_bytes_locked(self, tmp_path):
         # stepbench's rank dataset
@@ -91,22 +89,27 @@ class TestRankDatagen:
 class TestDrawRecords:
     @staticmethod
     def _record_if(keep, features):
-        return datagen.RankRecord(features=features, ranking=()) if keep else None
+        return (features.min(), features.sum()) if keep else None
 
     def test_block_draws_match_one_at_a_time(self):
         # about 130 candidates, so the draws span several blocks
         def accept(features):
             return self._record_if(features[0, 0] > 0.5, features)
 
-        got = datagen._draw_records(np.random.default_rng(5), 40, (3, 2), accept, "none")
+        got, labels, hidden = datagen._draw_records(
+            np.random.default_rng(5), 40, (3, 2), accept, "none"
+        )
         rng, want = np.random.default_rng(5), []
         while len(want) < 40:
             features = rng.normal(0.0, 1.0, size=(3, 2))
             if features[0, 0] > 0.5:
                 want.append(features)
-        for rec, features in zip(got, want, strict=True):
-            assert np.array_equal(rec.features, features)
-            assert rec.features.base is None  # owns its data, not a view of a block
+        for row, features in zip(got, want, strict=True):
+            assert np.array_equal(row, features)
+        assert got.base is None  # owns its data, not a view of a block
+        # each record's (label, hidden) pair lands in the row of its features
+        assert np.array_equal(labels, got.min(axis=(1, 2)))
+        assert np.array_equal(hidden, got.sum(axis=(1, 2)))
 
     def test_gives_up_after_max_draws_for_one_record(self, monkeypatch):
         monkeypatch.setattr(datagen, "_MAX_DRAWS_PER_RECORD", 5)
@@ -121,7 +124,7 @@ class TestDrawRecords:
 
         # four rejections, then an accept, per record: the limit resets for each
         rng = np.random.default_rng(0)
-        assert len(datagen._draw_records(rng, 30, (2,), every(5), "none")) == 30
+        assert all(len(a) == 30 for a in datagen._draw_records(rng, 30, (2,), every(5), "none"))
         calls.clear()
         with pytest.raises(ConfigError, match="no separation"):
             datagen._draw_records(rng, 30, (2,), every(6), "no separation")
@@ -138,27 +141,23 @@ class TestGridDatagen:
 
     def test_mask_is_dijkstra_of_hidden_costs(self):
         ds = datagen.gen_grid_data(4, 4, 15)
-        for rec in ds.records:
-            inst = shortest_path.GridInstance(
-                height=4, width=4, node_costs=rec.costs
-            )
-            np.testing.assert_array_equal(shortest_path.dijkstra_grid(inst), rec.mask)
+        for costs, mask in zip(ds.hidden, ds.labels, strict=True):
+            inst = shortest_path.GridInstance(height=4, width=4, node_costs=costs)
+            np.testing.assert_array_equal(shortest_path.dijkstra_grid(inst), mask)
 
     def test_cost_oracle_matches_perfectly(self):
         # feeding the exact hidden costs through the evaluation path
         # must reproduce every stored mask
         ds = datagen.gen_grid_data(6, 3, 20)
-        rows = []
-        for rec in ds.records:
-            rows.append(np.log(np.expm1(rec.costs.ravel() - datagen.COST_FLOOR)))
-        metrics = trainers.path_metrics(np.stack(rows), ds.records, 3)
+        rows = np.log(np.expm1(ds.hidden.reshape(len(ds.hidden), -1) - datagen.COST_FLOOR))
+        metrics = trainers.path_metrics(rows, ds.labels, 3)
         assert metrics["perfect_match"] == 100.0
 
     def test_margin_between_best_paths(self):
         ds = datagen.gen_grid_data(13, 3, 10)
         paths = enumerate_paths(3, 3)
-        for rec in ds.records:
-            ranked = sorted(sum(rec.costs[c] for c in path) for path in paths)
+        for costs in ds.hidden:
+            ranked = sorted(sum(costs[c] for c in path) for path in paths)
             assert ranked[1] >= (1.0 + datagen.PATH_MARGIN) * ranked[0]
 
     @pytest.mark.parametrize(
@@ -189,20 +188,51 @@ class TestGridDatagen:
         datagen.save_dataset(ds, path)
         back = datagen.load_dataset(path)
         assert (back.kind, back.size, back.feature_dim, back.seed) == ("path", 3, 5, 1)
-        for orig, rec in zip(ds.records, back.records):
-            np.testing.assert_array_equal(rec.features, orig.features)
-            np.testing.assert_array_equal(rec.mask, orig.mask)
-            assert rec.costs is None
+        np.testing.assert_array_equal(back.features, ds.features)
+        np.testing.assert_array_equal(back.labels, ds.labels)
+        assert back.hidden is None
+
+
+class TestDatasetLayout:
+    @pytest.mark.parametrize(
+        "gen,label_shape,label_dtype",
+        [(datagen.gen_ranking_data, (7, 3), np.int64),
+         (datagen.gen_grid_data, (7, 3, 3), np.float64)],
+        ids=["rank", "path"],
+    )
+    def test_loaded_arrays_match_generated(self, gen, label_shape, label_dtype, tmp_path):
+        # one layout whether generated or loaded: bit-equal features, and
+        # labels of the same values, dtype and shape
+        ds = gen(4, 3, 7, feature_dim=2)
+        path = tmp_path / "ds.jsonl"
+        datagen.save_dataset(ds, path)
+        back = datagen.load_dataset(path)
+        rows = 3 if ds.kind == "rank" else 9
+        for arrays in (ds, back):
+            assert (arrays.features.dtype, arrays.features.shape) == (np.float64, (7, rows, 2))
+            assert (arrays.labels.dtype, arrays.labels.shape) == (label_dtype, label_shape)
+        assert back.features.tobytes() == ds.features.tobytes()
+        np.testing.assert_array_equal(back.labels, ds.labels)
+
+    @pytest.mark.parametrize(
+        "kind,size_key,rows,label_shape,label_dtype",
+        [("rank", "n", 3, (0, 3), np.int64), ("path", "size", 9, (0, 3, 3), np.float64)],
+    )
+    def test_zero_records_keep_the_layout(
+        self, kind, size_key, rows, label_shape, label_dtype, tmp_path
+    ):
+        path = tmp_path / "ds.jsonl"
+        header = {"kind": kind, size_key: 3, "feature_dim": 2, "seed": 0, "count": 0}
+        path.write_text(json.dumps(header) + "\n")
+        back = datagen.load_dataset(path)
+        assert (back.features.dtype, back.features.shape) == (np.float64, (0, rows, 2))
+        assert (back.labels.dtype, back.labels.shape) == (label_dtype, label_shape)
 
 
 class TestMetrics:
     def test_rank_metrics_counts_by_hand(self):
-        recs = [
-            datagen.RankRecord(features=None, ranking=(0, 1, 2)),
-            datagen.RankRecord(features=None, ranking=(0, 1, 2)),
-        ]
         rows = np.array([[3.0, 2.0, 1.0], [2.0, 3.0, 1.0]])
-        m = trainers.rank_metrics(rows, recs)
+        m = trainers.rank_metrics(rows, np.array([(0, 1, 2), (0, 1, 2)]))
         assert m["exact_match"] == 50.0
         assert m["element_rank"] == pytest.approx(100.0 * 4 / 6)
         # exact score ties: the same lower-index-first rule as hard_rank
@@ -211,8 +241,7 @@ class TestMetrics:
             [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.5, 0.5, 0.5], [1.0, 2.0, 2.0],
              [1.0, 2.0, 2.0]]
         )
-        recs = [datagen.RankRecord(features=None, ranking=r) for r in rankings]
-        m = trainers.rank_metrics(rows, recs)
+        m = trainers.rank_metrics(rows, np.array(rankings))
         preds = [diffsort.hard_rank(row).order for row in rows]
         assert m["exact_match"] == 100.0 * sum(p == r for p, r in zip(preds, rankings)) / 5
         hits = sum(a == b for p, r in zip(preds, rankings) for a, b in zip(p, r))
@@ -220,21 +249,16 @@ class TestMetrics:
         assert (m["exact_match"], hits) == (60.0, 10)
 
     def test_rank_metrics_rejects_non_finite_scores(self):
-        recs = [datagen.RankRecord(features=None, ranking=(0, 1))]
         with pytest.raises(NonFiniteResult):
-            trainers.rank_metrics(np.array([[np.nan, 1.0]]), recs)
+            trainers.rank_metrics(np.array([[np.nan, 1.0]]), np.array([(0, 1)]))
 
     def test_path_metrics_counts_by_hand(self):
         cheap = np.full((2, 2), 0.2)
         cheap[0, 1] = 5.0
         inst = shortest_path.GridInstance(height=2, width=2, node_costs=cheap)
-        mask = shortest_path.dijkstra_grid(inst)
-        recs = [
-            datagen.GridRecord(features=None, mask=mask),
-            datagen.GridRecord(features=None, mask=1 - mask),
-        ]
+        mask = shortest_path.dijkstra_grid(inst).astype(np.float64)
         raw = np.log(np.expm1(cheap.ravel() - datagen.COST_FLOOR))
-        m = trainers.path_metrics(np.stack([raw, raw]), recs, 2)
+        m = trainers.path_metrics(np.stack([raw, raw]), np.stack([mask, 1 - mask]), 2)
         assert m["perfect_match"] == 50.0
 
 
@@ -271,6 +295,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             _quick_cfg(sigma=0.0)
 
+    def test_rejects_bad_sort_settings_before_a_run(self):
+        with pytest.raises(ConfigError, match="tau must be > 0"):
+            trainers.ExperimentConfig(task="rank", method="softsort", tau=0)
+        with pytest.raises(ConfigError, match="beta must be > 0"):
+            trainers.ExperimentConfig(task="rank", method="dsn_logistic", beta=-1)
+
     def test_preset_lambdas(self):
         assert trainers.lambda_preset("rank", "neuralsort", "baseline") == 0.0
         assert trainers.lambda_preset("rank", "neuralsort", "nl_hessian") == 0.01
@@ -288,18 +318,18 @@ class TestLambdaLimit:
         # rescaled plain gradient, so first-step directions must agree
         cfg = _quick_cfg(seed=3)
         ds = datagen.gen_ranking_data(cfg.seed, cfg.n, cfg.train_count + cfg.eval_count)
-        batch = ds.records[: cfg.batch]
+        features, rankings = ds.features[: cfg.batch], ds.labels[: cfg.batch]
         model = net.Mlp.init(
             [datagen.FEATURE_DIM, trainers.HIDDEN, 1],
             ["tanh", "identity"],
             np.random.SeedSequence((cfg.seed, 201)),
         )
-        out, tape = net.forward(model, np.concatenate([r.features for r in batch]))
+        out, tape = net.forward(model, features.reshape(-1, datagen.FEATURE_DIM))
         y = out.reshape(cfg.batch, -1)
 
         def update_direction(mode):
             run_cfg = _quick_cfg(seed=3, mode=mode, lam=1e8 if mode != "baseline" else None)
-            grad_rows, curvature = trainers.output_grads(run_cfg, y, batch, 1)
+            grad_rows, curvature = trainers.output_grads(run_cfg, y, rankings, 1)
             rows = trainers.output_rows(run_cfg, y, grad_rows, curvature)
             grads = net.backward(model, tape, rows.reshape(-1, 1))
             return net.flat_grads(grads)
@@ -311,7 +341,7 @@ class TestLambdaLimit:
             assert cos >= 0.999
 
 
-class TestRankOutputGrads:
+class TestRankLossCallsPerStep:
     @pytest.mark.parametrize(
         "method,mode",
         [("neuralsort", mode) for mode in trainers.MODES] + [("dsn_logistic", "nl_fisher")],
@@ -326,9 +356,9 @@ class TestRankOutputGrads:
             calls.append(np.shape(y))
             return loss(y, truth, scfg)
 
-        def metrics(score_rows, records):
+        def metrics(score_rows, rankings):
             at_eval.append(len(calls))
-            return rank_metrics(score_rows, records)
+            return rank_metrics(score_rows, rankings)
 
         rank_metrics = trainers.rank_metrics
         monkeypatch.setattr(diffsort, "ranking_loss", counted)
@@ -344,17 +374,17 @@ class TestPathOutputGrads:
     @staticmethod
     def _setup(method, mode):
         cfg = _quick_cfg(task="path", method=method, mode=mode, grid=3, batch=4, samples=6)
-        records = datagen.gen_grid_data(2, cfg.grid, cfg.batch).records
+        masks = datagen.gen_grid_data(2, cfg.grid, cfg.batch).labels
         y = np.random.default_rng(2).normal(size=(cfg.batch, cfg.grid**2))
-        return cfg, records, y
+        return cfg, masks, y
 
     @pytest.mark.parametrize("method", trainers.PATH_METHODS)
     def test_rows_do_not_depend_on_mode(self, method):
         modes = [m for m in trainers.MODES if (method, m) != ("ss_algorithm", "nl_hessian")]
         rows = []
         for mode in modes:
-            cfg, records, y = self._setup(method, mode)
-            rows.append(trainers.output_grads(cfg, y, records, 3)[0])
+            cfg, masks, y = self._setup(method, mode)
+            rows.append(trainers.output_grads(cfg, y, masks, 3)[0])
         for other in rows[1:]:
             assert np.array_equal(rows[0], other)
 
@@ -366,7 +396,7 @@ class TestPathOutputGrads:
     def test_one_solve_per_draw_and_one_at_the_row(self, method, mode, monkeypatch):
         # every solve goes through the module attribute with one GridInstance,
         # which is what stepbench's per-call solver count and grid keys rely on
-        cfg, records, y = self._setup(method, mode)
+        cfg, masks, y = self._setup(method, mode)
         solve, calls = shortest_path.dijkstra_grid, []
 
         def counted(inst):
@@ -374,7 +404,7 @@ class TestPathOutputGrads:
             return solve(inst)
 
         monkeypatch.setattr(shortest_path, "dijkstra_grid", counted)
-        trainers.output_grads(cfg, y, records, 1)
+        trainers.output_grads(cfg, y, masks, 1)
         # ss_loss nl_hessian smooths the gradient and the Hessian separately
         passes = 2 if (method, mode) == ("ss_loss", "nl_hessian") else 1
         assert len(calls) == cfg.batch * (cfg.samples + 1) * passes
@@ -389,7 +419,7 @@ class TestRankOutputGrads:
     @pytest.mark.parametrize("mode", trainers.MODES)
     def test_one_loss_call_per_row_and_per_difference(self, method, mode, monkeypatch):
         cfg = _quick_cfg(method=method, mode=mode, n=4, batch=5)
-        records = datagen.gen_ranking_data(2, cfg.n, cfg.batch).records
+        rankings = datagen.gen_ranking_data(2, cfg.n, cfg.batch).labels
         y = np.random.default_rng(2).normal(size=(cfg.batch, cfg.n))
         loss, calls = diffsort.ranking_loss, []
 
@@ -398,7 +428,7 @@ class TestRankOutputGrads:
             return loss(row, truth, scfg)
 
         monkeypatch.setattr(diffsort, "ranking_loss", counted)
-        trainers.output_grads(cfg, y, records, 1)
+        trainers.output_grads(cfg, y, rankings, 1)
         # nl_hessian adds central differences: two shifted batches per output coordinate
         per_row = 2 * cfg.n + 1 if mode == "nl_hessian" else 1
         assert len(calls) == cfg.batch * per_row

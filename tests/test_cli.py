@@ -61,7 +61,7 @@ class TestGen:
         assert a.read_bytes() == b.read_bytes()
         ds = datagen.load_dataset(a)
         assert ds.kind == "rank"
-        assert len(ds.records) == 12
+        assert len(ds.features) == len(ds.labels) == 12
 
     def test_path_gen(self, tmp_path):
         out = tmp_path / "grid.jsonl"
@@ -136,6 +136,14 @@ class TestBench:
         assert run_cli(args) == 0
         doc = json.loads(out.read_text())
         assert doc["config"]["data_path"] == str(ds)
+
+    def test_empty_data_path_is_the_run_without_data(self, tmp_path):
+        # --data "" generates the data, so it echoes and hashes as no --data
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        args = ["bench", "rank", "--n", "3", "--steps", "2", "--mode", "baseline"]
+        assert run_cli(args + ["--out", str(a)]) == 0
+        assert run_cli(args + ["--data", "", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_dataset_reuse_echoes_the_data_the_run_used(self, tmp_path):
         ds = tmp_path / "ds.jsonl"
@@ -370,6 +378,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {ds} line {lineno}: ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe\x00bad\n", RANK_HEADER.encode() + b"\n\xff\n"],
+        ids=["header", "record"],
+    )
+    def test_non_utf8_dataset_is_2(self, content, tmp_path, capsys):
+        ds = tmp_path / "bad.jsonl"
+        ds.write_bytes(content)
+        assert run_cli(QUICK_RANK + ["--mode", "baseline", "--data", str(ds)]) == 2
+        assert capsys.readouterr().err == f"config error: {ds} is not UTF-8 text\n"
 
     @pytest.mark.parametrize(
         "gen,message",
