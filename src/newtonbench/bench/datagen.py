@@ -150,7 +150,7 @@ def gen_grid_data(seed, size, count, feature_dim=FEATURE_DIM):
             best, second, mask = shortest_path.two_best_costs(grid)
             if second < (1.0 + PATH_MARGIN) * best:
                 return None
-        return mask.astype(np.float64), costs
+        return mask, costs
 
     arrays = _draw_records(
         rng, count, (size * size, feature_dim), accept,

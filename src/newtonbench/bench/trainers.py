@@ -31,6 +31,7 @@ RANK_METHODS = diffsort.METHODS
 PATH_METHODS = tuple(_PATH_SEED_TAGS)
 # every run trains a feature_dim -> HIDDEN -> 1 tanh MLP by OPTIMIZER at step size LR
 HIDDEN, LR, OPTIMIZER = 32, 0.003, "adam"
+GEN_COUNT = 384  # records of a generated run; _train_count splits them 256/128
 
 # Regularization presets, keyed by (mode, method); the rank task switches
 # tables at length n > 7.  Chosen once from a coarse sweep at desk scale.
@@ -97,12 +98,9 @@ class ExperimentConfig:
     grid: int = 4              # path: grid side
     sigma: float = 0.1
     samples: int = 10
-    tau: float = None          # None keeps the per-method default
+    tau: float = None          # rank: None keeps the per-method default
     beta: float = None
-    train_count: int = 256
-    eval_count: int = 128
-    eval_every: int = None     # None resolves to max(1, steps // 20)
-    data_path: str = None
+    data_path: str = None      # None or "" draws GEN_COUNT records
 
     def __post_init__(self):
         if self.task not in ("rank", "path"):
@@ -121,43 +119,39 @@ class ExperimentConfig:
                 "the smoothed solver output is intractable; use baseline or "
                 "nl_fisher"
             )
-        for name in ("steps", "batch", "train_count", "eval_count"):
+        for name in ("steps", "batch"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.task == "rank" and self.n < 2:
             raise ConfigError(f"ranking length must be >= 2, got {self.n}")
         if self.task == "path" and self.grid < 2:
             raise ConfigError(f"grid side must be >= 2, got {self.grid}")
-        for name in ("lam", "tau", "beta"):
-            value = getattr(self, name)
-            if value is not None and not np.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
         # the sort rules on tau and beta and the smoothing rules, before the first run
         if self.task == "rank":
             diffsort.SortConfig(method=self.method, tau=self.tau, beta=self.beta)
+        elif self.tau is not None or self.beta is not None:
+            raise ConfigError("tau and beta set ranking relaxations; the path task reads neither")
         smoothing.SmoothingConfig(sigma=self.sigma, samples=self.samples)
-        if not self.data_path and self.batch > self.train_count:  # --data: see _load_data
-            raise ConfigError("batch cannot exceed train_count")
+        if not self.data_path:  # a --data file is split when it loads (_load_data)
+            _train_count(GEN_COUNT, self.batch)
         if self.lam is None:
             self.lam = lambda_preset(self.task, self.method, self.mode, self.n)
-        if self.lam < 0:
-            raise ConfigError(f"lam must be >= 0, got {self.lam}")
+        if not 0 <= self.lam < np.inf:
+            raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
         if self.mode != "baseline" and self.lam <= 0:
             raise ConfigError("Newton modes need lam > 0")
-        if self.eval_every is None:
-            self.eval_every = max(1, self.steps // 20)
-        if self.eval_every < 1:
-            raise ConfigError("eval_every must be >= 1")
 
 
-def config_echo(cfg):
-    """Plain-dict echo of the experiment knobs for report embedding, with the
-    fixed model and optimizer."""
-    echo = asdict(cfg)
-    echo.update(hidden=HIDDEN, lr=LR, optimizer=OPTIMIZER)
-    if not echo["data_path"]:  # "" generates, as None does (_load_data)
-        del echo["data_path"]
-    return echo
+def _train_count(count, batch):
+    """Records a run trains on out of count: the last min(128, max(1, count // 3))
+    are held out, and a batch must fit in the rest."""
+    train = count - min(128, max(1, count // 3))
+    if batch > train:
+        raise ConfigError(
+            f"dataset too small for the requested batch size: batch cannot exceed "
+            f"train_count ({train} of {count} records)"
+        )
+    return train
 
 
 def _sub_seed(*parts):
@@ -171,17 +165,14 @@ def _load_data(cfg):
     size = cfg.n if rank else cfg.grid
     if not cfg.data_path:
         gen = datagen.gen_ranking_data if rank else datagen.gen_grid_data
-        return gen(cfg.seed, size, cfg.train_count + cfg.eval_count), cfg.train_count
-    ds = datagen.load_dataset(cfg.data_path)
-    if ds.kind != cfg.task:
-        raise ConfigError(f"{cfg.data_path} is not a {'ranking' if rank else 'grid'} dataset")
-    if ds.size != size:
-        raise ConfigError(f"{cfg.data_path} holds size {ds.size}, the run asks for {size}")
-    # loaded datasets hold out a third, capped at the configured eval size
-    train_count = len(ds.features) - min(cfg.eval_count, max(1, len(ds.features) // 3))
-    if train_count < cfg.batch:
-        raise ConfigError("dataset too small for the requested batch size")
-    return ds, train_count
+        ds = gen(cfg.seed, size, GEN_COUNT)
+    else:
+        ds = datagen.load_dataset(cfg.data_path)
+        if ds.kind != cfg.task:
+            raise ConfigError(f"{cfg.data_path} is not a {'ranking' if rank else 'grid'} dataset")
+        if ds.size != size:
+            raise ConfigError(f"{cfg.data_path} holds size {ds.size}, the run asks for {size}")
+    return ds, _train_count(len(ds.features), cfg.batch)
 
 
 def _forward(model, features):
@@ -228,7 +219,7 @@ def _rank_grads(cfg, y, rankings, step):
 def _mask_of_raw(raw, size):
     costs = datagen.costs_from_raw(raw).reshape(size, size)
     inst = shortest_path.GridInstance(height=size, width=size, node_costs=costs)
-    return shortest_path.dijkstra_grid(inst).astype(np.float64).ravel()
+    return shortest_path.dijkstra_grid(inst).ravel()
 
 
 def path_metrics(raw_rows, masks, size):
@@ -319,8 +310,9 @@ def run_experiment(cfg):
     """Train the per-element scorer (rank) or per-cell cost predictor (path)
     under cfg, evaluating the held-out metrics along the way."""
     started = time.perf_counter()
-    ds, train_count = _load_data(cfg)
-    held_features, held_labels = ds.features[train_count:], ds.labels[train_count:]
+    ds, train = _load_data(cfg)
+    held_features, held_labels = ds.features[train:], ds.labels[train:]
+    eval_every = max(1, cfg.steps // 20)
     model = net.Mlp.init(
         [ds.feature_dim, HIDDEN, 1],
         ["tanh", "identity"],
@@ -341,17 +333,21 @@ def run_experiment(cfg):
 
     evaluate(0)
     for step in range(1, cfg.steps + 1):
-        idx = batch_rng.choice(train_count, size=cfg.batch, replace=False)
+        idx = batch_rng.choice(train, size=cfg.batch, replace=False)
         y, tape = _forward(model, ds.features[idx])
         rows = output_rows(cfg, y, *output_grads(cfg, y, ds.labels[idx], step))
         grads = net.backward(model, tape, rows.reshape(-1, 1))
         net.optimizer_step(opt, model, grads)
-        if step % cfg.eval_every == 0 or step == cfg.steps:
+        if step % eval_every == 0 or step == cfg.steps:
             evaluate(step)
 
-    # the data the run used: a loaded file sets its own width and split
-    echo = config_echo(cfg)
-    echo.update(feature_dim=ds.feature_dim, train_count=train_count, eval_count=len(held_labels))
+    # the settings, the fixed model and optimizer, and the data the run used
+    # a data_path of "" generates, as None does (_load_data)
+    echo = {k: v for k, v in asdict(cfg).items() if k != "data_path" or v}
+    echo.update(
+        hidden=HIDDEN, lr=LR, optimizer=OPTIMIZER, eval_every=eval_every,
+        feature_dim=ds.feature_dim, train_count=train, eval_count=len(held_labels),
+    )
     return TrainReport(
         config=echo,
         seed=cfg.seed,

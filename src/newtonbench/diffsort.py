@@ -41,20 +41,18 @@ class SortConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown sort method {self.method!r}")
-        for name in ("tau", "beta"):
-            value = getattr(self, name)
-            if value is not None and not np.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-        if self.method in ("neuralsort", "softsort"):
-            if self.tau is None:
-                self.tau = 1.0 if self.method == "neuralsort" else 0.1
-            if self.tau <= 0:
-                raise ConfigError(f"tau must be > 0, got {self.tau}")
-        else:
-            if self.beta is None:
-                self.beta = 10.0
-            if self.beta <= 0:
-                raise ConfigError(f"beta must be > 0, got {self.beta}")
+        # the softmax relaxations read tau, the sorting networks beta
+        read, unread = ("beta", "tau") if self.method.startswith("dsn") else ("tau", "beta")
+        if getattr(self, unread) is not None:
+            raise ConfigError(f"{self.method} reads {read}, not {unread}")
+        value = getattr(self, read)
+        if value is None:
+            value = {"neuralsort": 1.0, "softsort": 0.1}.get(self.method, 10.0)
+            setattr(self, read, value)
+        if not np.isfinite(value):
+            raise ConfigError(f"{read} must be finite, got {value}")
+        if value <= 0:
+            raise ConfigError(f"{read} must be > 0, got {value}")
 
 
 @dataclass

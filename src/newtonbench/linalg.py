@@ -47,8 +47,8 @@ class TikhonovSolver:
         m = M.shape[0]
         if M.shape[1] != m:
             raise ShapeMismatch(f"M must be square, got {M.shape}")
-        if lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {lam}")
+        if not 0 <= lam < np.inf:
+            raise ValueError(f"lambda must be finite and >= 0, got {lam}")
         self.dim = m
         w, self._V = np.linalg.eigh(0.5 * (M + M.T))
         self._w = w + lam

@@ -139,7 +139,7 @@ def _best_path(cost, h, w):
 
 
 def dijkstra_grid(inst):
-    """Minimum-total-node-cost corner-to-corner path as an int64 0/1 mask.
+    """Minimum-total-node-cost corner-to-corner path as a float64 0/1 mask.
 
     Cost ties are resolved during backtracking by preferring the up, left,
     down, right predecessor in that order, so equal-cost instances always
@@ -147,7 +147,7 @@ def dijkstra_grid(inst):
     NonFiniteResult.
     """
     h, w = inst.height, inst.width
-    mask = np.zeros(h * w, dtype=np.int64)
+    mask = np.zeros(h * w)
     mask[_best_path(inst.node_costs.ravel().tolist(), h, w)] = 1
     return mask.reshape(h, w)
 
@@ -179,7 +179,7 @@ def two_best_costs(inst):
         _settle(cost, nbrs, dist, heap, blocked.copy())
         second = min(second, dist[-1])
         best = best + cost[nxt]
-    mask = np.zeros(h * w, dtype=np.int64)
+    mask = np.zeros(h * w)
     mask[path] = 1
     return best, second, mask.reshape(h, w)
 
@@ -206,7 +206,7 @@ def brute_force_shortest(inst):
         on_path[i, j] = True
         if (i, j) == goal:
             if acc < state["best"]:
-                state.update(best=acc, mask=on_path.astype(np.int64), ties=1)
+                state.update(best=acc, mask=on_path.astype(np.float64), ties=1)
             else:
                 state["ties"] += 1
         else:
@@ -231,6 +231,5 @@ def indicator_argmax(scores, height, width):
     if scores.shape != (height * width,):
         raise ShapeMismatch(f"expected {height * width} scores, got {scores.shape}")
     costs = np.maximum(-scores.reshape(height, width), ARGMAX_COST_FLOOR)
-    mask = dijkstra_grid(GridInstance(height=height, width=width, node_costs=costs))
-    return mask.astype(np.float64).ravel()
+    return dijkstra_grid(GridInstance(height=height, width=width, node_costs=costs)).ravel()
 

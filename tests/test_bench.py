@@ -24,8 +24,6 @@ def _quick_cfg(**over):
         steps=40,
         batch=8,
         n=3,
-        train_count=24,
-        eval_count=16,
     )
     base.update(over)
     return trainers.ExperimentConfig(**base)
@@ -289,7 +287,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             _quick_cfg(n=1)
         with pytest.raises(ConfigError):
-            _quick_cfg(batch=100, train_count=10)
+            _quick_cfg(batch=257)  # generated data trains on 256 records
         with pytest.raises(ConfigError):
             _quick_cfg(mode="nl_hessian", lam=0.0)
         with pytest.raises(ConfigError):
@@ -300,6 +298,12 @@ class TestConfigValidation:
             trainers.ExperimentConfig(task="rank", method="softsort", tau=0)
         with pytest.raises(ConfigError, match="beta must be > 0"):
             trainers.ExperimentConfig(task="rank", method="dsn_logistic", beta=-1)
+        # a setting the run does not read, even at a value it would accept
+        with pytest.raises(ConfigError, match="neuralsort reads tau, not beta"):
+            trainers.ExperimentConfig(task="rank", method="neuralsort", beta=1.0)
+        for setting in ("tau", "beta"):
+            with pytest.raises(ConfigError, match="the path task reads neither"):
+                trainers.ExperimentConfig(task="path", method="ss_loss", **{setting: 1.0})
 
     def test_preset_lambdas(self):
         assert trainers.lambda_preset("rank", "neuralsort", "baseline") == 0.0
@@ -317,7 +321,7 @@ class TestLambdaLimit:
         # with overwhelming damping both Newton modes shrink toward a
         # rescaled plain gradient, so first-step directions must agree
         cfg = _quick_cfg(seed=3)
-        ds = datagen.gen_ranking_data(cfg.seed, cfg.n, cfg.train_count + cfg.eval_count)
+        ds = datagen.gen_ranking_data(cfg.seed, cfg.n, trainers.GEN_COUNT)
         features, rankings = ds.features[: cfg.batch], ds.labels[: cfg.batch]
         model = net.Mlp.init(
             [datagen.FEATURE_DIM, trainers.HIDDEN, 1],
@@ -349,7 +353,7 @@ class TestRankLossCallsPerStep:
     def test_loss_calls_per_step_and_none_in_eval(self, method, mode, monkeypatch):
         # one ranking_loss call per row through the module attribute, which is
         # what stepbench's per-call counts (420 and 20 per step) rely on
-        cfg = _quick_cfg(method=method, mode=mode, n=4, batch=5, steps=3, eval_every=1)
+        cfg = _quick_cfg(method=method, mode=mode, n=4, batch=5, steps=3)  # evaluates every step
         loss, calls, at_eval = diffsort.ranking_loss, [], []
 
         def counted(y, truth, scfg):
@@ -441,12 +445,8 @@ class TestRunExperiments:
         second = trainers.run_experiment(cfg)
         assert first.curve == second.curve
         assert first.final == second.final
-        doc_a = report.build_report(
-            "rank", trainers.config_echo(cfg), {"nl_fisher": (cfg.lam, [first])}
-        )
-        doc_b = report.build_report(
-            "rank", trainers.config_echo(cfg), {"nl_fisher": (cfg.lam, [second])}
-        )
+        doc_a = report.build_report("rank", first.config, {"nl_fisher": (cfg.lam, [first])})
+        doc_b = report.build_report("rank", second.config, {"nl_fisher": (cfg.lam, [second])})
         assert report.render_json(doc_a) == report.render_json(doc_b)
 
     def test_path_run_deterministic(self):
@@ -458,8 +458,6 @@ class TestRunExperiments:
             batch=6,
             grid=2,
             samples=5,
-            train_count=18,
-            eval_count=12,
         )
         a = trainers.run_experiment(cfg)
         b = trainers.run_experiment(cfg)
@@ -488,8 +486,6 @@ class TestRunExperiments:
                 batch=4,
                 grid=2,
                 samples=4,
-                train_count=12,
-                eval_count=8,
             )
             rep = trainers.run_experiment(cfg)
             assert "perfect_match" in rep.final
@@ -531,14 +527,12 @@ class TestAblation:
         # at the top of the swept range the Newton modes should sit inside
         # the baseline's own seed spread; spread floor frozen after a
         # three-seed calibration run
-        cfg = _quick_cfg(seed=0, n=5, steps=100, batch=20, train_count=96,
-                         eval_count=64)
+        cfg = _quick_cfg(seed=0, n=5, steps=100, batch=20)
         _, columns = trainers.ablate_lambda(cfg, [1.0, 1000.0])
         finals = []
         for seed in (0, 1, 2):
             rep = trainers.run_experiment(
-                _quick_cfg(seed=seed, n=5, steps=100, batch=20, train_count=96,
-                           eval_count=64)
+                _quick_cfg(seed=seed, n=5, steps=100, batch=20)
             )
             finals.append(rep.final["element_rank"])
         spread = max(max(finals) - min(finals), 5.0)
@@ -648,9 +642,8 @@ def _package_accepts(doc):
 @pytest.fixture(scope="module")
 def real_report():
     """A two-seed report as a file holds it."""
-    echo = trainers.config_echo(_quick_cfg(seed=4, steps=20))
     runs = [trainers.run_experiment(_quick_cfg(seed=s, steps=20)) for s in (4, 5)]
-    doc = report.build_report("rank", echo, {"baseline": (0.0, runs)})
+    doc = report.build_report("rank", runs[0].config, {"baseline": (0.0, runs)})
     return json.loads(report.render_json(doc))
 
 
@@ -674,13 +667,11 @@ class TestReportDocument:
         assert not _package_accepts(doc) and _schema_accepts(doc)
 
     def _runs(self):
-        cfg = _quick_cfg(seed=4, steps=20)
-        echo = trainers.config_echo(cfg)
         runs = [
             trainers.run_experiment(_quick_cfg(seed=s, steps=20))
             for s in (4, 5)
         ]
-        return echo, runs
+        return runs[0].config, runs
 
     def test_report_validates_against_schema(self, real_report):
         assert _package_accepts(real_report) and _schema_accepts(real_report)

@@ -1,5 +1,7 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ import pytest
 
 import newtonbench
 from newtonbench import errors
-from newtonbench.bench import cli, datagen, report
+from newtonbench.bench import cli, datagen, report, trainers
 
 
 def run_cli(args):
@@ -331,6 +333,23 @@ class TestExitCodes:
         assert err.startswith("config error: ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["bench", "rank", "--steps", "2", "--method", "neuralsort", "--beta", "-1"],
+            ["bench", "rank", "--steps", "2", "--method", "dsn_logistic", "--tau", "1"],
+            ["ablate", "lambda", "--steps", "2", "--method", "softsort", "--beta", "2"],
+            ["slice", "grad", "--method", "dsn_cauchy", "--coord", "1", "--tau", "-5"],
+        ],
+    )
+    def test_a_sort_setting_the_method_does_not_read_is_2(self, args, tmp_path, capsys):
+        # neuralsort and softsort read tau, the sorting networks beta
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and ", not " in err
+        assert len(err.splitlines()) == 1
+        assert run_cli(args[:-2] + ["--out", str(tmp_path / "without")]) == 0
+
     def test_configs_checked_before_first_run(self, capsys):
         # lambda 0 suits baseline but not the Newton modes that follow it
         assert run_cli(QUICK_RANK + ["--lambda", "0"]) == 2
@@ -408,6 +427,20 @@ class TestExitCodes:
         # finite bounds whose sweep overflows the ranking loss
         code = run_cli(["slice", "grad", "--coord", "0", "--lo", "0.1", "--hi", "1e308"])
         assert code == 3
+
+
+def _subparser(parser, name):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+def test_every_run_setting_is_a_bench_flag():
+    # ExperimentConfig holds only what a user can pass: each field but the
+    # task is the dest of a bench rank or bench path flag
+    bench = _subparser(cli.build_parser(), "bench")
+    dests = {a.dest for kind in ("rank", "path") for a in _subparser(bench, kind)._actions}
+    fields = {f.name for f in dataclasses.fields(trainers.ExperimentConfig)}
+    assert sorted(fields - dests) == ["task"]
 
 
 def test_cli_import_leaves_scipy_out(tmp_path):

@@ -126,6 +126,16 @@ def test_sort_config_rejects_nonfinite(method, field, value):
         SortConfig(method=method, **{field: value})
 
 
+@pytest.mark.parametrize("method", diffsort.METHODS)
+def test_sort_config_reads_one_setting(method):
+    # neuralsort and softsort read tau, the sorting networks beta; the other
+    # setting is rejected even at a value the method would accept
+    read, unread = ("beta", "tau") if method.startswith("dsn") else ("tau", "beta")
+    assert getattr(SortConfig(method=method, **{read: 2.0}), read) == 2.0
+    with pytest.raises(ConfigError, match=f"{method} reads {read}, not {unread}"):
+        SortConfig(method=method, **{unread: 2.0})
+
+
 class TestExpit:
     # +-0, the least subnormal and normal, the ends of exp's finite range
     # and its overflow, huge values and the infinities

@@ -72,6 +72,12 @@ class TestSolveTikhonov:
         with pytest.raises(ValueError):
             linalg.TikhonovSolver(np.eye(2), -0.5).solve(np.ones(2))
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_rejects_nonfinite_lambda_up_front(self, lam):
+        # not a late NonFiniteResult from the solve, nor a SingularMatrix
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            linalg.TikhonovSolver(np.eye(2), lam)
+
     def test_rejects_nonfinite(self):
         with pytest.raises(NonFiniteResult):
             M = np.array([[np.nan, 0.0], [0.0, 1.0]])
