@@ -71,10 +71,12 @@ def _cmd_bench(args):
         seed_list = [args.seed if args.seed is not None else 0]
     modes = [args.mode] if args.mode else trainers.method_modes(args.method)
     over = _cfg_overrides(args, task)
+    # without --mode, --lambda sets the Newton modes and the baseline reads none
+    lams = {mode: None if mode == "baseline" and not args.mode else args.lam for mode in modes}
     # every configuration is checked before the first run starts
     cfgs = {
         mode: [
-            trainers.ExperimentConfig(**{**over, "mode": mode, "seed": seed})
+            trainers.ExperimentConfig(**{**over, "mode": mode, "seed": seed, "lam": lams[mode]})
             for seed in seed_list
         ]
         for mode in modes
@@ -95,8 +97,7 @@ def _cmd_bench(args):
     echo["mode"] = "+".join(modes)
     echo["seed"] = seed_list[0]
     echo["seeds"] = seed_list
-    if args.lam is None:
-        echo["lam"] = "preset"
+    echo["lam"] = "preset" if args.lam is None else args.lam
     doc = report.build_report(task, echo, mode_runs)
     report.validate_report(doc)
     text = report.render_tsv(doc) if args.format == "tsv" else report.render_json(doc)
@@ -135,14 +136,17 @@ def _cmd_check(args):
 
 
 def _cmd_slice(args):
-    if args.n < 2:
-        raise ConfigError(f"--n must be >= 2, got {args.n}")
     if args.base is not None:
+        if args.n is not None:
+            raise ConfigError("--base sets the ranking length; drop --n")
         base = np.asarray(_parse_floats(args.base))
         if base.size < 2:
             raise ConfigError("--base needs at least two values")
     else:
-        base = np.linspace(2.0, -2.0, args.n)
+        n = 5 if args.n is None else args.n
+        if n < 2:
+            raise ConfigError(f"--n must be >= 2, got {n}")
+        base = np.linspace(2.0, -2.0, n)
     grad_fn = slices.ranking_grad_fn(
         args.method, base.size, tau=args.tau, beta=args.beta
     )
@@ -237,8 +241,8 @@ def build_parser():
     grad = sl_sub.add_parser("grad")
     grad.add_argument("--method", choices=trainers.RANK_METHODS, default="neuralsort")
     grad.add_argument("--coord", type=int, required=True)
-    grad.add_argument("--n", type=int, default=5)
-    grad.add_argument("--base", help="comma-separated base vector")
+    grad.add_argument("--n", type=int, help="ranking length (default 5)")
+    grad.add_argument("--base", help="comma-separated base vector, in place of --n")
     grad.add_argument("--lo", type=float, default=-20.0)
     grad.add_argument("--hi", type=float, default=20.0)
     grad.add_argument("--steps", type=int, default=101)

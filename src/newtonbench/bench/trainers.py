@@ -134,6 +134,8 @@ class ExperimentConfig:
         smoothing.SmoothingConfig(sigma=self.sigma, samples=self.samples)
         if not self.data_path:  # a --data file is split when it loads (_load_data)
             _train_count(GEN_COUNT, self.batch)
+        if self.mode == "baseline" and self.lam is not None:
+            raise ConfigError("baseline trains on the plain loss gradient and reads no lambda")
         if self.lam is None:
             self.lam = lambda_preset(self.task, self.method, self.mode, self.n)
         if not 0 <= self.lam < np.inf:
@@ -203,14 +205,15 @@ def _rank_grads(cfg, y, rankings, step):
     truths = [diffsort.truth_from_order(r) for r in rankings]
 
     def grads_of(v):
-        return np.stack(
-            [diffsort.ranking_loss(row, t, scfg)[1] for row, t in zip(v, truths)]
-        )
+        # v stacks batches (..., N, n); row i of every batch pairs with truths[i]
+        batches = v.reshape(-1, len(truths), v.shape[-1])
+        return np.array(
+            [[diffsort.ranking_loss(r, t, scfg)[1] for r, t in zip(b, truths)] for b in batches]
+        ).reshape(v.shape)
 
-    rows = grads_of(y)
-    if cfg.mode != "nl_hessian":
-        return rows, None
-    return rows, newton.batch_hessian(newton.LossProbe(grad=grads_of), y)
+    if cfg.mode == "nl_hessian":
+        return newton.batch_hessian(newton.LossProbe(grad=grads_of), y)
+    return grads_of(y), None
 
 
 # ---------------------------------------------------------------- path task

@@ -15,8 +15,10 @@ current iterate.
 
 Conventions shared with the rest of the package:
   * probe.value(Y), if given, is the total loss over the batch (sum over rows),
-  * probe.grad(Y) returns unscaled per-sample gradient rows (N x m),
+  * probe.grad(Y) returns unscaled per-sample gradient rows (N x m), and the
+    rows of every batch in a stack (..., N, m) of batches,
   * probe.hessian(Y), when present, returns the batch-averaged m x m Hessian,
+  * batch_hessian returns (gradient rows, Hessian) from one probe.grad call,
   * the 1/N mean reduction happens in net.backward, so newton_loss_eval also
     returns unscaled per-sample gradient rows.
 """
@@ -37,8 +39,8 @@ FD_STEP = np.cbrt(np.finfo(np.float64).eps)  # batch_hessian's step per max(1, m
 class LossProbe:
     """Callbacks exposing a loss to the target constructors.
 
-    grad:  Y (N x m) -> N x m, row i is the gradient of sample i's loss
-           with respect to y_i (no batch scaling).
+    grad:  Y (..., N, m) -> same shape, row i of each batch is the gradient
+           of sample i's loss with respect to that row (no batch scaling).
     value: optional, Y (N x m) -> float, total loss of the batch; the
            target constructors never call it.
     hessian: optional, Y (N x m) -> m x m batch-averaged Hessian; used
@@ -48,10 +50,6 @@ class LossProbe:
     grad: Callable[[np.ndarray], np.ndarray]
     value: Optional[Callable[[np.ndarray], float]] = None
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    @property
-    def has_hessian(self) -> bool:
-        return self.hessian is not None
 
 
 @dataclass
@@ -76,45 +74,44 @@ class NewtonTarget:
 
 
 def _checked_grads(probe, y):
-    g = linalg.as_matrix(probe.grad(y), "probe.grad output")
+    g = np.asarray(probe.grad(y), dtype=np.float64)
     if g.shape != y.shape:
         raise ShapeMismatch(f"probe.grad returned shape {g.shape}, expected {y.shape}")
+    if not np.all(np.isfinite(g)):
+        raise NonFiniteResult("probe.grad output contains non-finite entries")
     return g
 
 
 def batch_hessian(probe, y_bar):
-    """Batch-averaged m x m Hessian of the probed loss at y_bar.
+    """Gradient rows and batch-averaged m x m Hessian of the probed loss at y_bar.
 
-    The probe's analytic Hessian when it has one; otherwise central
-    differences of the gradient rows, sample by sample.  The result is
-    symmetrized exactly.
+    One probe.grad call gives both: on y_bar beside an analytic probe.hessian,
+    or on a (2m+1, N, m) stack of y_bar and its shifts up, then down, in one
+    coordinate of every row at once (per-sample losses), whose central
+    differences give the Hessian.  The Hessian is symmetrized exactly.
     """
     y = linalg.as_matrix(y_bar, "y_bar")
     n, m = y.shape
-    if probe.has_hessian:
+    if probe.hessian is not None:
+        grads = _checked_grads(probe, y)
         h = np.asarray(probe.hessian(y), dtype=np.float64)
         if h.shape != (m, m):
             raise ShapeMismatch(f"hessian shape {h.shape}, expected {(m, m)}")
     else:
-        # Each sample's gradient row depends only on its own output row
-        # (per-sample losses), so one probe call perturbs coordinate j of
-        # every row at once: 2m calls total instead of 2m per sample.
         step = FD_STEP * max(1.0, np.max(np.abs(y)))
-        cols = np.empty((m, n, m))
-        for j in range(m):
-            yp = y.copy()
-            yp[:, j] += step
-            ym = y.copy()
-            ym[:, j] -= step
-            gp = _checked_grads(probe, yp)
-            gm = _checked_grads(probe, ym)
-            cols[j] = (gp - gm) / (2.0 * step)
+        stack = np.broadcast_to(y, (2 * m + 1, n, m)).copy()
+        j = np.arange(m)
+        stack[1 + j, :, j] += step
+        stack[1 + m + j, :, j] -= step
+        g = _checked_grads(probe, stack)
+        grads = g[0]
         # cols[j, i, k] = d grad_k(y_i) / d y_ij; average the per-sample
         # Hessians H_i[k, j] over i
+        cols = (g[1 : m + 1] - g[m + 1 :]) / (2.0 * step)
         h = np.mean(cols, axis=1).T
     if not np.all(np.isfinite(h)):
         raise NonFiniteResult("hessian contains non-finite entries")
-    return 0.5 * (h + h.T)
+    return grads, 0.5 * (h + h.T)
 
 
 def newton_target_hessian(y_bar, probe, lam):
@@ -123,10 +120,7 @@ def newton_target_hessian(y_bar, probe, lam):
     One factorization of H + lam I is shared across all rows.  Raises
     SingularMatrix when the regularized Hessian is not invertible.
     """
-    y = linalg.as_matrix(y_bar, "y_bar")
-    grads = _checked_grads(probe, y)
-    h = batch_hessian(probe, y)
-    return newton_target_from_parts(y, grads, h, lam)
+    return newton_target_from_parts(y_bar, *batch_hessian(probe, y_bar), lam)
 
 
 def newton_target_fisher(y_bar, probe, lam, inversion="direct"):
@@ -307,19 +301,18 @@ def split_step_check_newton(model, x, probe, eta, trainable="all"):
         return net.flat_grads(grads)[mask]
 
     def newton_step(out_grad_fn):
-        g = theta_grad(theta0, out_grad_fn)
-        rows = LossProbe(grad=lambda t: theta_grad(t[0], out_grad_fn)[None, :])
-        h = batch_hessian(rows, theta0[None, :])
-        return theta0 - eta * linalg.TikhonovSolver(h, 0.0).solve(g)
+        rows = LossProbe(grad=lambda t: np.apply_along_axis(theta_grad, -1, t, out_grad_fn))
+        g, h = batch_hessian(rows, theta0[None, :])
+        return theta0 - eta * linalg.TikhonovSolver(h, 0.0).solve(g[0])
 
     theta_direct = newton_step(probe.grad)
 
     base = _clone_and_set(model, theta_full)
     y0, _ = net.forward(base, inputs)
-    curv = batch_hessian(probe, y0)[0, 0]
-    if curv == 0.0 or not np.isfinite(curv):
+    g0, h0 = batch_hessian(probe, y0)  # raises NonFiniteResult on a non-finite h0
+    if h0[0, 0] == 0.0:
         raise SingularMatrix("flat probe: z-space Newton step undefined")
-    z = y0 - probe.grad(y0) / curv
+    z = y0 - g0 / h0[0, 0]
     theta_split = newton_step(lambda y: y - z)
 
     dev = np.max(np.abs(theta_direct - theta_split))

@@ -419,12 +419,28 @@ class TestPathOutputGrads:
 
 
 class TestRankOutputGrads:
-    @pytest.mark.parametrize("method", trainers.RANK_METHODS)
-    @pytest.mark.parametrize("mode", trainers.MODES)
-    def test_one_loss_call_per_row_and_per_difference(self, method, mode, monkeypatch):
+    @staticmethod
+    def _setup(method, mode):
         cfg = _quick_cfg(method=method, mode=mode, n=4, batch=5)
         rankings = datagen.gen_ranking_data(2, cfg.n, cfg.batch).labels
         y = np.random.default_rng(2).normal(size=(cfg.batch, cfg.n))
+        return cfg, rankings, y
+
+    @pytest.mark.parametrize("method", trainers.RANK_METHODS)
+    def test_rows_do_not_depend_on_mode(self, method):
+        # nl_hessian reads its rows off the stacked finite-difference probe,
+        # so a stack that paired rows with the wrong rankings would show here
+        rows = []
+        for mode in trainers.MODES:
+            cfg, rankings, y = self._setup(method, mode)
+            rows.append(trainers.output_grads(cfg, y, rankings, 3)[0])
+        for other in rows[1:]:
+            assert np.array_equal(rows[0], other)
+
+    @pytest.mark.parametrize("method", trainers.RANK_METHODS)
+    @pytest.mark.parametrize("mode", trainers.MODES)
+    def test_one_loss_call_per_row_and_per_difference(self, method, mode, monkeypatch):
+        cfg, rankings, y = self._setup(method, mode)
         loss, calls = diffsort.ranking_loss, []
 
         def counted(row, truth, scfg):

@@ -241,6 +241,21 @@ class TestSliceCli:
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 6
 
+    def test_n_reads_only_without_base(self, capsys):
+        args = ["slice", "grad", "--coord", "0", "--steps", "3"]
+        # --base sets the length, so an --n beside it is read by nothing
+        for n in ("9", "1"):
+            assert run_cli(args + ["--base", "1,2", "--n", n]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and "--n" in err
+            assert len(err.splitlines()) == 1
+        # with neither flag the length is 5
+        assert run_cli(args) == 0
+        default = capsys.readouterr().out
+        assert run_cli(args + ["--n", "5"]) == 0
+        assert capsys.readouterr().out == default
+        assert default.split("\n")[0].split("\t") == ["y0", "g0", "g1", "g2", "g3", "g4"]
+
 
 class TestExitCodes:
     def test_config_error_is_2(self):
@@ -351,9 +366,22 @@ class TestExitCodes:
         assert run_cli(args[:-2] + ["--out", str(tmp_path / "without")]) == 0
 
     def test_configs_checked_before_first_run(self, capsys):
-        # lambda 0 suits baseline but not the Newton modes that follow it
+        # the Newton modes after the baseline reject lambda 0 before it runs
         assert run_cli(QUICK_RANK + ["--lambda", "0"]) == 2
         assert capsys.readouterr().err == "config error: Newton modes need lam > 0\n"
+
+    def test_baseline_reads_no_lambda(self, tmp_path, capsys):
+        assert run_cli(QUICK_RANK + ["--mode", "baseline", "--lambda", "7"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "reads no lambda" in err
+        assert len(err.splitlines()) == 1
+        # across all modes --lambda sets the Newton modes, and the echo shows it
+        out = tmp_path / "r.json"
+        assert run_cli(QUICK_RANK + ["--steps", "2", "--lambda", "7", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["config"]["lam"] == 7.0
+        lams = {mode: entry["lam"] for mode, entry in doc["modes"].items()}
+        assert lams == {"baseline": 0.0, "nl_hessian": 7.0, "nl_fisher": 7.0}
 
     def test_negative_seed_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:

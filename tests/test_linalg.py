@@ -139,8 +139,10 @@ class TestWoodburySolve:
 
 def one_row_hessian(grad, y):
     """newton.batch_hessian's finite-difference route on a single sample."""
-    probe = newton.LossProbe(grad=lambda rows: grad(rows[0])[None, :])
-    return newton.batch_hessian(probe, np.asarray(y, dtype=np.float64)[None, :])
+    # grad maps every row of the probe's stack; a wrong-length row comes back
+    # as a wrong-shape stack for newton to reject
+    probe = newton.LossProbe(grad=lambda rows: np.apply_along_axis(grad, -1, rows))
+    return newton.batch_hessian(probe, np.asarray(y, dtype=np.float64)[None, :])[1]
 
 
 class TestFiniteDiffHessian:

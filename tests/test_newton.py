@@ -77,7 +77,6 @@ class TestHessianTargets:
         y = rng.standard_normal((3, 4))
         probe = quadratic_probe(a, b)
         blind = newton.LossProbe(value=probe.value, grad=probe.grad)
-        assert not blind.has_hessian
         t_fd = newton.newton_target_hessian(y, blind, 0.2)
         t_an = newton.newton_target_hessian(y, probe, 0.2)
         assert rel_err(t_fd.z_star, t_an.z_star) <= 1e-7
@@ -398,9 +397,45 @@ class TestBatchHessian:
             value=lambda v: float(np.sum(v**4)),
             grad=lambda v: 4.0 * v**3,
         )
-        h = newton.batch_hessian(probe, y)
+        _, h = newton.batch_hessian(probe, y)
         expected = np.diag(np.mean(12.0 * y**2, axis=0))
         assert rel_err(h, expected) <= 1e-5
+
+    def test_finite_diff_route_is_one_stacked_grad_call(self):
+        rng = np.random.default_rng(21)
+        y = 3.0 * rng.standard_normal((3, 4))
+        stacks = []
+
+        def grad(v):
+            stacks.append(v.copy())
+            return 4.0 * v**3
+
+        grads, _ = newton.batch_hessian(newton.LossProbe(grad=grad), y)
+        assert [s.shape for s in stacks] == [(9, 3, 4)]
+        assert np.array_equal(grads, grad(y))
+        # row 0 is y; shift j moves coordinate j of every row up, shift m + j down
+        stack, step = stacks[0], newton.FD_STEP * max(1.0, np.max(np.abs(y)))
+        assert np.array_equal(stack[0], y)
+        for j in range(4):
+            up, down = y.copy(), y.copy()
+            up[:, j] += step
+            down[:, j] -= step
+            assert np.array_equal(stack[1 + j], up)
+            assert np.array_equal(stack[5 + j], down)
+
+    def test_analytic_route_is_one_grad_and_one_hessian_call(self):
+        rng = np.random.default_rng(22)
+        a = random_spd(rng, 3)
+        y = rng.standard_normal((4, 3))
+        calls = []
+        probe = newton.LossProbe(
+            grad=lambda v: calls.append(("grad", v.shape)) or v @ a,
+            hessian=lambda v: calls.append(("hessian", v.shape)) or a,
+        )
+        grads, h = newton.batch_hessian(probe, y)
+        assert sorted(calls) == [("grad", (4, 3)), ("hessian", (4, 3))]
+        assert np.array_equal(grads, y @ a)
+        assert np.array_equal(h, 0.5 * (a + a.T))
 
     def test_symmetrization_is_exact(self):
         probe = newton.LossProbe(
@@ -408,6 +443,6 @@ class TestBatchHessian:
             grad=lambda y: y,
             hessian=lambda y: np.array([[1.0, 0.25], [0.75, 2.0]]),
         )
-        h = newton.batch_hessian(probe, np.zeros((2, 2)))
+        _, h = newton.batch_hessian(probe, np.zeros((2, 2)))
         assert np.array_equal(h, h.T)
         assert h[0, 1] == 0.5
