@@ -3,10 +3,10 @@
 Instances are grids of positive node costs; feasible solutions are simple
 4-neighbor paths from the top-left to the bottom-right cell, paying the cost
 of every visited cell including both endpoints. dijkstra_grid is the exact
-solver and two_best_costs the exact best and second-best costs, both on one
-Dijkstra loop over flat cell indices in plain Python lists (the same IEEE
-sums as numpy scalars, without their per-element cost);
-brute_force_shortest is the enumeration oracle for small grids, and
+solver (memoized on the grid's bytes) and two_best_costs the exact best and
+second-best costs, both on one Dijkstra loop over flat cell indices in plain
+Python lists (the same IEEE sums as numpy scalars, without their per-element
+cost); brute_force_shortest is the enumeration oracle for small grids, and
 indicator_argmax exposes the solver as a score maximizer over flattened
 path indicators for perturbed-argmax training.
 """
@@ -35,6 +35,8 @@ class GridInstance:
         costs = self.node_costs = np.asarray(self.node_costs, dtype=np.float64)
         if costs.shape != (self.height, self.width):
             raise ShapeMismatch(f"costs shape {costs.shape} != ({self.height}, {self.width})")
+        if all(0.0 < c < np.inf for c in costs.ravel().tolist()):
+            return  # one pass accepts; the checks below only name the failure
         if not np.isfinite(costs).all():
             raise NonFiniteResult("grid costs must be finite")
         if (costs <= 0).any():
@@ -138,18 +140,25 @@ def _best_path(cost, h, w):
     return path
 
 
+@functools.lru_cache(maxsize=256)  # smoothing re-solves each grid of a draw set
+def _solved(key, h, w):
+    """dijkstra_grid's read-only mask for the h x w grid whose float64 bytes are key."""
+    mask = np.zeros(h * w)
+    mask[_best_path(np.frombuffer(key).tolist(), h, w)] = 1
+    mask.setflags(write=False)
+    return mask.reshape(h, w)
+
+
 def dijkstra_grid(inst):
     """Minimum-total-node-cost corner-to-corner path as a float64 0/1 mask.
 
     Cost ties are resolved during backtracking by preferring the up, left,
     down, right predecessor in that order, so equal-cost instances always
     produce the same mask.  A grid whose best cost overflows raises
-    NonFiniteResult.
+    NonFiniteResult.  The last 256 grids solved, keyed by shape and cost
+    bytes, are answered from a memo; every call returns a fresh array.
     """
-    h, w = inst.height, inst.width
-    mask = np.zeros(h * w)
-    mask[_best_path(inst.node_costs.ravel().tolist(), h, w)] = 1
-    return mask.reshape(h, w)
+    return _solved(inst.node_costs.tobytes(), inst.height, inst.width).copy()
 
 
 def two_best_costs(inst):

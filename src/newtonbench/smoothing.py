@@ -14,7 +14,7 @@ gradient mean[argmax(y+e)] - w_star, which never needs a loss value.
 
 Every estimator reduces one probe of f at y plus a draw set. Draws come
 from a counter-based Philox stream keyed by cfg.seed, so estimates are
-bit-reproducible and estimators called with one cfg share their draws.
+bit-reproducible and estimators called with one cfg redraw identical draws.
 """
 
 from dataclasses import dataclass
@@ -70,8 +70,9 @@ def _probe(f, y, cfg, shape=()):
     """(eps, vals): the draws and f at every y + eps[i], stacked; every
     output must be finite and have the given shape."""
     eps = _draws(cfg, y.shape[0])
+    outs = [f(p) for p in y + eps]  # the black box's own errors propagate
     try:
-        vals = np.array([f(p) for p in y + eps], dtype=np.float64)
+        vals = np.array(outs, dtype=np.float64)
     except ValueError:
         raise ShapeMismatch("black-box output shape changed between probes") from None
     return eps, _checked(vals, (cfg.samples, *shape), "probe")

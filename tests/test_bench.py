@@ -376,8 +376,10 @@ class TestRankLossCallsPerStep:
 
 class TestPathOutputGrads:
     @staticmethod
-    def _setup(method, mode):
-        cfg = _quick_cfg(task="path", method=method, mode=mode, grid=3, batch=4, samples=6)
+    def _setup(method, mode, grid=3, batch=4, samples=6):
+        cfg = _quick_cfg(
+            task="path", method=method, mode=mode, grid=grid, batch=batch, samples=samples
+        )
         masks = datagen.gen_grid_data(2, cfg.grid, cfg.batch).labels
         y = np.random.default_rng(2).normal(size=(cfg.batch, cfg.grid**2))
         return cfg, masks, y
@@ -400,18 +402,32 @@ class TestPathOutputGrads:
     def test_one_solve_per_draw_and_one_at_the_row(self, method, mode, monkeypatch):
         # every solve goes through the module attribute with one GridInstance,
         # which is what stepbench's per-call solver count and grid keys rely on
-        cfg, masks, y = self._setup(method, mode)
+        twice = (method, mode) == ("ss_loss", "nl_hessian")
+        # that case runs at stepbench's path-hessian shape: 4x4, batch 20, 10 draws
+        cfg, masks, y = self._setup(method, mode, 4, 20, 10) if twice else self._setup(method, mode)
         solve, calls = shortest_path.dijkstra_grid, []
+        best_path, runs = shortest_path._best_path, []
 
         def counted(inst):
             calls.append(inst)
             return solve(inst)
 
+        def counted_run(cost, h, w):
+            runs.append(cost)
+            return best_path(cost, h, w)
+
         monkeypatch.setattr(shortest_path, "dijkstra_grid", counted)
+        monkeypatch.setattr(shortest_path, "_best_path", counted_run)
+        shortest_path._solved.cache_clear()
         trainers.output_grads(cfg, y, masks, 1)
-        # ss_loss nl_hessian smooths the gradient and the Hessian separately
-        passes = 2 if (method, mode) == ("ss_loss", "nl_hessian") else 1
-        assert len(calls) == cfg.batch * (cfg.samples + 1) * passes
+        # ss_loss nl_hessian smooths the gradient and the Hessian separately,
+        # on the same draws: its second pass repeats the first pass's grids,
+        # and the memo behind dijkstra_grid solves each distinct grid once
+        grids = cfg.batch * (cfg.samples + 1)
+        assert len(calls) == grids * (2 if twice else 1)
+        assert len(runs) == len({inst.node_costs.tobytes() for inst in calls}) == grids
+        if twice:
+            assert (len(calls), len(runs)) == (440, 220)
         for inst in calls:
             assert isinstance(inst, shortest_path.GridInstance)
             assert inst.node_costs.dtype == np.float64

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from newtonbench import shortest_path as sp
-from newtonbench.errors import NonFiniteResult, TooLarge
+from newtonbench.errors import NonFiniteResult, ShapeMismatch, TooLarge
 
 from oracles import enumerate_paths, mask_cost, tie_rule_mask
 
@@ -28,6 +28,41 @@ def is_simple_corner_path(mask):
         return any(walk(nxt, seen | {nxt}) for nxt in steps if nxt in cells and nxt not in seen)
 
     return walk((0, 0), {(0, 0)})
+
+
+class TestGridInstance:
+    """The checks every grid passes before any solver sees it."""
+
+    @staticmethod
+    def grid(bad):
+        costs = np.ones((2, 3))
+        costs[1, 2] = bad
+        return sp.GridInstance(height=2, width=3, node_costs=costs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_cost_raises(self, bad):
+        with pytest.raises(NonFiniteResult, match="^grid costs must be finite$"):
+            self.grid(bad)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.5], ids=["zero", "negative-zero", "negative"])
+    def test_non_positive_cost_raises(self, bad):
+        with pytest.raises(ValueError, match="^grid costs must be positive$"):
+            self.grid(bad)
+
+    def test_non_finite_is_reported_before_non_positive(self):
+        costs = np.ones((2, 3))
+        costs[0, 1], costs[1, 0] = -2.0, np.nan
+        with pytest.raises(NonFiniteResult, match="^grid costs must be finite$"):
+            sp.GridInstance(height=2, width=3, node_costs=costs)
+
+    def test_wrong_shape_raises(self):
+        with pytest.raises(ShapeMismatch):
+            sp.GridInstance(height=2, width=3, node_costs=np.ones((3, 2)))
+
+    def test_accepts_positive_costs_as_float64(self):
+        inst = sp.GridInstance(height=1, width=2, node_costs=[[1, 5e-324]])
+        assert inst.node_costs.dtype == np.float64
+        np.testing.assert_array_equal(inst.node_costs, [[1.0, 5e-324]])
 
 
 class TestDijkstra:
@@ -102,6 +137,47 @@ class TestDijkstra:
                 assert new_cost >= base_cost
             else:
                 assert new_cost == pytest.approx(base_cost, abs=1e-12)
+
+
+class TestSolveMemo:
+    """dijkstra_grid answers a repeated grid from a memo keyed by its shape
+    and cost bytes; no caller can tell a hit from a fresh solve."""
+
+    def test_mutating_a_result_leaves_the_next_solve(self):
+        costs = np.array([[1.0, 10.0], [1.0, 1.0]])
+        inst = sp.GridInstance(height=2, width=2, node_costs=costs)
+        first = sp.dijkstra_grid(inst)
+        first[:] = 7.0
+        second = sp.dijkstra_grid(inst)
+        assert second.flags.writeable and second is not first
+        np.testing.assert_array_equal(second, [[1, 0], [1, 1]])
+
+    def test_in_place_cost_change_is_a_new_grid(self):
+        inst = sp.GridInstance(height=2, width=2, node_costs=np.array([[1.0, 10.0], [1.0, 1.0]]))
+        np.testing.assert_array_equal(sp.dijkstra_grid(inst), [[1, 0], [1, 1]])
+        inst.node_costs[0, 1], inst.node_costs[1, 0] = 1.0, 10.0
+        np.testing.assert_array_equal(sp.dijkstra_grid(inst), [[1, 1], [0, 1]])
+
+    def test_equal_bytes_at_other_shapes_get_their_own_mask(self):
+        costs = np.random.default_rng(11).uniform(0.1, 2.0, 16)
+        for h, w in ((4, 4), (2, 8), (1, 16)):
+            grid = costs.reshape(h, w)
+            mask = sp.dijkstra_grid(sp.GridInstance(height=h, width=w, node_costs=grid))
+            assert mask.shape == (h, w)
+            np.testing.assert_array_equal(mask, tie_rule_mask(grid))
+
+    def test_repeat_solves_match_the_tie_rule_oracle(self):
+        sp._solved.cache_clear()
+        rng = np.random.default_rng(12)
+        for _ in range(2000):
+            h, w = (int(v) for v in rng.integers(2, 7, 2))
+            costs = rng.integers(1, 4, (h, w)).astype(np.float64)
+            inst = sp.GridInstance(height=h, width=w, node_costs=costs)
+            want = tie_rule_mask(costs)
+            for _ in range(2):
+                mask = sp.dijkstra_grid(inst)
+                assert mask.dtype == np.float64
+                np.testing.assert_array_equal(mask, want)
 
 
 class TestAbsorbedCosts:

@@ -59,6 +59,19 @@ class TestSmoothGrad:
         with pytest.raises(ShapeMismatch):
             smoothing.smooth_grad(lambda y: y.copy(), np.zeros(2), cfg)
 
+    def test_black_box_value_error_propagates(self):
+        def f(y):
+            raise ValueError("my own failure")
+
+        cfg = SmoothingConfig(sigma=0.1, samples=10, seed=0)
+        with pytest.raises(ValueError, match="^my own failure$"):
+            smoothing.smooth_grad(f, np.zeros(2), cfg)
+
+    def test_ragged_output_raises(self):
+        cfg = SmoothingConfig(sigma=0.1, samples=10, seed=0)
+        with pytest.raises(ShapeMismatch, match="changed between probes"):
+            smoothing.smooth_grad(lambda y: [1.0] * (1 + int(y[0] > 0)), np.zeros(2), cfg)
+
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
             SmoothingConfig(sigma=0.0, samples=10)
