@@ -2,11 +2,13 @@
 
 Subcommands: gen (datasets), bench (training runs), ablate (lambda sweep),
 check (numeric self-tests), slice (gradient slices). Exit codes: 0 success,
-2 bad configuration or input (including unreadable files), 3 numeric failure.
+2 bad configuration or input (including unreadable files, an --out outside an
+existing directory and a size too large to allocate), 3 numeric failure.
 """
 
 import argparse
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -260,6 +262,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        out = getattr(args, "out", None)  # checked before any work, and left untouched
+        if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+            raise ConfigError(f"--out {out} must name a file in an existing directory")
         # non-finite values are reported by the package's own checks (exit 3);
         # numpy's floating-point warnings would only add stderr lines
         with np.errstate(all="ignore"):
@@ -272,6 +277,9 @@ def main(argv=None):
         return 3
     except (NewtonBenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a size numpy or Python refuses to allocate
+        print(f"error: out of memory: {exc or 'allocation refused'}", file=sys.stderr)
         return 2
 
 

@@ -28,8 +28,8 @@ def gradient_slice(grad_fn, y_base, coord, lo, hi, steps, fisher_lambda=None):
         raise ConfigError(f"coord {coord} out of range for n={n}")
     if steps < 2:
         raise ConfigError(f"need at least 2 sweep points, got {steps}")
-    if not np.isfinite(lo) or not np.isfinite(hi):
-        raise ConfigError(f"sweep bounds must be finite, got [{lo}, {hi}]")
+    if not np.isfinite(float(hi) - float(lo)):  # linspace needs the width too
+        raise ConfigError(f"sweep bounds and their width must be finite, got [{lo}, {hi}]")
     if not lo < hi:
         raise ConfigError(f"empty sweep range [{lo}, {hi}]")
 

@@ -33,56 +33,38 @@ PATH_METHODS = tuple(_PATH_SEED_TAGS)
 HIDDEN, LR, OPTIMIZER = 32, 0.003, "adam"
 GEN_COUNT = 384  # records of a generated run; _train_count splits them 256/128
 
-# Regularization presets, keyed by (mode, method); the rank task switches
-# tables at length n > 7.  Chosen once from a coarse sweep at desk scale.
+# Damping presets, keyed by (method, mode): one lambda, or a pair (n <= 7,
+# n > 7) where a rank method switches at longer rankings.  Chosen once from a
+# coarse sweep at desk scale.  ss_algorithm has no nl_hessian: the Hessian of
+# its smoothed solver output is intractable.
 LAMBDA_PRESETS = {
-    ("rank", "small"): {
-        ("nl_hessian", "neuralsort"): 0.01,
-        ("nl_hessian", "softsort"): 10.0,
-        ("nl_hessian", "dsn_logistic"): 0.1,
-        ("nl_hessian", "dsn_cauchy"): 0.1,
-        ("nl_fisher", "neuralsort"): 0.1,
-        ("nl_fisher", "softsort"): 10.0,
-        ("nl_fisher", "dsn_logistic"): 0.1,
-        ("nl_fisher", "dsn_cauchy"): 0.1,
-    },
-    ("rank", "large"): {
-        ("nl_hessian", "neuralsort"): 0.01,
-        ("nl_hessian", "softsort"): 1.0,
-        ("nl_hessian", "dsn_logistic"): 0.1,
-        ("nl_hessian", "dsn_cauchy"): 0.1,
-        ("nl_fisher", "neuralsort"): 100.0,
-        ("nl_fisher", "softsort"): 100.0,
-        ("nl_fisher", "dsn_logistic"): 0.1,
-        ("nl_fisher", "dsn_cauchy"): 0.1,
-    },
-    ("path", "any"): {
-        ("nl_hessian", "ss_loss"): 1000.0,
-        ("nl_hessian", "fy"): 1000.0,
-        ("nl_fisher", "ss_loss"): 0.1,
-        ("nl_fisher", "ss_algorithm"): 1000.0,
-        ("nl_fisher", "fy"): 1000.0,
-    },
+    ("neuralsort", "nl_hessian"): 0.01,
+    ("neuralsort", "nl_fisher"): (0.1, 100.0),
+    ("softsort", "nl_hessian"): (10.0, 1.0),
+    ("softsort", "nl_fisher"): (10.0, 100.0),
+    ("dsn_logistic", "nl_hessian"): 0.1,
+    ("dsn_logistic", "nl_fisher"): 0.1,
+    ("dsn_cauchy", "nl_hessian"): 0.1,
+    ("dsn_cauchy", "nl_fisher"): 0.1,
+    ("ss_loss", "nl_hessian"): 1000.0,
+    ("ss_loss", "nl_fisher"): 0.1,
+    ("ss_algorithm", "nl_fisher"): 1000.0,
+    ("fy", "nl_hessian"): 1000.0,
+    ("fy", "nl_fisher"): 1000.0,
 }
 
 
-def lambda_preset(task, method, mode, n=5):
+def lambda_preset(method, mode, n=5):
     if mode == "baseline":
         return 0.0
-    if task == "rank":
-        table = LAMBDA_PRESETS[("rank", "small" if n <= 7 else "large")]
-    else:
-        table = LAMBDA_PRESETS[("path", "any")]
-    key = (mode, method)
-    if key not in table:
-        raise ConfigError(f"no lambda preset for {task}/{method}/{mode}")
-    return table[key]
+    lam = LAMBDA_PRESETS[(method, mode)]
+    return lam[n > 7] if isinstance(lam, tuple) else lam
 
 
 def method_modes(method):
-    """The modes method trains in, in MODES order: ss_algorithm has no
-    nl_hessian, since the Hessian of its smoothed solver output is intractable."""
-    return [m for m in MODES if (method, m) != ("ss_algorithm", "nl_hessian")]
+    """The modes method trains in, in MODES order: baseline and every Newton
+    mode with a preset."""
+    return [m for m in MODES if m == "baseline" or (method, m) in LAMBDA_PRESETS]
 
 
 @dataclass
@@ -137,7 +119,7 @@ class ExperimentConfig:
         if self.mode == "baseline" and self.lam is not None:
             raise ConfigError("baseline trains on the plain loss gradient and reads no lambda")
         if self.lam is None:
-            self.lam = lambda_preset(self.task, self.method, self.mode, self.n)
+            self.lam = lambda_preset(self.method, self.mode, self.n)
         if not 0 <= self.lam < np.inf:
             raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
         if self.mode != "baseline" and self.lam <= 0:

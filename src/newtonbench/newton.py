@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NonFiniteResult, ShapeMismatch, SingularMatrix
+from .errors import NonFiniteResult, ShapeMismatch
 from . import linalg
 from . import net
 
@@ -128,7 +128,8 @@ def newton_target_fisher(y_bar, probe, lam, inversion="direct"):
 
     F is rank-deficient whenever N < m, so lam > 0 is required.  The
     "woodbury" inversion solves every row through one N x N inner system
-    (linalg.woodbury_solve); "direct" factorizes F + lam I once.
+    (linalg.woodbury_solve); "direct" is inject_fisher on the rows scaled
+    by 1/N, rescaled by N.
     """
     y = linalg.as_matrix(y_bar, "y_bar")
     if not np.isfinite(lam) or lam <= 0:
@@ -136,9 +137,7 @@ def newton_target_fisher(y_bar, probe, lam, inversion="direct"):
     grads = _checked_grads(probe, y)
     n = y.shape[0]
     if inversion == "direct":
-        fisher = grads.T @ grads / n
-        solver = linalg.TikhonovSolver(fisher, lam)
-        steps = solver.solve_mat(grads.T).T
+        steps = n * inject_fisher(grads / n, lam)
     elif inversion == "woodbury":
         steps = linalg.woodbury_solve(grads, lam, grads)
     else:
@@ -271,8 +270,8 @@ def split_step_check_newton(model, x, probe, eta, trainable="all"):
     Only valid for scalar model output (m = 1) and a single input point.
     Second derivatives with respect to the parameters are taken by central
     finite differences of the backward pass (batch_hessian on a one-row
-    probe), on both paths.  The z-space Newton step divides by the loss
-    curvature, so a flat probe raises SingularMatrix; so does a parameter
+    probe), on both paths.  The z-space Newton step is newton_target_hessian
+    at lam = 0, so a flat probe raises SingularMatrix; so does a parameter
     Hessian without invertible structure on either path.  trainable="weights"
     freezes the biases, which keeps the parameter Hessian full rank for
     models that are linear in their parameters (a rank-one Hessian
@@ -306,13 +305,7 @@ def split_step_check_newton(model, x, probe, eta, trainable="all"):
         return theta0 - eta * linalg.TikhonovSolver(h, 0.0).solve(g[0])
 
     theta_direct = newton_step(probe.grad)
-
-    base = _clone_and_set(model, theta_full)
-    y0, _ = net.forward(base, inputs)
-    g0, h0 = batch_hessian(probe, y0)  # raises NonFiniteResult on a non-finite h0
-    if h0[0, 0] == 0.0:
-        raise SingularMatrix("flat probe: z-space Newton step undefined")
-    z = y0 - g0 / h0[0, 0]
+    z = newton_target_hessian(net.forward(model, inputs)[0], probe, 0.0).z_star
     theta_split = newton_step(lambda y: y - z)
 
     dev = np.max(np.abs(theta_direct - theta_split))

@@ -3,12 +3,13 @@
 Instances are grids of positive node costs; feasible solutions are simple
 4-neighbor paths from the top-left to the bottom-right cell, paying the cost
 of every visited cell including both endpoints. dijkstra_grid is the exact
-solver (memoized on the grid's bytes) and two_best_costs the exact best and
-second-best costs, both on one Dijkstra loop over flat cell indices in plain
-Python lists (the same IEEE sums as numpy scalars, without their per-element
-cost); brute_force_shortest is the enumeration oracle for small grids, and
-indicator_argmax exposes the solver as a score maximizer over flattened
-path indicators for perturbed-argmax training.
+solver (memoized on the grid's bytes), two_best_costs the exact best and
+second-best costs and path_mask_is_valid the check of a path encoding, all on
+one Dijkstra loop over flat cell indices in plain Python lists (the same IEEE
+sums as numpy scalars, without their per-element cost); brute_force_shortest
+is the enumeration oracle for small grids, and indicator_argmax exposes the
+solver as a score maximizer over flattened path indicators for
+perturbed-argmax training.
 """
 
 import functools
@@ -44,32 +45,16 @@ class GridInstance:
 
 
 def path_mask_is_valid(mask):
-    """Check that a 0/1 matrix encodes one simple corner-to-corner path."""
+    """Check that a 0/1 matrix encodes one simple corner-to-corner path: its
+    cells must be the best path when each costs 1 and every other cell costs
+    more than all of them together (a shortest path takes no shortcut)."""
     mask = np.asarray(mask)
-    if mask.ndim != 2 or not np.all((mask == 0) | (mask == 1)):
+    if mask.ndim != 2 or not mask.size or not np.all((mask == 0) | (mask == 1)):
         return False
     h, w = mask.shape
-    if mask[0, 0] != 1 or mask[h - 1, w - 1] != 1:
-        return False
-    cells = set(zip(*np.nonzero(mask)))
-    if len(cells) == 1:
-        return (h, w) == (1, 1)
-    ends = {(0, 0), (h - 1, w - 1)}
-    for i, j in cells:
-        deg = sum((i + di, j + dj) in cells for di, dj in _PRED_ORDER)
-        if deg != (1 if (i, j) in ends else 2):
-            return False
-    # connectivity: walk from the start through the degree-constrained set
-    seen = {(0, 0)}
-    frontier = [(0, 0)]
-    while frontier:
-        i, j = frontier.pop()
-        for di, dj in _PRED_ORDER:
-            nxt = (i + di, j + dj)
-            if nxt in cells and nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen == cells
+    on = mask.ravel() == 1
+    path = _best_path(np.where(on, 1.0, h * w + 1.0).tolist(), h, w)
+    return len(path) == np.count_nonzero(on) and bool(on[path].all())
 
 
 @functools.cache  # one immutable table per grid shape, shared by every solve of it

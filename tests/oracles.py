@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own code paths: plain Gauss-Jordan
 inversion, central finite differences, a comparator-at-a-time sorting
-network, exhaustive enumeration and Bellman-Ford relaxation, so a bug in the
-package cannot cancel out in the checks.
+network, exhaustive enumeration, Bellman-Ford relaxation and a
+degree-and-walk path check, so a bug in the package cannot cancel out in the
+checks.
 """
 
 import numpy as np
@@ -137,3 +138,34 @@ def tie_rule_mask(costs):
         )
         mask[cell] = 1
     return mask
+
+
+def path_mask_reference(mask):
+    """Whether a 0/1 matrix encodes one simple corner-to-corner path: the
+    corners have one masked neighbour, every other masked cell two, and a
+    walk from the start reaches every masked cell."""
+    mask = np.asarray(mask)
+    if mask.ndim != 2 or not np.all((mask == 0) | (mask == 1)):
+        return False
+    h, w = mask.shape
+    if mask[0, 0] != 1 or mask[h - 1, w - 1] != 1:
+        return False
+    cells = set(zip(*np.nonzero(mask)))
+    if len(cells) == 1:
+        return (h, w) == (1, 1)
+    steps = ((-1, 0), (0, -1), (1, 0), (0, 1))
+    ends = {(0, 0), (h - 1, w - 1)}
+    for i, j in cells:
+        deg = sum((i + di, j + dj) in cells for di, dj in steps)
+        if deg != (1 if (i, j) in ends else 2):
+            return False
+    seen = {(0, 0)}
+    frontier = [(0, 0)]
+    while frontier:
+        i, j = frontier.pop()
+        for di, dj in steps:
+            nxt = (i + di, j + dj)
+            if nxt in cells and nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen == cells

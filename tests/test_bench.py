@@ -190,6 +190,26 @@ class TestGridDatagen:
         np.testing.assert_array_equal(back.labels, ds.labels)
         assert back.hidden is None
 
+    def test_loading_solves_no_grid(self, tmp_path, monkeypatch):
+        # mask checks run the Dijkstra core below dijkstra_grid, whose calls
+        # and memo belong to training and evaluation
+        path = tmp_path / "grid.jsonl"
+        datagen.save_dataset(datagen.gen_grid_data(0, 4, 24), path)
+        calls = []
+        solve = shortest_path.dijkstra_grid
+        monkeypatch.setattr(
+            shortest_path, "dijkstra_grid", lambda inst: calls.append(inst) or solve(inst)
+        )
+        assert len(datagen.load_dataset(path).labels) == 24
+        # a mask with a shortcut through a 2x2 block is refused the same way
+        lines = path.read_text().splitlines()
+        mask = [[1, 1, 0, 0], [1, 1, 0, 0], [0, 1, 1, 1], [0, 0, 0, 1]]
+        lines[1] = json.dumps({**json.loads(lines[1]), "mask": mask})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="line 2: mask is not"):
+            datagen.load_dataset(path)
+        assert calls == []
+
 
 class TestDatasetLayout:
     @pytest.mark.parametrize(
@@ -306,14 +326,14 @@ class TestConfigValidation:
                 trainers.ExperimentConfig(task="path", method="ss_loss", **{setting: 1.0})
 
     def test_preset_lambdas(self):
-        assert trainers.lambda_preset("rank", "neuralsort", "baseline") == 0.0
-        assert trainers.lambda_preset("rank", "neuralsort", "nl_hessian") == 0.01
-        assert trainers.lambda_preset("rank", "softsort", "nl_hessian") == 10.0
-        # longer rankings switch to a separate table
-        assert trainers.lambda_preset("rank", "neuralsort", "nl_fisher", n=10) == 100.0
-        assert trainers.lambda_preset("rank", "neuralsort", "nl_fisher", n=5) == 0.1
-        assert trainers.lambda_preset("path", "ss_loss", "nl_hessian") == 1000.0
-        assert trainers.lambda_preset("path", "ss_algorithm", "nl_fisher") == 1000.0
+        assert trainers.lambda_preset("neuralsort", "baseline") == 0.0
+        assert trainers.lambda_preset("neuralsort", "nl_hessian") == 0.01
+        assert trainers.lambda_preset("softsort", "nl_hessian") == 10.0
+        # some rank presets switch at longer rankings
+        assert trainers.lambda_preset("neuralsort", "nl_fisher", n=10) == 100.0
+        assert trainers.lambda_preset("neuralsort", "nl_fisher", n=5) == 0.1
+        assert trainers.lambda_preset("ss_loss", "nl_hessian") == 1000.0
+        assert trainers.lambda_preset("ss_algorithm", "nl_fisher") == 1000.0
 
 
 class TestLambdaLimit:

@@ -340,6 +340,8 @@ class TestExitCodes:
             ["--lo=-inf"],
             ["--hi", "nan"],
             ["--base", "nan,1,2"],
+            # finite bounds whose width overflows
+            ["--n", "3", "--lo=-1e308", "--hi", "1e308"],
         ],
     )
     def test_bad_slice_values_exit_2(self, args, capsys):
@@ -451,6 +453,47 @@ class TestExitCodes:
         assert run_cli(argv + ["--data", str(ds)]) == 2
         assert capsys.readouterr().err == f"config error: {ds} {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 128 PiB of features
+            ["gen", "rank", "--n", "3", "--count", "1000000000000000"],
+            # one draw block of 6.4 PiB
+            ["bench", "path", "--grid", "3", "--steps", "1", "--batch", "1",
+             "--samples", "100000000000000", "--mode", "baseline"],
+            # a seed list of 1e17 entries
+            ["bench", "rank", "--n", "3", "--steps", "1", "--batch", "1",
+             "--seeds", "100000000000000000", "--mode", "baseline"],
+        ],
+        ids=["gen-count", "bench-samples", "bench-seeds"],
+    )
+    def test_refused_allocation_is_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            QUICK_RANK,
+            ["ablate", "lambda", "--steps", "2", "--n", "3", "--lambdas", "1"],
+            ["gen", "path", "--grid", "3", "--count", "12"],
+            ["slice", "grad", "--coord", "0"],
+        ],
+        ids=["bench", "ablate", "gen", "slice"],
+    )
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_out_checked_before_any_work(self, argv, where, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json" if where == "missing-directory" else tmp_path
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        # one line, no progress line of a run, and nothing created
+        err = capsys.readouterr().err
+        assert err == f"config error: --out {out} must name a file in an existing directory\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_numeric_failure_is_3(self):
         # finite bounds whose sweep overflows the ranking loss
         code = run_cli(["slice", "grad", "--coord", "0", "--lo", "0.1", "--hi", "1e308"])
@@ -469,6 +512,30 @@ def test_every_run_setting_is_a_bench_flag():
     dests = {a.dest for kind in ("rank", "path") for a in _subparser(bench, kind)._actions}
     fields = {f.name for f in dataclasses.fields(trainers.ExperimentConfig)}
     assert sorted(fields - dests) == ["task"]
+
+
+def test_every_accepted_pair_has_a_preset_and_every_preset_an_accepted_pair():
+    bench = _subparser(cli.build_parser(), "bench")
+    flags = {kind: {a.dest: a.choices for a in _subparser(bench, kind)._actions}
+             for kind in ("rank", "path")}
+    newton_modes = set(trainers.MODES) - {"baseline"}
+    accepted = set()
+    for kind, choices in flags.items():
+        assert set(choices["mode"]) == set(trainers.MODES)
+        for method in choices["method"]:
+            for mode in newton_modes:
+                try:
+                    trainers.ExperimentConfig(task=kind, method=method, mode=mode)
+                except errors.ConfigError:
+                    continue
+                accepted.add((method, mode))
+    assert accepted == set(trainers.LAMBDA_PRESETS)
+    # the one pair bench refuses: a smoothed solver output has no tractable Hessian
+    methods = set(flags["rank"]["method"]) | set(flags["path"]["method"])
+    refused = {(m, mode) for m in methods for mode in newton_modes} - accepted
+    assert refused == {("ss_algorithm", "nl_hessian")}
+    for lam in trainers.LAMBDA_PRESETS.values():
+        assert all(0 < v < np.inf for v in (lam if isinstance(lam, tuple) else (lam,)))
 
 
 def test_cli_import_leaves_scipy_out(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from newtonbench import shortest_path as sp
 from newtonbench.errors import NonFiniteResult, ShapeMismatch, TooLarge
 
-from oracles import enumerate_paths, mask_cost, tie_rule_mask
+from oracles import enumerate_paths, mask_cost, path_mask_reference, tie_rule_mask
 
 
 def random_grid(rng, h, w, low=0.1, high=2.0):
@@ -97,6 +97,24 @@ class TestDijkstra:
             h, w = int(rng.integers(1, 7)), int(rng.integers(1, 7))
             out = sp.dijkstra_grid(random_grid(rng, h, w))
             assert sp.path_mask_is_valid(out)
+
+    def test_mask_check_agrees_with_degree_and_walk_reference(self):
+        # every 0/1 mask of every shape with at most 12 cells, and every 4x4 mask
+        shapes = [(h, w) for h in range(1, 13) for w in range(1, 13) if h * w <= 12]
+        checked = 0
+        for h, w in shapes + [(4, 4)]:
+            k = h * w
+            masks = (np.arange(2**k)[:, None] >> np.arange(k)) & 1
+            for mask in masks.reshape(-1, h, w):
+                assert sp.path_mask_is_valid(mask) == path_mask_reference(mask), mask
+            checked += len(masks)
+        assert checked == 101_514
+
+    def test_mask_check_rejects_off_encodings(self):
+        assert not sp.path_mask_is_valid(np.ones(3))
+        assert not sp.path_mask_is_valid(np.zeros((0, 3)))
+        assert not sp.path_mask_is_valid(np.array([[1, 0], [2, 1]]))
+        assert sp.path_mask_is_valid(np.array([[True, False], [True, True]]))
 
     def test_deterministic_tie_break(self):
         # uniform costs: many optimal paths; repeated solves must agree
