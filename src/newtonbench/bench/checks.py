@@ -97,21 +97,24 @@ def check_lemmas(seed=0):
 
 
 def check_oracles(seed=0, grids_per_size=100, sizes=(3, 4, 5)):
-    """Dijkstra against exhaustive path enumeration on random grids."""
+    """Dijkstra against exhaustive path enumeration and its stacked solve on random grids."""
     if grids_per_size < 1:
         raise ConfigError(f"need at least one grid per size, got {grids_per_size}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 405)))
     max_rel = 0.0
     mask_mismatches = 0
+    stack_mismatches = 0
     ambiguous = 0
     total = 0
     for size in sizes:
-        for _ in range(grids_per_size):
-            costs = rng.uniform(0.1, 2.0, size=(size, size))
+        grids = [rng.uniform(0.1, 2.0, size=(size, size)) for _ in range(grids_per_size)]
+        for costs, stacked in zip(grids, shortest_path.dijkstra_grids(np.array(grids))):
             inst = shortest_path.GridInstance(
                 height=size, width=size, node_costs=costs
             )
             result = shortest_path.dijkstra_grid(inst)
+            if not np.array_equal(stacked, result):
+                stack_mismatches += 1
             dij_cost = shortest_path.two_best_costs(inst)[0]  # summed in path order
             best, mask, unique = shortest_path.brute_force_shortest(inst)
             max_rel = max(max_rel, abs(dij_cost - best) / best)
@@ -125,7 +128,8 @@ def check_oracles(seed=0, grids_per_size=100, sizes=(3, 4, 5)):
         "grids": total,
         "max_cost_rel_err": max_rel,
         "mask_mismatches": mask_mismatches,
+        "stack_mismatches": stack_mismatches,
         "ambiguous": ambiguous,
         "tolerance": ORACLE_COST_TOL,
-        "ok": bool(max_rel <= ORACLE_COST_TOL and mask_mismatches == 0),
+        "ok": bool(max_rel <= ORACLE_COST_TOL and mask_mismatches == stack_mismatches == 0),
     }

@@ -279,6 +279,31 @@ class TestMetrics:
         m = trainers.path_metrics(np.stack([raw, raw]), np.stack([mask, 1 - mask]), 2)
         assert m["perfect_match"] == 50.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_path_metrics_rejects_non_finite_outputs(self, bad):
+        with pytest.raises(NonFiniteResult, match="^held-out outputs have non-finite entries$"):
+            trainers.path_metrics(np.array([[bad, 0.0, 0.0, 0.0]]), np.ones((1, 2, 2)), 2)
+
+    def test_path_metrics_solves_one_stack_outside_the_memo(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        raw = rng.normal(0.0, 1.0, (40, 9))
+
+        def per_grid(r):
+            return trainers._mask_of_raw(r, 3).reshape(3, 3)
+
+        masks = np.stack([per_grid(r if j % 3 else -r) for j, r in enumerate(raw)])
+        hits = sum(np.array_equal(per_grid(r), m) for r, m in zip(raw, masks))
+        calls = []
+        stacked = shortest_path.dijkstra_grids
+        monkeypatch.setattr(shortest_path, "dijkstra_grid", lambda inst: calls.append("grid"))
+        monkeypatch.setattr(
+            shortest_path, "dijkstra_grids", lambda costs: calls.append("stack") or stacked(costs)
+        )
+        memo = shortest_path._solved.cache_info()
+        assert trainers.path_metrics(raw, masks, 3) == {"perfect_match": 100.0 * hits / 40}
+        assert calls == ["stack"]
+        assert shortest_path._solved.cache_info() == memo
+
 
 class TestConfigValidation:
     def test_mode_matrix_rejects_intractable_pair(self):
@@ -848,11 +873,17 @@ class TestChecks:
         assert out["gd_deviation"] <= 1e-10
         assert out["newton_deviation"] <= 1e-6
 
-    def test_oracle_check_passes(self):
+    def test_oracle_check_passes(self, monkeypatch):
         out = checks.check_oracles(grids_per_size=20)
         assert out["ok"]
         assert out["grids"] == 60
         assert out["mask_mismatches"] == 0
+        assert out["stack_mismatches"] == 0
+        # a stacked solve that disagrees with dijkstra_grid fails the check
+        stacked = shortest_path.dijkstra_grids
+        monkeypatch.setattr(shortest_path, "dijkstra_grids", lambda costs: 1 - stacked(costs))
+        out = checks.check_oracles(grids_per_size=20)
+        assert not out["ok"] and out["stack_mismatches"] == 60
 
     def test_enumerator_against_independent_oracle(self):
         rng = np.random.default_rng(17)

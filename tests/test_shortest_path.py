@@ -230,6 +230,110 @@ class TestAbsorbedCosts:
             sp.two_best_costs(inst)
 
 
+class TestDijkstraGrids:
+    """The stacked solve of a (B, h, w) cost stack equals dijkstra_grid on
+    each grid bit for bit, and checks the stack as GridInstance checks a grid."""
+
+    DRAWS = {
+        "uniform": lambda rng, shape: rng.uniform(0.1, 2.0, shape),
+        "tied": lambda rng, shape: rng.integers(1, 4, shape).astype(np.float64),
+        "absorbing": lambda rng, shape: rng.choice([1e-300, 1e-9, 1.0, 1e8, 5e307], shape),
+    }
+
+    @staticmethod
+    def per_grid(costs):
+        """dijkstra_grid's masks and the grids whose best cost overflows."""
+        masks, overflows = [], []
+        for g, grid in enumerate(costs):
+            try:
+                masks.append(sp.dijkstra_grid(sp.GridInstance(*grid.shape, grid)))
+            except NonFiniteResult:
+                overflows.append(g)
+        return masks, overflows
+
+    @pytest.mark.parametrize("draw", DRAWS.values(), ids=DRAWS.keys())
+    def test_bit_equal_to_per_grid_solves_at_every_shape(self, draw):
+        rng = np.random.default_rng(21)
+        for h in range(1, 9):
+            for w in range(1, 9):
+                costs = draw(rng, (12, h, w))
+                masks, overflows = self.per_grid(costs)
+                for g in overflows:
+                    with pytest.raises(NonFiniteResult):
+                        sp.dijkstra_grids(costs[g : g + 1])
+                got = sp.dijkstra_grids(np.delete(costs, overflows, axis=0))
+                assert got.dtype == np.float64 and got.shape == (len(masks), h, w)
+                np.testing.assert_array_equal(got, np.array(masks).reshape(got.shape))
+
+    def test_absorbed_costs_take_the_settle_order(self):
+        grid = np.array([[5e307, 1e308, 1e-300], [1e-300, 1, 1], [5e307, 1e-300, 1]])
+        costs = np.stack([grid, np.ones((3, 3)), grid.T])
+        np.testing.assert_array_equal(sp.dijkstra_grids(costs), self.per_grid(costs)[0])
+
+    @pytest.mark.parametrize(
+        "draw",
+        [lambda rng, shape: rng.integers(1, 4, shape).astype(np.float64),
+         lambda rng, shape: rng.choice([0.1, 0.2, 0.3], shape)],
+        ids=["integer", "few-valued"],
+    )
+    def test_matches_the_tie_rule_oracle(self, draw):
+        rng = np.random.default_rng(22)
+        for h in range(1, 7):
+            for w in range(1, 7):
+                costs = draw(rng, (6, h, w))
+                got = sp.dijkstra_grids(costs)
+                for grid, mask in zip(costs, got):
+                    np.testing.assert_array_equal(mask, tie_rule_mask(grid))
+
+    @staticmethod
+    def stack_with(*cells):
+        costs = np.ones((3, 2, 3))
+        for (i, j), value in cells:
+            costs[1, i, j] = value
+        return costs
+
+    @pytest.mark.parametrize(
+        "cells, error",
+        [([((1, 2), np.nan)], NonFiniteResult),
+         ([((1, 2), np.inf)], NonFiniteResult),
+         ([((1, 2), -np.inf)], NonFiniteResult),
+         ([((1, 2), 0.0)], ValueError),
+         ([((1, 2), -0.0)], ValueError),
+         ([((1, 2), -1.5)], ValueError),
+         ([((0, 1), -2.0), ((1, 0), np.nan)], NonFiniteResult),
+         ([((i, j), 1e308) for i in range(2) for j in range(3)], NonFiniteResult)],
+        ids=["nan", "inf", "-inf", "zero", "negative-zero", "negative", "nan-beside-negative",
+             "overflow"],
+    )
+    def test_errors_carry_the_per_grid_messages(self, cells, error):
+        costs = self.stack_with(*cells)
+        with pytest.raises(error) as per_grid:
+            sp.dijkstra_grid(sp.GridInstance(2, 3, costs[1]))
+        with pytest.raises(error) as stacked:
+            sp.dijkstra_grids(costs)
+        assert str(stacked.value) == str(per_grid.value)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 2, 2, 2), (2, 0, 3)])
+    def test_rejects_a_shape_that_is_no_grid_stack(self, shape):
+        with pytest.raises(ShapeMismatch):
+            sp.dijkstra_grids(np.ones(shape))
+
+    def test_empty_stack_keeps_the_grid_shape(self):
+        got = sp.dijkstra_grids(np.ones((0, 3, 4)))
+        assert got.shape == (0, 3, 4) and got.dtype == np.float64
+
+    def test_input_untouched_and_result_fresh(self):
+        costs = np.random.default_rng(23).uniform(0.1, 2.0, (5, 4, 4))
+        kept = costs.copy()
+        first = sp.dijkstra_grids(costs)
+        np.testing.assert_array_equal(costs, kept)
+        assert first.flags.writeable and not np.shares_memory(first, costs)
+        first[:] = 7.0
+        second = sp.dijkstra_grids(costs)
+        assert second is not first
+        np.testing.assert_array_equal(second, self.per_grid(costs)[0])
+
+
 class TestBruteForce:
     def test_single_cell(self):
         inst = sp.GridInstance(height=1, width=1, node_costs=np.array([[0.5]]))
