@@ -82,12 +82,8 @@ def render_json(doc):
 
 
 def fmt(x):
-    """One TSV cell: bools as 0/1, floats in FLOAT_FMT, anything else as str."""
-    if isinstance(x, bool):
-        return str(int(x))
-    if isinstance(x, float):
-        return format(x, FLOAT_FMT)
-    return str(x)
+    """One TSV cell: a float in FLOAT_FMT."""
+    return format(x, FLOAT_FMT)
 
 
 def render_tsv(doc):

@@ -60,9 +60,6 @@ class PermMatrix:
     n: int
     entries: np.ndarray
 
-    def __array__(self, dtype=None):
-        return np.asarray(self.entries, dtype=dtype)
-
 
 @dataclass
 class GroundTruthRanking:

@@ -3,11 +3,12 @@
 The model is a plain MLP on feature vectors. Forward records a tape of
 per-layer inputs and pre-activations; backward consumes it to produce
 batch-averaged parameter gradients of the linearized loss
-(1/N) sum_i <output_grads[i], y[i]>. Nothing here owns training state
-beyond the optimizer moments.
+(1/N) sum_i <output_grads[i], y[i]> as one vector laid out like the
+model's flat parameters, so SGD and Adam are each one vector update.
+Nothing here owns training state beyond the optimizer moments.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,18 +41,17 @@ class ActivationTape:
     preacts: list      # z_l per layer
 
 
-@dataclass
-class ParamGrads:
-    weights: list
-    biases: list
-
-
 class Mlp:
-    """Stack of dense layers, weights stored as (out, in) matrices."""
+    """Stack of dense layers whose parameters live in one float64 vector.
+
+    flat holds every parameter layer by layer, the (out, in) weight matrix
+    then the bias; weights[l] and biases[l] are views into it.  The
+    constructor copies its inputs.
+    """
 
     def __init__(self, weights, biases, activations):
-        if not (len(weights) == len(biases) == len(activations)):
-            raise ShapeMismatch("layer lists must have equal length")
+        if not (len(weights) == len(biases) == len(activations) > 0):
+            raise ShapeMismatch("layer lists must have equal, nonzero length")
         for idx, (W, b, act) in enumerate(zip(weights, biases, activations)):
             if act not in ACTIVATIONS:
                 raise ConfigError(f"unknown activation {act!r}")
@@ -64,9 +64,24 @@ class Mlp:
                 )
             if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
                 raise NonFiniteResult(f"layer {idx} has non-finite parameters")
-        self.weights = [np.asarray(W, dtype=np.float64) for W in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        self._shapes = [W.shape for W in weights]
+        self.flat = np.concatenate(
+            [part for W, b in zip(weights, biases) for part in (W.ravel(), b)],
+            dtype=np.float64,
+        )
+        self.weights, self.biases = self.layer_views(self.flat)
         self.activations = list(activations)
+
+    def layer_views(self, vec):
+        """Per-layer (weights, biases) views of a vector laid out like flat."""
+        weights, biases = [], []
+        pos = 0
+        for out, inp in self._shapes:
+            weights.append(vec[pos : pos + out * inp].reshape(out, inp))
+            pos += out * inp
+            biases.append(vec[pos : pos + out])
+            pos += out
+        return weights, biases
 
     @property
     def sizes(self):
@@ -88,11 +103,7 @@ class Mlp:
 
 def clone_model(model):
     """Independent copy; mutating the clone leaves the original untouched."""
-    return Mlp(
-        [W.copy() for W in model.weights],
-        [b.copy() for b in model.biases],
-        list(model.activations),
-    )
+    return Mlp(model.weights, model.biases, model.activations)
 
 
 def forward(model, batch):
@@ -125,15 +136,15 @@ def backward(model, tape, output_grads):
             f"output grads shape {g.shape}, expected ({n}, {model.weights[-1].shape[0]})"
         )
     delta = g / n
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.weights)
+    grad = np.empty_like(model.flat)
+    grads_w, grads_b = model.layer_views(grad)
     for l in range(len(model.weights) - 1, -1, -1):
         delta = delta * _act_deriv(model.activations[l], tape.preacts[l])
-        grads_w[l] = delta.T @ tape.inputs[l]
-        grads_b[l] = delta.sum(axis=0)
+        grads_w[l][...] = delta.T @ tape.inputs[l]
+        grads_b[l][...] = delta.sum(axis=0)
         if l > 0:
             delta = delta @ model.weights[l]
-    return ParamGrads(weights=grads_w, biases=grads_b)
+    return grad
 
 
 @dataclass
@@ -141,77 +152,48 @@ class OptimizerState:
     kind: str
     lr: float
     step: int = 0
-    m_w: list = field(default_factory=list)
-    m_b: list = field(default_factory=list)
-    v_w: list = field(default_factory=list)
-    v_b: list = field(default_factory=list)
+    m: np.ndarray = None  # Adam's moments, laid out like the model's flat
+    v: np.ndarray = None
 
     @classmethod
     def create(cls, kind, lr, model):
         if kind not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer {kind!r}")
-        if lr <= 0:
-            raise ConfigError(f"learning rate must be > 0, got {lr}")
+        if not 0 < lr < np.inf:
+            raise ConfigError(f"learning rate must be finite and > 0, got {lr}")
         state = cls(kind=kind, lr=lr)
         if kind == "adam":
-            state.m_w = [np.zeros_like(W) for W in model.weights]
-            state.m_b = [np.zeros_like(b) for b in model.biases]
-            state.v_w = [np.zeros_like(W) for W in model.weights]
-            state.v_b = [np.zeros_like(b) for b in model.biases]
+            state.m = np.zeros_like(model.flat)
+            state.v = np.zeros_like(model.flat)
         return state
 
 
 def optimizer_step(state, model, grads):
-    """Apply one SGD or Adam update in place; returns (model, state)."""
-    for gW, gb in zip(grads.weights, grads.biases):
-        if not (np.all(np.isfinite(gW)) and np.all(np.isfinite(gb))):
-            raise NonFiniteResult("non-finite parameter gradients")
+    """Apply one SGD or Adam update to model.flat in place; returns (model, state).
+
+    grads is one vector laid out like model.flat, as backward returns it.
+    """
+    if grads.shape != model.flat.shape:
+        raise ShapeMismatch(
+            f"gradient vector has shape {grads.shape}, model needs {model.flat.shape}"
+        )
+    if not np.all(np.isfinite(grads)):
+        raise NonFiniteResult("non-finite parameter gradients")
     state.step += 1
     if state.kind == "sgd":
-        for W, b, gW, gb in zip(model.weights, model.biases, grads.weights, grads.biases):
-            W -= state.lr * gW
-            b -= state.lr * gb
+        model.flat -= state.lr * grads
         return model, state
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    params = list(zip(model.weights, state.m_w, state.v_w, grads.weights)) + list(
-        zip(model.biases, state.m_b, state.v_b, grads.biases)
-    )
-    for theta, m, v, g in params:
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        theta -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grads
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * grads * grads
+    model.flat -= state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + ADAM_EPS)
     return model, state
 
 
 def get_flat_params(model):
-    parts = []
-    for W, b in zip(model.weights, model.biases):
-        parts.append(W.ravel())
-        parts.append(b)
-    return np.concatenate(parts)
-
-
-def set_flat_params(model, flat):
-    flat = np.asarray(flat, dtype=np.float64)
-    pos = 0
-    for W, b in zip(model.weights, model.biases):
-        W[...] = flat[pos : pos + W.size].reshape(W.shape)
-        pos += W.size
-        b[...] = flat[pos : pos + b.size]
-        pos += b.size
-    if pos != flat.size:
-        raise ShapeMismatch(f"flat vector has {flat.size} entries, model needs {pos}")
-    return model
-
-
-def flat_grads(grads):
-    parts = []
-    for gW, gb in zip(grads.weights, grads.biases):
-        parts.append(gW.ravel())
-        parts.append(gb)
-    return np.concatenate(parts)
-
+    """A copy of the parameter vector, (W0, b0, W1, b1, ...) flattened."""
+    return model.flat.copy()

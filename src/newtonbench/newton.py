@@ -222,12 +222,6 @@ def inject_fisher(batch_grads, lam):
     return solver.solve_mat(g.T).T
 
 
-def _clone_and_set(model, flat):
-    clone = net.clone_model(model)
-    net.set_flat_params(clone, flat)
-    return clone
-
-
 def split_step_check_gd(model, batch, probe, eta):
     """Compare direct GD on loss(f(x)) against the z-then-theta split.
 
@@ -236,32 +230,27 @@ def split_step_check_gd(model, batch, probe, eta):
     0.5 * ||z - y||^2 toward the frozen z.  The two parameter vectors agree
     up to rounding; returns {"max_param_deviation": ...}.
     """
-    theta0 = net.get_flat_params(model)
-
-    direct = _clone_and_set(model, theta0)
+    direct = net.clone_model(model)
     y, tape = net.forward(direct, batch)
     grads = net.backward(direct, tape, probe.grad(y))
     net.optimizer_step(net.OptimizerState.create("sgd", eta, direct), direct, grads)
 
-    split = _clone_and_set(model, theta0)
+    split = net.clone_model(model)
     y2, tape2 = net.forward(split, batch)
     z = y2 - probe.grad(y2)  # unit z-space step
     grads2 = net.backward(split, tape2, y2 - z)
     net.optimizer_step(net.OptimizerState.create("sgd", eta, split), split, grads2)
 
-    dev = np.max(
-        np.abs(net.get_flat_params(direct) - net.get_flat_params(split))
-    )
+    dev = np.max(np.abs(direct.flat - split.flat))
     return {"max_param_deviation": float(dev)}
 
 
 def _trainable_mask(model, trainable):
     """Boolean mask over the flat parameter vector."""
-    parts = []
-    for w, b in zip(model.weights, model.biases):
-        parts.append(np.full(w.size, True))
-        parts.append(np.full(b.size, trainable == "all"))
-    return np.concatenate(parts)
+    mask = np.full(model.flat.size, True)
+    for b in model.layer_views(mask)[1]:
+        b[...] = trainable == "all"
+    return mask
 
 
 def split_step_check_newton(model, x, probe, eta, trainable="all"):
@@ -288,16 +277,13 @@ def split_step_check_newton(model, x, probe, eta, trainable="all"):
     if trainable not in ("all", "weights"):
         raise ValueError(f"unknown trainable selector {trainable!r}")
     mask = _trainable_mask(model, trainable)
-    theta_full = net.get_flat_params(model)
-    theta0 = theta_full[mask]
+    theta0 = model.flat[mask]
 
-    def theta_grad(flat, out_grad_fn):
-        full = theta_full.copy()
-        full[mask] = flat
-        work = _clone_and_set(model, full)
+    def theta_grad(theta, out_grad_fn):
+        work = net.clone_model(model)
+        work.flat[mask] = theta
         y, tape = net.forward(work, inputs)
-        grads = net.backward(work, tape, out_grad_fn(y))
-        return net.flat_grads(grads)[mask]
+        return net.backward(work, tape, out_grad_fn(y))[mask]
 
     def newton_step(out_grad_fn):
         rows = LossProbe(grad=lambda t: np.apply_along_axis(theta_grad, -1, t, out_grad_fn))

@@ -2,9 +2,9 @@
 
 These deliberately avoid the library's own code paths: plain Gauss-Jordan
 inversion, central finite differences, a comparator-at-a-time sorting
-network, exhaustive enumeration, Bellman-Ford relaxation and a
-degree-and-walk path check, so a bug in the package cannot cancel out in the
-checks.
+network, exhaustive enumeration, Bellman-Ford relaxation, a
+degree-and-walk path check and a per-array optimizer, so a bug in the
+package cannot cancel out in the checks.
 """
 
 import numpy as np
@@ -74,6 +74,34 @@ def sorting_network_reference(y, beta, family):
         v = m @ v
         a = m @ a
     return a
+
+
+class PerArrayOptimizer:
+    """SGD or Adam applied one array at a time: every weight matrix, then
+    every bias vector, each with its own Adam moments."""
+
+    def __init__(self, kind, lr, weights, biases, beta1, beta2, eps):
+        self.kind, self.lr, self.step = kind, lr, 0
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.params = [np.array(a, dtype=np.float64) for a in list(weights) + list(biases)]
+        self.m = [np.zeros_like(a) for a in self.params]
+        self.v = [np.zeros_like(a) for a in self.params]
+
+    def update(self, grads_w, grads_b):
+        self.step += 1
+        grads = list(grads_w) + list(grads_b)
+        if self.kind == "sgd":
+            for theta, g in zip(self.params, grads):
+                theta -= self.lr * g
+            return
+        bc1 = 1.0 - self.beta1 ** self.step
+        bc2 = 1.0 - self.beta2 ** self.step
+        for theta, m, v, g in zip(self.params, self.m, self.v, grads):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            theta -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 def enumerate_paths(h, w):

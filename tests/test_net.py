@@ -2,13 +2,81 @@ import numpy as np
 import pytest
 
 from newtonbench import net
-from newtonbench.errors import NonFiniteResult, ShapeMismatch
+from newtonbench.errors import ConfigError, NonFiniteResult, ShapeMismatch
 
-from oracles import rel_err
+from oracles import PerArrayOptimizer, rel_err
 
 
 def make_model(sizes, activations, seed=0):
     return net.Mlp.init(sizes, activations, seed)
+
+
+def layout(weights, biases):
+    """(W0, b0, W1, b1, ...) flattened, built without the package."""
+    return np.concatenate([p for W, b in zip(weights, biases) for p in (np.ravel(W), b)])
+
+
+class TestParameterLayout:
+    def test_views_alias_flat_in_layer_order(self):
+        model = make_model([3, 4, 2], ["tanh", "identity"], seed=8)
+        model.biases[0][...] = [0.1, 0.2, 0.3, 0.4]
+        model.biases[1][...] = [-0.5, -0.6]
+        np.testing.assert_array_equal(model.flat, layout(model.weights, model.biases))
+        offsets = (0, 12, 16, 24)
+        views = [model.weights[0], model.biases[0], model.weights[1], model.biases[1]]
+        for start, view in zip(offsets, views):
+            assert np.shares_memory(view, model.flat)
+            view.flat[0] = 7.0 + start
+            assert model.flat[start] == 7.0 + start
+        model.flat[...] = np.arange(26.0)
+        np.testing.assert_array_equal(model.weights[1], np.arange(16.0, 24.0).reshape(2, 4))
+        np.testing.assert_array_equal(model.biases[1], [24.0, 25.0])
+        assert model.flat.dtype == np.float64 and model.flat.flags.c_contiguous
+        np.testing.assert_array_equal(net.get_flat_params(model), model.flat)
+        assert not np.shares_memory(net.get_flat_params(model), model.flat)
+
+    def test_backward_vector_has_the_flat_layout(self):
+        rng = np.random.default_rng(9)
+        model = make_model([3, 4, 2], ["tanh", "identity"], seed=9)
+        model.biases[0][...] = rng.standard_normal(4)
+        x = rng.standard_normal((5, 3))
+        g = rng.standard_normal((5, 2))
+        _, tape = net.forward(model, x)
+        grads = net.backward(model, tape, g)
+        # the two layers backpropagated by hand
+        (W0, W1), (b0, _) = model.weights, model.biases
+        a1 = np.tanh(x @ W0.T + b0)
+        delta1 = g / len(x)
+        delta0 = (delta1 @ W1) * (1.0 - a1 * a1)
+        expected = layout([delta0.T @ x, delta1.T @ a1], [delta0.sum(0), delta1.sum(0)])
+        assert grads.shape == net.get_flat_params(model).shape
+        np.testing.assert_allclose(grads, expected, rtol=1e-13, atol=1e-15)
+
+    def test_constructor_copies_its_inputs(self):
+        W, b = np.ones((2, 3)), np.zeros(2)
+        model = net.Mlp([W], [b], ["identity"])
+        W[...] = 5.0
+        b[...] = 7.0
+        np.testing.assert_array_equal(model.flat, np.append(np.ones(6), np.zeros(2)))
+
+    def test_rejects_ragged_or_empty_layer_lists(self):
+        with pytest.raises(ShapeMismatch):
+            net.Mlp([], [], [])
+        with pytest.raises(ShapeMismatch):
+            net.Mlp([np.ones((2, 3))], [], ["identity"])
+
+    def test_clone_is_independent(self):
+        model = make_model([3, 4, 2], ["tanh", "identity"], seed=10)
+        before = model.flat.copy()
+        clone = net.clone_model(model)
+        np.testing.assert_array_equal(clone.flat, before)
+        clone.weights[0][...] = 3.0
+        clone.flat[-1] = 4.0
+        np.testing.assert_array_equal(model.flat, before)
+        model.biases[1][...] = 5.0
+        assert not np.any(clone.biases[1] == 5.0)
+        assert clone.activations == model.activations
+        assert clone.activations is not model.activations
 
 
 class TestForward:
@@ -35,8 +103,7 @@ class TestBackward:
         x = np.random.default_rng(1).standard_normal((5, 3))
         _, tape = net.forward(model, x)
         grads = net.backward(model, tape, np.zeros((5, 2)))
-        for g in grads.weights + grads.biases:
-            assert not g.any()
+        assert not grads.any()
 
     def test_single_linear_layer_outer_product(self):
         model = net.Mlp([np.zeros((2, 3))], [np.zeros(2)], ["identity"])
@@ -44,8 +111,8 @@ class TestBackward:
         _, tape = net.forward(model, x)
         g = np.array([[0.5, -1.0]])
         grads = net.backward(model, tape, g)
-        np.testing.assert_allclose(grads.weights[0], np.outer(g[0], x[0]))
-        np.testing.assert_allclose(grads.biases[0], g[0])
+        np.testing.assert_allclose(grads[:6].reshape(2, 3), np.outer(g[0], x[0]))
+        np.testing.assert_allclose(grads[6:], g[0])
 
     def test_mse_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(42)
@@ -55,13 +122,12 @@ class TestBackward:
 
         def loss_at(flat):
             probe = make_model([4, 6, 3], ["tanh", "identity"], seed=7)
-            net.set_flat_params(probe, flat)
+            probe.flat[...] = flat
             y, _ = net.forward(probe, x)
             return 0.5 * np.mean(np.sum((y - target) ** 2, axis=1))
 
         y, tape = net.forward(model, x)
-        grads = net.backward(model, tape, y - target)
-        analytic = net.flat_grads(grads)
+        analytic = net.backward(model, tape, y - target)
 
         flat0 = net.get_flat_params(model)
         h = 1e-6
@@ -79,16 +145,15 @@ class TestBackward:
         model = make_model([3, 5, 1], ["relu", "identity"], seed=3)
         x = np.random.default_rng(3).standard_normal((6, 3))
         y, tape = net.forward(model, x)
-        grads = net.backward(model, tape, np.ones_like(y))
+        analytic = net.backward(model, tape, np.ones_like(y))
         flat0 = net.get_flat_params(model)
 
         def loss_at(flat):
             probe = make_model([3, 5, 1], ["relu", "identity"], seed=3)
-            net.set_flat_params(probe, flat)
+            probe.flat[...] = flat
             out, _ = net.forward(probe, x)
             return float(np.mean(np.sum(out, axis=1)))
 
-        analytic = net.flat_grads(grads)
         h = 1e-6
         for j in [0, 7, 11, flat0.size - 1]:
             fp, fm = flat0.copy(), flat0.copy()
@@ -102,8 +167,7 @@ class TestOptimizer:
     def test_sgd_basic_step(self):
         model = net.Mlp([np.array([[1.0]])], [np.zeros(1)], ["identity"])
         state = net.OptimizerState.create("sgd", 0.1, model)
-        grads = net.ParamGrads(weights=[np.array([[2.0]])], biases=[np.zeros(1)])
-        net.optimizer_step(state, model, grads)
+        net.optimizer_step(state, model, np.array([2.0, 0.0]))
         np.testing.assert_allclose(model.weights[0], [[0.8]])
 
     def test_zero_grad_leaves_params(self):
@@ -111,19 +175,14 @@ class TestOptimizer:
             model = make_model([2, 2], ["identity"], seed=5)
             before = net.get_flat_params(model).copy()
             state = net.OptimizerState.create(kind, 0.01, model)
-            zero = net.ParamGrads(
-                weights=[np.zeros_like(W) for W in model.weights],
-                biases=[np.zeros_like(b) for b in model.biases],
-            )
-            net.optimizer_step(state, model, zero)
+            net.optimizer_step(state, model, np.zeros_like(model.flat))
             np.testing.assert_array_equal(net.get_flat_params(model), before)
 
     def test_adam_first_step_closed_form(self):
         model = net.Mlp([np.array([[1.0, -1.0]])], [np.zeros(1)], ["identity"])
         state = net.OptimizerState.create("adam", 0.001, model)
         g = np.array([[0.3, -4.0]])
-        grads = net.ParamGrads(weights=[g.copy()], biases=[np.zeros(1)])
-        net.optimizer_step(state, model, grads)
+        net.optimizer_step(state, model, np.append(g.ravel(), 0.0))
         # first step: m_hat = g, v_hat = g^2, so update = -lr * g / (|g| + eps)
         expected = np.array([[1.0, -1.0]]) - 0.001 * g / (np.abs(g) + net.ADAM_EPS)
         np.testing.assert_allclose(model.weights[0], expected, atol=1e-9)
@@ -131,11 +190,47 @@ class TestOptimizer:
     def test_nonfinite_grads_raise(self):
         model = make_model([2, 2], ["identity"])
         state = net.OptimizerState.create("sgd", 0.1, model)
-        bad = net.ParamGrads(
-            weights=[np.full((2, 2), np.nan)], biases=[np.zeros(2)]
-        )
+        bad = np.zeros(6)
+        bad[:4] = np.nan
         with pytest.raises(NonFiniteResult):
             net.optimizer_step(state, model, bad)
+
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize(
+        "sizes,acts",
+        [([4, 6, 3], ["tanh", "identity"]), ([5, 8, 8, 2], ["relu", "tanh", "identity"])],
+    )
+    def test_bit_equal_to_per_array_reference(self, kind, sizes, acts):
+        rng = np.random.default_rng(len(sizes))
+        model = net.Mlp.init(sizes, acts, np.random.SeedSequence((31, sizes[0])))
+        lr = 0.05 if kind == "sgd" else 0.001
+        ref = PerArrayOptimizer(
+            kind, lr, model.weights, model.biases,
+            net.ADAM_BETA1, net.ADAM_BETA2, net.ADAM_EPS,
+        )
+        state = net.OptimizerState.create(kind, lr, model)
+        for _ in range(50):
+            gw = [rng.standard_normal(W.shape) * 10.0 ** rng.uniform(-4, 2) for W in model.weights]
+            gb = [rng.standard_normal(b.shape) * 10.0 ** rng.uniform(-4, 2) for b in model.biases]
+            model, state = net.optimizer_step(state, model, layout(gw, gb))
+            ref.update(gw, gb)
+        n = len(model.weights)
+        np.testing.assert_array_equal(model.flat, layout(ref.params[:n], ref.params[n:]))
+        assert state.step == 50
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -1.0, 0.0])
+    def test_rejects_bad_learning_rates(self, kind, lr):
+        model = make_model([2, 2], ["identity"])
+        with pytest.raises(ConfigError, match="learning rate must be finite and > 0"):
+            net.OptimizerState.create(kind, lr, model)
+
+    def test_rejects_a_gradient_of_the_wrong_length(self):
+        model = make_model([2, 2], ["identity"])
+        state = net.OptimizerState.create("sgd", 0.1, model)
+        with pytest.raises(ShapeMismatch):
+            net.optimizer_step(state, model, np.zeros(5))
 
 
 class TestDeterminismAndCheckpoint:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from newtonbench import diffsort, linalg, net, newton
-from newtonbench.errors import ShapeMismatch, SingularMatrix
+from newtonbench.errors import ConfigError, ShapeMismatch, SingularMatrix
 
 from oracles import gauss_jordan_inverse, rel_err
 
@@ -284,6 +284,13 @@ class TestSplitStepGd:
         out = newton.split_step_check_gd(model, x, probe, eta=0.1)
         assert out["max_param_deviation"] == 0.0
 
+    @pytest.mark.parametrize("eta", [np.nan, np.inf])
+    def test_rejects_a_non_finite_step(self, eta):
+        model = net.Mlp.init([2, 3, 1], ["tanh", "identity"], seed=0)
+        probe = newton.LossProbe(grad=lambda y: y)
+        with pytest.raises(ConfigError, match="learning rate must be finite"):
+            newton.split_step_check_gd(model, np.ones((2, 2)), probe, eta=eta)
+
     def test_mse_probe(self):
         rng = np.random.default_rng(16)
         model = net.Mlp.init([3, 8, 2], ["tanh", "identity"], seed=1)
@@ -332,10 +339,10 @@ class TestSplitStepNewton:
         w = net.get_flat_params(stepped)
         # replay the direct path to confirm the minimizer claim
         y0, tape = net.forward(stepped, x[None, :])
-        g = net.flat_grads(net.backward(stepped, tape, probe.grad(y0)))[0]
+        g = net.backward(stepped, tape, probe.grad(y0))[0]
         h = a * x[0] * x[0]
         w[0] -= g / h
-        net.set_flat_params(stepped, w)
+        stepped.flat[...] = w
         y1, _ = net.forward(stepped, x[None, :])
         assert abs(y1[0, 0] - (-b / a)) <= 1e-10
 
