@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -63,6 +64,22 @@ def _cmd_gen(args):
     return 0
 
 
+def _run_all(cfgs, key):
+    """TrainReports of cfgs, all checked when built, run in order; each run is
+    timed here and prints "[<mode> <key>=<value>] final=... (t s)" as it ends."""
+    reports = []
+    for cfg in cfgs:
+        started = time.perf_counter()
+        rep = trainers.run_experiment(cfg)
+        print(
+            f"[{cfg.mode} {key}={getattr(cfg, key)}] final={rep.final} "
+            f"({time.perf_counter() - started:.1f}s)",
+            file=sys.stderr,
+        )
+        reports.append(rep)
+    return reports
+
+
 def _cmd_bench(args):
     task = args.kind
     if args.seeds is not None:
@@ -74,28 +91,17 @@ def _cmd_bench(args):
     modes = [args.mode] if args.mode else trainers.method_modes(args.method)
     over = _cfg_overrides(args, task)
     # without --mode, --lambda sets the Newton modes and the baseline reads none
-    lams = {mode: None if mode == "baseline" and not args.mode else args.lam for mode in modes}
-    # every configuration is checked before the first run starts
-    cfgs = {
-        mode: [
-            trainers.ExperimentConfig(**{**over, "mode": mode, "seed": seed, "lam": lams[mode]})
-            for seed in seed_list
-        ]
-        for mode in modes
-    }
-    mode_runs = {}
-    for mode, mode_cfgs in cfgs.items():
-        runs = []
-        for cfg in mode_cfgs:
-            rep = trainers.run_experiment(cfg)
-            print(
-                f"[{mode} seed={cfg.seed}] final={rep.final} ({rep.wall_clock:.1f}s)",
-                file=sys.stderr,
-            )
-            runs.append(rep)
-        mode_runs[mode] = (mode_cfgs[-1].lam, runs)
+    lams = {m: None if m == "baseline" and not args.mode else args.lam for m in modes}
+    cfgs = [
+        trainers.ExperimentConfig(**{**over, "mode": m, "seed": s, "lam": lams[m]})
+        for m in modes
+        for s in seed_list
+    ]
+    runs = _run_all(cfgs, "seed")
+    k = len(seed_list)
+    mode_runs = {m: (cfgs[i * k].lam, runs[i * k : (i + 1) * k]) for i, m in enumerate(modes)}
     # the first run's echo names the data every run used
-    echo = dict(mode_runs[modes[0]][1][0].config)
+    echo = dict(runs[0].config)
     echo["mode"] = "+".join(modes)
     echo["seed"] = seed_list[0]
     echo["seeds"] = seed_list
@@ -108,16 +114,22 @@ def _cmd_bench(args):
 
 
 def _cmd_ablate(args):
-    lam_grid = _parse_floats(args.lambdas)
-    cfg = trainers.ExperimentConfig(**_cfg_overrides(args, "rank"))
-    reports, columns = trainers.ablate_lambda(cfg, lam_grid)
-    for rep in reports:
-        print(
-            f"[{rep.config['mode']} lam={rep.config['lam']}] "
-            f"final={rep.final} ({rep.wall_clock:.1f}s)",
-            file=sys.stderr,
-        )
-    _emit(report.ablation_tsv(lam_grid, columns), args.out)
+    """One rank baseline run, then nl_hessian and nl_fisher at every lambda."""
+    lams = _parse_floats(args.lambdas)
+    if not lams:
+        raise ConfigError("lambda grid must be nonempty")
+    if not all(0 < lam < np.inf for lam in lams) or sorted(lams) != lams:
+        raise ConfigError("lambda grid must be finite, positive and ascending")
+    over = _cfg_overrides(args, "rank")
+    cfgs = [trainers.ExperimentConfig(**over)] + [
+        trainers.ExperimentConfig(**over, mode=mode, lam=lam)
+        for mode in ("nl_hessian", "nl_fisher")
+        for lam in lams
+    ]
+    finals = [rep.final["element_rank"] for rep in _run_all(cfgs, "lam")]
+    k = len(lams)
+    columns = dict(baseline=finals[:1] * k, nl_hessian=finals[1 : k + 1], nl_fisher=finals[k + 1 :])
+    _emit(report.ablation_tsv(lams, columns), args.out)
     return 0
 
 

@@ -1,8 +1,8 @@
 """Report assembly, hashing, serialization, and layout validation.
 
-A report file is a pure function of (config, seed list): wall-clock timing
-is surfaced on stderr by the CLI but never serialized, so repeating an
-invocation reproduces the output byte for byte.
+A report file is a pure function of (config, seed list), as each TrainReport
+is of its config: only the CLI reads a clock, for its stderr progress lines,
+so repeating an invocation reproduces the output byte for byte.
 """
 
 import hashlib
@@ -22,13 +22,11 @@ FLOAT_FMT = ".12g"
 
 @dataclass
 class TrainReport:
-    """One (mode, seed) training run."""
+    """One (mode, seed) training run; config echoes its settings, seed included."""
 
     config: dict
-    seed: int
     curve: list      # [{"step": int, "<metric>": percent, ...}, ...]
     final: dict      # {"<metric>": percent}
-    wall_clock: float = 0.0  # seconds; stderr only, never serialized
 
 
 def config_hash(echo):
@@ -64,7 +62,7 @@ def build_report(kind, echo, mode_runs):
         modes[mode] = {
             "lam": float(lam),
             "seeds": [
-                {"seed": r.seed, "curve": r.curve, "final": r.final} for r in runs
+                {"seed": r.config["seed"], "curve": r.curve, "final": r.final} for r in runs
             ],
             "final_mean": mean,
             "final_std": std,
@@ -106,20 +104,12 @@ def render_tsv(doc):
 
 
 def ablation_tsv(lambdas, columns):
-    """Combined ablation table: lambda plus one final-metric column per mode.
-
-    columns maps column name to either a list aligned with lambdas or a
-    single repeated value (the unregularized baseline).
-    """
+    """Combined ablation table: lambda plus one final-metric column per mode,
+    each column a list aligned with lambdas."""
     names = sorted(columns)
     lines = ["\t".join(["lambda"] + names)]
-    for i, lam in enumerate(lambdas):
-        row = [fmt(float(lam))]
-        for name in names:
-            col = columns[name]
-            val = col[i] if isinstance(col, (list, tuple)) else col
-            row.append(fmt(float(val)))
-        lines.append("\t".join(row))
+    for row in zip(lambdas, *(columns[name] for name in names), strict=True):
+        lines.append("\t".join(fmt(float(v)) for v in row))
     return "\n".join(lines) + "\n"
 
 

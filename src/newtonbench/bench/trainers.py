@@ -15,12 +15,11 @@ Every run is a pure function of its config: data, model init, batch order,
 and smoothing draws all derive from cfg.seed through separate seed streams.
 """
 
-import time
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from ..errors import ConfigError, NonFiniteResult
+from ..errors import ConfigError, NonFiniteResult, ShapeMismatch
 from .. import diffsort, net, newton, shortest_path, smoothing
 from . import datagen
 from .report import MODES, TrainReport
@@ -164,15 +163,23 @@ def _forward(model, features):
     return out.reshape(len(features), -1), tape
 
 
+def _held_out(rows, what):
+    """The model's held-out output rows as float64, checked nonempty and finite."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if not len(rows):
+        raise ShapeMismatch("no held-out records to score")
+    if not np.all(np.isfinite(rows)):
+        raise NonFiniteResult(f"held-out {what} have non-finite entries")
+    return rows
+
+
 # ---------------------------------------------------------------- rank task
 
 
 def rank_metrics(score_rows, rankings):
     """Exact-match and element-rank percentages against stored rankings;
     predictions are the descending order with ties to the lower index."""
-    scores = np.asarray(score_rows, dtype=np.float64)
-    if not np.all(np.isfinite(scores)):
-        raise NonFiniteResult("held-out scores have non-finite entries")
+    scores = _held_out(score_rows, "scores")
     pred = np.argsort(-scores, axis=1, kind="stable")
     hits = pred == rankings
     return {
@@ -209,9 +216,7 @@ def _mask_of_raw(raw, size):
 
 def path_metrics(raw_rows, masks, size):
     """Perfect-match percentage of predicted against stored path masks, solved as one stack."""
-    raw = np.asarray(raw_rows, dtype=np.float64)
-    if not np.all(np.isfinite(raw)):
-        raise NonFiniteResult("held-out outputs have non-finite entries")
+    raw = _held_out(raw_rows, "outputs")
     pred = shortest_path.dijkstra_grids(datagen.costs_from_raw(raw).reshape(-1, size, size))
     hits = int(np.sum(np.all(pred == masks, axis=(1, 2))))
     return {"perfect_match": 100.0 * hits / len(masks)}
@@ -297,7 +302,6 @@ def output_rows(cfg, y, grad_rows, curvature):
 def run_experiment(cfg):
     """Train the per-element scorer (rank) or per-cell cost predictor (path)
     under cfg, evaluating the held-out metrics along the way."""
-    started = time.perf_counter()
     ds, train = _load_data(cfg)
     held_features, held_labels = ds.features[train:], ds.labels[train:]
     eval_every = max(1, cfg.steps // 20)
@@ -338,39 +342,7 @@ def run_experiment(cfg):
     )
     return TrainReport(
         config=echo,
-        seed=cfg.seed,
         curve=curve,
         final={k: v for k, v in curve[-1].items() if k != "step"},
-        wall_clock=time.perf_counter() - started,
     )
 
-
-def ablate_lambda(cfg, lam_grid):
-    """One baseline run plus (nl_hessian, nl_fisher) runs per lambda.
-
-    Returns (reports, tsv_columns): reports is the flat list of TrainReports
-    in execution order; tsv_columns maps column names to final element-rank
-    accuracies aligned with lam_grid.
-    """
-    lams = [float(l) for l in lam_grid]
-    if not lams:
-        raise ConfigError("lambda grid must be nonempty")
-    if not all(0 < l < np.inf for l in lams) or sorted(lams) != lams:
-        raise ConfigError("lambda grid must be finite, positive and ascending")
-    if cfg.task != "rank":
-        raise ConfigError("the lambda ablation runs on the rank task")
-
-    reports = []
-    base_cfg = ExperimentConfig(**{**asdict(cfg), "mode": "baseline", "lam": None})
-    base_report = run_experiment(base_cfg)
-    reports.append(base_report)
-    columns = {"baseline": base_report.final["element_rank"]}
-    for mode in ("nl_hessian", "nl_fisher"):
-        col = []
-        for lam in lams:
-            run_cfg = ExperimentConfig(**{**asdict(cfg), "mode": mode, "lam": lam})
-            rep = run_experiment(run_cfg)
-            reports.append(rep)
-            col.append(rep.final["element_rank"])
-        columns[mode] = col
-    return reports, columns

@@ -2,7 +2,7 @@
 variant.
 
 Everything here operates on plain float64 numpy arrays: vectors are 1-D,
-matrices 2-D row-major. Inputs are validated to be finite.
+matrices 2-D row-major and nonempty. Inputs are validated to be finite.
 """
 
 import numpy as np
@@ -25,8 +25,8 @@ def as_vector(v, name="vector"):
 
 def as_matrix(a, name="matrix"):
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeMismatch(f"{name} must be 2-D, got shape {a.shape}")
+    if a.ndim != 2 or not a.size:
+        raise ShapeMismatch(f"{name} must be 2-D and nonempty, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NonFiniteResult(f"{name} contains non-finite entries")
     return a
@@ -53,7 +53,7 @@ class TikhonovSolver:
         w, self._V = np.linalg.eigh(0.5 * (M + M.T))
         self._w = w + lam
         mag = np.abs(self._w)
-        if m and mag.min() <= PIVOT_RTOL * mag.max():
+        if mag.min() <= PIVOT_RTOL * mag.max():
             raise SingularMatrix(
                 f"eigenvalue {mag.min():.3e} below {PIVOT_RTOL:g} * "
                 f"max|eigenvalue| = {PIVOT_RTOL * mag.max():.3e}"
@@ -87,8 +87,6 @@ def woodbury_solve(G, lam, B):
     if not np.isfinite(lam) or lam <= 0:
         raise ValueError(f"lambda must be finite and > 0, got {lam}")
     n, m = G.shape
-    if n < 1:
-        raise ShapeMismatch("G must have at least one row")
     if B.shape[1] != m:
         raise ShapeMismatch(f"rhs width {B.shape[1]} != gradient dim {m}")
     inner = (G @ G.T) / (n * lam)

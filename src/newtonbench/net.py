@@ -92,6 +92,8 @@ class Mlp:
         """Seeded uniform init scaled by fan-in, zero biases."""
         if len(activations) != len(sizes) - 1:
             raise ConfigError("need one activation per layer")
+        if min(sizes) < 1:
+            raise ShapeMismatch(f"every layer size must be >= 1, got {list(sizes)}")
         rng = np.random.default_rng(seed)
         weights, biases = [], []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):

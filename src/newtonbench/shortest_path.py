@@ -37,8 +37,10 @@ class GridInstance:
 
     def __post_init__(self):
         costs = self.node_costs = np.asarray(self.node_costs, dtype=np.float64)
-        if costs.shape != (self.height, self.width):
-            raise ShapeMismatch(f"costs shape {costs.shape} != ({self.height}, {self.width})")
+        if costs.shape != (self.height, self.width) or not costs.size:
+            raise ShapeMismatch(
+                f"costs shape {costs.shape} must be ({self.height}, {self.width}), no side empty"
+            )
         if not all(0.0 < c < np.inf for c in costs.ravel().tolist()):
             _check_costs(costs)  # one pass accepts; this only names the failure
 

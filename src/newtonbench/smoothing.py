@@ -45,6 +45,17 @@ class SmoothingConfig:
             )
         if self.samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
+        # the Philox key of the draws
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**128):
+            raise ConfigError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
+
+
+def _point(y):
+    """y as the float64 point every estimator perturbs: a nonempty 1-d vector."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 1 or not y.size:
+        raise ShapeMismatch(f"the smoothed point must be a nonempty 1-d vector, got {y.shape}")
+    return y
 
 
 def _draws(cfg, m):
@@ -80,14 +91,14 @@ def _probe(f, y, cfg, shape=()):
 
 def smooth_grad(f, y, cfg):
     """Score-function gradient estimate of the Gaussian-smoothed f at y."""
-    y = np.asarray(y, dtype=np.float64)
+    y = _point(y)
     eps, vals = _probe(f, y, cfg)
     return ((vals - _base(f, y))[:, None] * eps).mean(axis=0) / cfg.sigma**2
 
 
 def smooth_hessian(f, y, cfg):
     """Estimate of the smoothed Hessian, symmetrized exactly."""
-    y = np.asarray(y, dtype=np.float64)
+    y = _point(y)
     eps, vals = _probe(f, y, cfg)
     w = vals - _base(f, y)
     # mean_i w_i (e_i e_i^T / s^4 - I / s^2), accumulated as matrix products
@@ -99,7 +110,7 @@ def smooth_hessian(f, y, cfg):
 def smooth_jacobian(f, y, cfg):
     """(mean, jac) of a vector function from one draw set: the smoothed
     output mean[f(y+e)] and its per-row smoothed gradients."""
-    y = np.asarray(y, dtype=np.float64)
+    y = _point(y)
     base = np.asarray(f(y), dtype=np.float64)
     if base.ndim != 1:
         raise ShapeMismatch(f"vector black box must return 1-d output, got {base.shape}")
@@ -113,7 +124,7 @@ def fy_loss_grad(y, w_star, argmax_solver, cfg):
 
     Only argmax calls are made; the loss value itself is never formed.
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = _point(y)
     w_star = np.asarray(w_star, dtype=np.float64)
     if w_star.shape != y.shape:
         raise ShapeMismatch(

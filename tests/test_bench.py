@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from newtonbench import diffsort, net, shortest_path
-from newtonbench.bench import checks, datagen, report, slices, trainers
-from newtonbench.errors import ConfigError, NonFiniteResult
+from newtonbench.bench import checks, cli, datagen, report, slices, trainers
+from newtonbench.errors import ConfigError, NonFiniteResult, ShapeMismatch
 
 from oracles import enumerate_paths
 
@@ -283,6 +283,12 @@ class TestMetrics:
     def test_path_metrics_rejects_non_finite_outputs(self, bad):
         with pytest.raises(NonFiniteResult, match="^held-out outputs have non-finite entries$"):
             trainers.path_metrics(np.array([[bad, 0.0, 0.0, 0.0]]), np.ones((1, 2, 2)), 2)
+
+    def test_no_held_out_records_is_a_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch, match="^no held-out records to score$"):
+            trainers.rank_metrics(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+        with pytest.raises(ShapeMismatch, match="^no held-out records to score$"):
+            trainers.path_metrics(np.zeros((0, 4)), np.zeros((0, 2, 2)), 2)
 
     def test_path_metrics_solves_one_stack_outside_the_memo(self, monkeypatch):
         rng = np.random.default_rng(31)
@@ -574,10 +580,32 @@ class TestRunExperiments:
         assert rep.final["exact_match"] >= 99.0
 
 
+def _ablate(argv, monkeypatch, tmp_path):
+    """Run `ablate lambda` with argv; return (the TrainReports of its runs in
+    run order, its TSV columns by header name)."""
+    reports = []
+    real = trainers.run_experiment
+
+    def recorded(cfg):
+        reports.append(real(cfg))
+        return reports[-1]
+
+    monkeypatch.setattr(trainers, "run_experiment", recorded)
+    out = tmp_path / "ablate.tsv"
+    assert cli.main(["ablate", "lambda", *argv, "--out", str(out)]) == 0
+    header, *rows = [ln.split("\t") for ln in out.read_text().splitlines()]
+    return reports, {name: [float(r[i]) for r in rows] for i, name in enumerate(header)}
+
+
+QUICK_ABLATE = ["--steps", "25", "--batch", "8", "--n", "3"]
+
+
 class TestAblation:
-    def test_length_one_grid_equals_single_runs(self):
-        cfg = _quick_cfg(seed=2, steps=25)
-        reports, columns = trainers.ablate_lambda(cfg, [0.5])
+    def test_length_one_grid_equals_single_runs(self, monkeypatch, tmp_path):
+        reports, columns = _ablate(
+            ["--lambdas", "0.5", "--seed", "2", *QUICK_ABLATE], monkeypatch, tmp_path
+        )
+        monkeypatch.undo()
         assert len(reports) == 3
         lone_h = trainers.run_experiment(
             _quick_cfg(seed=2, steps=25, mode="nl_hessian", lam=0.5)
@@ -587,24 +615,26 @@ class TestAblation:
         )
         assert reports[1].curve == lone_h.curve
         assert reports[2].curve == lone_f.curve
-        assert columns["nl_hessian"] == [lone_h.final["element_rank"]]
-        assert columns["nl_fisher"] == [lone_f.final["element_rank"]]
+        # the TSV prints each final in report.FLOAT_FMT
+        assert columns["nl_hessian"] == [float(report.fmt(lone_h.final["element_rank"]))]
+        assert columns["nl_fisher"] == [float(report.fmt(lone_f.final["element_rank"]))]
 
-    def test_rejects_bad_grids(self):
-        cfg = _quick_cfg()
-        with pytest.raises(ConfigError):
-            trainers.ablate_lambda(cfg, [])
-        with pytest.raises(ConfigError):
-            trainers.ablate_lambda(cfg, [1.0, 0.5])
-        with pytest.raises(ConfigError):
-            trainers.ablate_lambda(cfg, [-1.0, 1.0])
+    def test_rejects_bad_grids(self, monkeypatch, capsys):
+        monkeypatch.setattr(trainers, "run_experiment", None)  # no run may start
+        for grid, message in [
+            ("", "lambda grid must be nonempty"),
+            ("1,0.5", "lambda grid must be finite, positive and ascending"),
+            ("-1,1", "lambda grid must be finite, positive and ascending"),
+        ]:
+            assert cli.main(["ablate", "lambda", f"--lambdas={grid}", *QUICK_ABLATE]) == 2
+            assert capsys.readouterr().err == f"config error: {message}\n"
 
-    def test_largest_lambda_approaches_baseline(self):
+    def test_largest_lambda_approaches_baseline(self, monkeypatch, tmp_path):
         # at the top of the swept range the Newton modes should sit inside
         # the baseline's own seed spread; spread floor frozen after a
         # three-seed calibration run
-        cfg = _quick_cfg(seed=0, n=5, steps=100, batch=20)
-        _, columns = trainers.ablate_lambda(cfg, [1.0, 1000.0])
+        argv = ["--lambdas", "1,1000", "--seed", "0", "--n", "5", "--steps", "100"]
+        _, columns = _ablate(argv + ["--batch", "20"], monkeypatch, tmp_path)
         finals = []
         for seed in (0, 1, 2):
             rep = trainers.run_experiment(
@@ -759,17 +789,15 @@ class TestReportDocument:
         )
         assert report.config_hash(echo) != report.config_hash({**echo, "seed": 99})
 
-    def test_wall_clock_never_serialized(self):
-        echo, runs = self._runs()
-        for r in runs:
-            r.wall_clock = 123.456
-        doc = report.build_report("rank", echo, {"baseline": (0.0, runs)})
-        assert "wall_clock" not in report.render_json(doc)
+    def test_rerun_returns_equal_report(self):
+        # a TrainReport is a pure function of its config: it holds no timing
+        cfg = _quick_cfg(seed=4, steps=20)
+        assert trainers.run_experiment(cfg) == trainers.run_experiment(cfg)
 
     def test_aggregate_mean_and_std(self):
         runs = [
-            report.TrainReport(config={}, seed=0, curve=[], final={"m": 10.0}),
-            report.TrainReport(config={}, seed=1, curve=[], final={"m": 20.0}),
+            report.TrainReport(config={"seed": 0}, curve=[], final={"m": 10.0}),
+            report.TrainReport(config={"seed": 1}, curve=[], final={"m": 20.0}),
         ]
         mean, std = runs and report.aggregate_finals(runs)
         assert mean["m"] == 15.0
@@ -793,7 +821,7 @@ class TestReportDocument:
         lambdas = [0.001, 0.1, 10.0, 1000.0]
         text = report.ablation_tsv(
             lambdas,
-            {"baseline": 80.0, "nl_hessian": [81.0, 82.0, 83.0, 80.5]},
+            {"baseline": [80.0] * 4, "nl_hessian": [81.0, 82.0, 83.0, 80.5]},
         )
         lines = text.strip().split("\n")
         assert lines[0].split("\t") == ["lambda", "baseline", "nl_hessian"]

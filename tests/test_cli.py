@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -205,6 +206,33 @@ class TestAblateCli:
              "--batch", "4", "--n", "3"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv,started",
+        [
+            (["ablate", "lambda", "--lambdas", "0.5,5"],
+             ["baseline lam=0.0", "nl_hessian lam=0.5"]),
+            (["bench", "rank"], ["baseline seed=0", "nl_hessian seed=0"]),
+        ],
+        ids=["ablate", "bench"],
+    )
+    def test_progress_line_as_each_run_ends(self, argv, started, monkeypatch, capsys):
+        # the third run fails: the two finished runs have printed their lines
+        real, calls = trainers.run_experiment, []
+
+        def third_fails(cfg):
+            calls.append(cfg)
+            if len(calls) == 3:
+                raise errors.NonFiniteResult("third run diverged")
+            return real(cfg)
+
+        monkeypatch.setattr(trainers, "run_experiment", third_fails)
+        assert run_cli(argv + ["--steps", "4", "--batch", "6", "--n", "3"]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 3 and lines[2] == "numeric failure: third run diverged"
+        for line, head in zip(lines, started):
+            line_format = rf"\[{re.escape(head)}\] final=\{{'exact_match': .+\}} \(\d+\.\ds\)"
+            assert re.fullmatch(line_format, line)
 
 
 class TestCheckCli:

@@ -13,6 +13,20 @@ def random_spd(rng, m, scale=1.0):
 
 
 class TestSolveTikhonov:
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda: linalg.TikhonovSolver(np.zeros((0, 0)), 1.0),
+            lambda: linalg.TikhonovSolver(np.eye(2), 1.0).solve_mat(np.zeros((2, 0))),
+            lambda: linalg.woodbury_solve(np.zeros((0, 3)), 1.0, np.ones((1, 3))),
+            lambda: newton.inject_fisher(np.zeros((0, 3)), 1.0),
+        ],
+        ids=["solver", "rhs", "woodbury", "inject-fisher"],
+    )
+    def test_every_matrix_must_be_nonempty(self, solve):
+        with pytest.raises(ShapeMismatch, match="must be 2-D and nonempty, got shape"):
+            solve()
+
     def test_zero_matrix_unit_lambda_is_identity(self):
         x = linalg.TikhonovSolver(np.zeros((2, 2)), 1.0).solve(np.array([3.0, 4.0]))
         np.testing.assert_allclose(x, [3.0, 4.0], rtol=0, atol=0)

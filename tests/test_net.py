@@ -17,6 +17,11 @@ def layout(weights, biases):
 
 
 class TestParameterLayout:
+    @pytest.mark.parametrize("sizes", [[3, 0, 1], [0, 4, 1], [3, 4, 0]])
+    def test_init_rejects_an_empty_layer(self, sizes):
+        with pytest.raises(ShapeMismatch, match="^every layer size must be >= 1"):
+            net.Mlp.init(sizes, ["tanh", "identity"], 0)
+
     def test_views_alias_flat_in_layer_order(self):
         model = make_model([3, 4, 2], ["tanh", "identity"], seed=8)
         model.biases[0][...] = [0.1, 0.2, 0.3, 0.4]

@@ -154,6 +154,11 @@ class TestFisherTargets:
 
 
 class TestNewtonLossEval:
+    def test_empty_batch_is_a_shape_mismatch(self):
+        empty = np.zeros((0, 3))
+        with pytest.raises(ShapeMismatch, match=r"^y must be 2-D and nonempty, got shape \(0, 3"):
+            newton.newton_loss_eval(empty, newton.NewtonTarget(z_star=empty))
+
     def test_zero_at_target(self):
         z = np.arange(6.0).reshape(2, 3)
         target = newton.NewtonTarget(z_star=z.copy())
@@ -397,6 +402,12 @@ class TestSplitStepNewton:
 
 
 class TestBatchHessian:
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_batch_is_a_shape_mismatch(self, shape):
+        probe = newton.LossProbe(grad=lambda v: v)
+        with pytest.raises(ShapeMismatch, match="^y_bar must be 2-D and nonempty"):
+            newton.batch_hessian(probe, np.zeros(shape))
+
     def test_finite_diff_on_quartic(self):
         rng = np.random.default_rng(20)
         y = rng.standard_normal((3, 2))

@@ -33,6 +33,13 @@ def is_simple_corner_path(mask):
 class TestGridInstance:
     """The checks every grid passes before any solver sees it."""
 
+    @pytest.mark.parametrize("h,w", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_side_raises_as_the_stacked_solver_does(self, h, w):
+        with pytest.raises(ShapeMismatch, match="no side empty$"):
+            sp.GridInstance(height=h, width=w, node_costs=np.zeros((h, w)))
+        with pytest.raises(ShapeMismatch):
+            sp.dijkstra_grids(np.zeros((1, h, w)))
+
     @staticmethod
     def grid(bad):
         costs = np.ones((2, 3))

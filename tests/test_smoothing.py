@@ -219,6 +219,39 @@ def test_base_value_checked_like_the_draws(estimator, value, base, error):
     assert len(calls) <= 6  # at most the five draws and the base
 
 
+# one point check serves every estimator, so a point that is not a nonempty
+# vector is named as such, not as a broadcast error or a black-box output shape
+@pytest.mark.parametrize(
+    "y", [np.zeros((2, 3)), np.zeros(0), np.float64(1.0)], ids=["2d", "empty", "0d"]
+)
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda y, cfg: smoothing.smooth_grad(np.sum, y, cfg),
+        lambda y, cfg: smoothing.smooth_hessian(np.sum, y, cfg),
+        lambda y, cfg: smoothing.smooth_jacobian(np.ravel, y, cfg),
+        lambda y, cfg: smoothing.fy_loss_grad(y, np.zeros_like(y), np.ravel, cfg),
+    ],
+    ids=["grad", "hessian", "jacobian", "fy"],
+)
+def test_the_point_must_be_a_nonempty_vector(estimate, y):
+    cfg = SmoothingConfig(sigma=0.1, samples=5, seed=0)
+    with pytest.raises(ShapeMismatch, match="^the smoothed point must be a nonempty 1-d vector"):
+        estimate(y, cfg)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128, 1.5, "0", None])
+def test_seed_is_checked_when_the_config_is_built(seed):
+    with pytest.raises(ConfigError, match=r"^seed must be an integer in \[0, 2\*\*128\)"):
+        SmoothingConfig(sigma=0.1, samples=5, seed=seed)
+
+
+def test_seed_range_ends_at_the_philox_key_range():
+    for seed in (0, np.uint64(2**64 - 1), 2**128 - 1):
+        cfg = SmoothingConfig(sigma=0.1, samples=2, seed=seed)
+        assert smoothing.smooth_grad(lambda u: 0.0, np.zeros(2), cfg).shape == (2,)
+
+
 def onehot_argmax(y):
     w = np.zeros_like(y)
     w[int(np.argmax(y))] = 1.0
