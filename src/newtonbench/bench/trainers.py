@@ -19,7 +19,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from ..errors import ConfigError, NonFiniteResult, ShapeMismatch
+from ..errors import ConfigError, checked
 from .. import diffsort, net, newton, shortest_path, smoothing
 from . import datagen
 from .report import MODES, TrainReport
@@ -103,6 +103,9 @@ class ExperimentConfig:
         for name in ("steps", "batch"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        # the root of every seed stream; the generators take non-negative seeds only
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.task == "rank" and self.n < 2:
             raise ConfigError(f"ranking length must be >= 2, got {self.n}")
         if self.task == "path" and self.grid < 2:
@@ -163,25 +166,15 @@ def _forward(model, features):
     return out.reshape(len(features), -1), tape
 
 
-def _held_out(rows, what):
-    """The model's held-out output rows as float64, checked nonempty and finite."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if not len(rows):
-        raise ShapeMismatch("no held-out records to score")
-    if not np.all(np.isfinite(rows)):
-        raise NonFiniteResult(f"held-out {what} have non-finite entries")
-    return rows
-
-
 # ---------------------------------------------------------------- rank task
 
 
 def rank_metrics(score_rows, rankings):
     """Exact-match and element-rank percentages against stored rankings;
     predictions are the descending order with ties to the lower index."""
-    scores = _held_out(score_rows, "scores")
+    scores = checked(score_rows, "held-out scores", (None, None))
     pred = np.argsort(-scores, axis=1, kind="stable")
-    hits = pred == rankings
+    hits = pred == checked(rankings, "rankings", scores.shape)
     return {
         "exact_match": 100.0 * int(np.sum(np.all(hits, axis=1))) / len(rankings),
         "element_rank": 100.0 * int(np.sum(hits)) / hits.size,
@@ -216,9 +209,9 @@ def _mask_of_raw(raw, size):
 
 def path_metrics(raw_rows, masks, size):
     """Perfect-match percentage of predicted against stored path masks, solved as one stack."""
-    raw = _held_out(raw_rows, "outputs")
+    raw = checked(raw_rows, "held-out outputs", (None, size * size))
     pred = shortest_path.dijkstra_grids(datagen.costs_from_raw(raw).reshape(-1, size, size))
-    hits = int(np.sum(np.all(pred == masks, axis=(1, 2))))
+    hits = int(np.sum(np.all(pred == checked(masks, "masks", pred.shape), axis=(1, 2))))
     return {"perfect_match": 100.0 * hits / len(masks)}
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteResult, ShapeMismatch
+from .errors import ConfigError, NonFiniteResult, ShapeMismatch, checked
 
 METHODS = ("neuralsort", "softsort", "dsn_logistic", "dsn_cauchy")
 
@@ -113,15 +113,6 @@ def _dsn_wires(n):
     return tuple(parities)
 
 
-def _check_vector(y):
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or y.shape[0] < 1:
-        raise ShapeMismatch(f"expected a nonempty vector, got shape {y.shape}")
-    if not _all(np.isfinite(y)):
-        raise NonFiniteResult("input vector has non-finite entries")
-    return y
-
-
 def _row_softmax(c):
     """Row softmax with a permutation-independent summation order.
 
@@ -152,7 +143,7 @@ def truth_from_order(order):
 
 def hard_rank(y):
     """Descending argsort with ties broken by lower index first."""
-    return truth_from_order(np.argsort(-_check_vector(y), kind="stable"))
+    return truth_from_order(np.argsort(-checked(y, "y", (None,)), kind="stable"))
 
 
 # Each relaxation's forward returns P and its pullback: g_P -> g_y.
@@ -280,7 +271,7 @@ def _perm_forward(y, cfg):
 
 
 def _perm(y, cfg):
-    y = _check_vector(y)
+    y = checked(y, "y", (None,))
     p, _ = _perm_forward(y, cfg)
     if not np.all(np.isfinite(p)):
         raise NonFiniteResult(f"{cfg.method} produced non-finite probabilities")
@@ -309,7 +300,7 @@ def ranking_loss(y, truth, cfg):
     For DSN methods the target rows are reversed to match the ascending
     output convention of the sorting network.
     """
-    y = _check_vector(y)
+    y = checked(y, "y", (None,))
     n = y.shape[0]
     if truth.n != n:
         raise ShapeMismatch(f"ranking over {truth.n} elements, input has {n}")

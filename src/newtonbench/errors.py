@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one array check."""
+
+import numpy as np
 
 
 class NewtonBenchError(Exception):
@@ -23,3 +25,28 @@ class TooLarge(NewtonBenchError):
 
 class ConfigError(NewtonBenchError):
     """Invalid experiment or CLI configuration."""
+
+
+def checked(a, name, shape):
+    """a as a float64 array, once it has the given shape and only finite entries.
+
+    An int entry of shape matches that length exactly, a None entry any
+    nonzero length.  Raises ShapeMismatch, then NonFiniteResult, each naming
+    the argument.  A float64 array comes back as it is, without a copy.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    got = a.shape
+    # a plain loop and the bare ufunc reduction: the ranking loss runs this
+    # hundreds of times per training step, and generators or np.all cost more
+    fits = len(got) == len(shape)
+    for d, s in zip(got, shape):
+        fits = fits and (d == s or s is None and d > 0)
+    if not fits:
+        if shape and shape.count(None) == len(shape):
+            raise ShapeMismatch(f"{name} must be {len(shape)}-D and nonempty, got shape {got}")
+        want = str(tuple(shape)).replace("None", "*")
+        raise ShapeMismatch(f"{name} must have shape {want}, got shape {got}")
+    finite = np.isfinite(a)
+    if not np.logical_and.reduce(finite, axis=None):
+        raise NonFiniteResult(f"{name} must be finite, got {a[~finite][0]}")
+    return a

@@ -7,29 +7,11 @@ matrices 2-D row-major and nonempty. Inputs are validated to be finite.
 
 import numpy as np
 
-from .errors import NonFiniteResult, ShapeMismatch, SingularMatrix
+from .errors import NonFiniteResult, ShapeMismatch, SingularMatrix, checked
 
 # Relative eigenvalue threshold under which a damped system is declared
 # numerically singular: min|w + lam| <= PIVOT_RTOL * max|w + lam|.
 PIVOT_RTOL = 1e-12
-
-
-def as_vector(v, name="vector"):
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeMismatch(f"{name} must be 1-D, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteResult(f"{name} contains non-finite entries")
-    return v
-
-
-def as_matrix(a, name="matrix"):
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or not a.size:
-        raise ShapeMismatch(f"{name} must be 2-D and nonempty, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteResult(f"{name} contains non-finite entries")
-    return a
 
 
 class TikhonovSolver:
@@ -43,7 +25,7 @@ class TikhonovSolver:
     """
 
     def __init__(self, M, lam):
-        M = as_matrix(M, "M")
+        M = checked(M, "M", (None, None))
         m = M.shape[0]
         if M.shape[1] != m:
             raise ShapeMismatch(f"M must be square, got {M.shape}")
@@ -60,11 +42,11 @@ class TikhonovSolver:
             )
 
     def solve(self, g):
-        return self.solve_mat(as_vector(g, "g")[:, None])[:, 0]
+        return self.solve_mat(checked(g, "g", (self.dim,))[:, None])[:, 0]
 
     def solve_mat(self, B):
         """Solve against an (dim x k) block of right-hand sides."""
-        B = as_matrix(B, "B")
+        B = checked(B, "B", (None, None))
         if B.shape[0] != self.dim:
             raise ShapeMismatch(f"rhs rows {B.shape[0]} != system dim {self.dim}")
         X = self._V @ ((self._V.T @ B) / self._w[:, None])
@@ -82,13 +64,11 @@ def woodbury_solve(G, lam, B):
 
         inv = I/lam - G^T (G G^T / (N lam) + I_N)^(-1) G / (N lam^2)
     """
-    G = as_matrix(G, "G")
-    B = as_matrix(B, "B")
+    G = checked(G, "G", (None, None))
+    n, m = G.shape
+    B = checked(B, "B", (None, m))
     if not np.isfinite(lam) or lam <= 0:
         raise ValueError(f"lambda must be finite and > 0, got {lam}")
-    n, m = G.shape
-    if B.shape[1] != m:
-        raise ShapeMismatch(f"rhs width {B.shape[1]} != gradient dim {m}")
     inner = (G @ G.T) / (n * lam)
     try:
         W = TikhonovSolver(inner, 1.0).solve_mat(G @ B.T)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteResult, ShapeMismatch
+from .errors import ConfigError, NonFiniteResult, ShapeMismatch, checked
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and floor
@@ -131,13 +131,8 @@ def forward(model, batch):
 
 def backward(model, tape, output_grads):
     """Parameter gradients of (1/N) sum_i <output_grads[i], y[i]>."""
-    g = np.asarray(output_grads, dtype=np.float64)
     n = tape.inputs[0].shape[0]
-    if g.shape != (n, model.weights[-1].shape[0]):
-        raise ShapeMismatch(
-            f"output grads shape {g.shape}, expected ({n}, {model.weights[-1].shape[0]})"
-        )
-    delta = g / n
+    delta = checked(output_grads, "output_grads", (n, model.weights[-1].shape[0])) / n
     grad = np.empty_like(model.flat)
     grads_w, grads_b = model.layer_views(grad)
     for l in range(len(model.weights) - 1, -1, -1):
@@ -175,12 +170,7 @@ def optimizer_step(state, model, grads):
 
     grads is one vector laid out like model.flat, as backward returns it.
     """
-    if grads.shape != model.flat.shape:
-        raise ShapeMismatch(
-            f"gradient vector has shape {grads.shape}, model needs {model.flat.shape}"
-        )
-    if not np.all(np.isfinite(grads)):
-        raise NonFiniteResult("non-finite parameter gradients")
+    grads = checked(grads, "grads", model.flat.shape)
     state.step += 1
     if state.kind == "sgd":
         model.flat -= state.lr * grads

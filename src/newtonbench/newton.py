@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NonFiniteResult, ShapeMismatch
+from .errors import ShapeMismatch, checked
 from . import linalg
 from . import net
 
@@ -73,15 +73,6 @@ class NewtonTarget:
     z_star: np.ndarray  # N x m
 
 
-def _checked_grads(probe, y):
-    g = np.asarray(probe.grad(y), dtype=np.float64)
-    if g.shape != y.shape:
-        raise ShapeMismatch(f"probe.grad returned shape {g.shape}, expected {y.shape}")
-    if not np.all(np.isfinite(g)):
-        raise NonFiniteResult("probe.grad output contains non-finite entries")
-    return g
-
-
 def batch_hessian(probe, y_bar):
     """Gradient rows and batch-averaged m x m Hessian of the probed loss at y_bar.
 
@@ -90,27 +81,24 @@ def batch_hessian(probe, y_bar):
     coordinate of every row at once (per-sample losses), whose central
     differences give the Hessian.  The Hessian is symmetrized exactly.
     """
-    y = linalg.as_matrix(y_bar, "y_bar")
+    y = checked(y_bar, "y_bar", (None, None))
     n, m = y.shape
     if probe.hessian is not None:
-        grads = _checked_grads(probe, y)
-        h = np.asarray(probe.hessian(y), dtype=np.float64)
-        if h.shape != (m, m):
-            raise ShapeMismatch(f"hessian shape {h.shape}, expected {(m, m)}")
+        grads = checked(probe.grad(y), "probe.grad output", y.shape)
+        h = probe.hessian(y)
     else:
         step = FD_STEP * max(1.0, np.max(np.abs(y)))
         stack = np.broadcast_to(y, (2 * m + 1, n, m)).copy()
         j = np.arange(m)
         stack[1 + j, :, j] += step
         stack[1 + m + j, :, j] -= step
-        g = _checked_grads(probe, stack)
+        g = checked(probe.grad(stack), "probe.grad output", stack.shape)
         grads = g[0]
         # cols[j, i, k] = d grad_k(y_i) / d y_ij; average the per-sample
         # Hessians H_i[k, j] over i
         cols = (g[1 : m + 1] - g[m + 1 :]) / (2.0 * step)
         h = np.mean(cols, axis=1).T
-    if not np.all(np.isfinite(h)):
-        raise NonFiniteResult("hessian contains non-finite entries")
+    h = checked(h, "hessian", (m, m))
     return grads, 0.5 * (h + h.T)
 
 
@@ -131,10 +119,10 @@ def newton_target_fisher(y_bar, probe, lam, inversion="direct"):
     (linalg.woodbury_solve); "direct" is inject_fisher on the rows scaled
     by 1/N, rescaled by N.
     """
-    y = linalg.as_matrix(y_bar, "y_bar")
+    y = checked(y_bar, "y_bar", (None, None))
     if not np.isfinite(lam) or lam <= 0:
         raise ValueError("fisher variant requires lam > 0")
-    grads = _checked_grads(probe, y)
+    grads = checked(probe.grad(y), "probe.grad output", y.shape)
     n = y.shape[0]
     if inversion == "direct":
         steps = n * inject_fisher(grads / n, lam)
@@ -142,7 +130,7 @@ def newton_target_fisher(y_bar, probe, lam, inversion="direct"):
         steps = linalg.woodbury_solve(grads, lam, grads)
     else:
         raise ValueError(f"unknown inversion {inversion!r}")
-    return NewtonTarget(y - steps)
+    return NewtonTarget(checked(y - steps, "z_star", y.shape))
 
 
 def newton_target(y_bar, probe, cfg: NewtonConfig) -> NewtonTarget:
@@ -160,12 +148,10 @@ def newton_target_from_parts(y_bar, grads, hessian, lam):
     tasks estimate (finite differences, or smoothing for black boxes).
     The solver symmetrizes the curvature and checks its shape.
     """
-    y = linalg.as_matrix(y_bar, "y_bar")
-    g = np.asarray(grads, dtype=np.float64)
-    if g.shape != y.shape:
-        raise ShapeMismatch(f"grads shape {g.shape}, expected {y.shape}")
+    y = checked(y_bar, "y_bar", (None, None))
+    g = checked(grads, "grads", y.shape)
     solver = linalg.TikhonovSolver(hessian, lam)
-    return NewtonTarget(y - solver.solve_mat(g.T).T)
+    return NewtonTarget(checked(y - solver.solve_mat(g.T).T, "z_star", y.shape))
 
 
 def newton_loss_eval(y, target: NewtonTarget):
@@ -175,12 +161,11 @@ def newton_loss_eval(y, target: NewtonTarget):
     The rows are unscaled, matching the LossProbe convention; net.backward
     applies the 1/N mean reduction.
     """
-    y = linalg.as_matrix(y, "y")
-    z = np.asarray(target.z_star, dtype=np.float64)
-    if z.shape != y.shape:
-        raise ShapeMismatch(f"target shape {z.shape}, expected {y.shape}")
+    y = checked(y, "y", (None, None))
+    z = checked(target.z_star, "target.z_star", y.shape)
     diff = y - z
     value = 0.5 * float(np.sum(diff * diff)) / y.shape[0]
+    checked(value, "loss value", ())  # an overflowing difference makes it inf
     return value, diff
 
 
@@ -190,7 +175,7 @@ def newton_loss_probe(target: NewtonTarget) -> LossProbe:
     The wrapped loss is quadratic with identity Hessian, so rebuilding
     targets from it at lam = 0 reproduces z_star.
     """
-    z = np.asarray(target.z_star, dtype=np.float64)
+    z = checked(target.z_star, "target.z_star", (None, None))
 
     def value(y):
         d = np.asarray(y, dtype=np.float64) - z
@@ -214,7 +199,7 @@ def inject_fisher(batch_grads, lam):
     the result into the same backward pass reproduces Fisher target training
     without ever forming targets.  Requires lam > 0.
     """
-    g = linalg.as_matrix(batch_grads, "batch_grads")
+    g = checked(batch_grads, "batch_grads", (None, None))
     if not np.isfinite(lam) or lam <= 0:
         raise ValueError("inject_fisher requires lam > 0")
     n = g.shape[0]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteResult, ShapeMismatch, TooLarge
+from .errors import NonFiniteResult, ShapeMismatch, TooLarge, checked
 
 # neighbour order of every walk, and so the tie rule: up, left, down, right
 _PRED_ORDER = ((-1, 0), (0, -1), (1, 0), (0, 1))
@@ -276,9 +276,7 @@ def indicator_argmax(scores, height, width):
     the result is the exact argmax whenever every implied cost stays
     positive, which perturbations far smaller than the cost scale ensure.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (height * width,):
-        raise ShapeMismatch(f"expected {height * width} scores, got {scores.shape}")
+    scores = checked(scores, "scores", (height * width,))
     costs = np.maximum(-scores.reshape(height, width), ARGMAX_COST_FLOOR)
     return dijkstra_grid(GridInstance(height=height, width=width, node_costs=costs)).ravel()
 

@@ -15,13 +15,15 @@ gradient mean[argmax(y+e)] - w_star, which never needs a loss value.
 Every estimator reduces one probe of f at y plus a draw set. Draws come
 from a counter-based Philox stream keyed by cfg.seed, so estimates are
 bit-reproducible and estimators called with one cfg redraw identical draws.
+The point, every black-box output and every estimate pass errors.checked,
+so a non-finite value raises NonFiniteResult instead of entering a result.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteResult, ShapeMismatch
+from .errors import ConfigError, ShapeMismatch, checked
 
 
 @dataclass
@@ -50,31 +52,9 @@ class SmoothingConfig:
             raise ConfigError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
 
 
-def _point(y):
-    """y as the float64 point every estimator perturbs: a nonempty 1-d vector."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or not y.size:
-        raise ShapeMismatch(f"the smoothed point must be a nonempty 1-d vector, got {y.shape}")
-    return y
-
-
 def _draws(cfg, m):
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     return cfg.sigma * rng.standard_normal((cfg.samples, m))
-
-
-def _checked(vals, shape, what):
-    """vals, once it has the given shape and only finite entries."""
-    if vals.shape != shape:
-        raise ShapeMismatch(f"black-box {what} shape {vals.shape}, expected {shape}")
-    if not np.isfinite(vals).all():
-        raise NonFiniteResult(f"black-box {what} has non-finite values")
-    return vals
-
-
-def _base(f, y):
-    """f(y), the scalar baseline, checked as _probe checks each draw's value."""
-    return _checked(np.asarray(f(y), dtype=np.float64), (), "base value")
 
 
 def _probe(f, y, cfg, shape=()):
@@ -86,37 +66,37 @@ def _probe(f, y, cfg, shape=()):
         vals = np.array(outs, dtype=np.float64)
     except ValueError:
         raise ShapeMismatch("black-box output shape changed between probes") from None
-    return eps, _checked(vals, (cfg.samples, *shape), "probe")
+    return eps, checked(vals, "black-box probe", (cfg.samples, *shape))
 
 
 def smooth_grad(f, y, cfg):
     """Score-function gradient estimate of the Gaussian-smoothed f at y."""
-    y = _point(y)
+    y = checked(y, "y", (None,))
     eps, vals = _probe(f, y, cfg)
-    return ((vals - _base(f, y))[:, None] * eps).mean(axis=0) / cfg.sigma**2
+    w = vals - checked(f(y), "black-box base value", ())  # the baseline, checked as each draw
+    return checked((w[:, None] * eps).mean(axis=0) / cfg.sigma**2, "gradient estimate", y.shape)
 
 
 def smooth_hessian(f, y, cfg):
     """Estimate of the smoothed Hessian, symmetrized exactly."""
-    y = _point(y)
+    y = checked(y, "y", (None,))
     eps, vals = _probe(f, y, cfg)
-    w = vals - _base(f, y)
+    w = vals - checked(f(y), "black-box base value", ())
     # mean_i w_i (e_i e_i^T / s^4 - I / s^2), accumulated as matrix products
     outer = (eps * w[:, None]).T @ eps / (cfg.samples * cfg.sigma**4)
     h = outer - np.mean(w) / cfg.sigma**2 * np.eye(y.shape[0])
-    return 0.5 * (h + h.T)
+    return checked(0.5 * (h + h.T), "hessian estimate", h.shape)
 
 
 def smooth_jacobian(f, y, cfg):
     """(mean, jac) of a vector function from one draw set: the smoothed
     output mean[f(y+e)] and its per-row smoothed gradients."""
-    y = _point(y)
-    base = np.asarray(f(y), dtype=np.float64)
-    if base.ndim != 1:
-        raise ShapeMismatch(f"vector black box must return 1-d output, got {base.shape}")
-    _checked(base, base.shape, "base value")
+    y = checked(y, "y", (None,))
+    base = checked(f(y), "black-box base value", (None,))
     eps, vals = _probe(f, y, cfg, base.shape)
-    return vals.mean(axis=0), (vals - base).T @ eps / (cfg.samples * cfg.sigma**2)
+    mean = checked(vals.mean(axis=0), "mean estimate", base.shape)
+    jac = (vals - base).T @ eps / (cfg.samples * cfg.sigma**2)
+    return mean, checked(jac, "jacobian estimate", jac.shape)
 
 
 def fy_loss_grad(y, w_star, argmax_solver, cfg):
@@ -124,10 +104,6 @@ def fy_loss_grad(y, w_star, argmax_solver, cfg):
 
     Only argmax calls are made; the loss value itself is never formed.
     """
-    y = _point(y)
-    w_star = np.asarray(w_star, dtype=np.float64)
-    if w_star.shape != y.shape:
-        raise ShapeMismatch(
-            f"target indicator shape {w_star.shape} != score shape {y.shape}"
-        )
+    y = checked(y, "y", (None,))
+    w_star = checked(w_star, "w_star", y.shape)
     return _probe(argmax_solver, y, cfg, y.shape)[1].mean(axis=0) - w_star

@@ -281,13 +281,16 @@ class TestMetrics:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_path_metrics_rejects_non_finite_outputs(self, bad):
-        with pytest.raises(NonFiniteResult, match="^held-out outputs have non-finite entries$"):
+        with pytest.raises(NonFiniteResult, match=f"^held-out outputs must be finite, got {bad}$"):
             trainers.path_metrics(np.array([[bad, 0.0, 0.0, 0.0]]), np.ones((1, 2, 2)), 2)
 
     def test_no_held_out_records_is_a_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch, match="^no held-out records to score$"):
+        empty = r"^held-out scores must be 2-D and nonempty, got shape \(0, 3\)$"
+        with pytest.raises(ShapeMismatch, match=empty):
             trainers.rank_metrics(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
-        with pytest.raises(ShapeMismatch, match="^no held-out records to score$"):
+        # a 2x2 grid's rows hold 4 outputs each
+        empty = r"^held-out outputs must have shape \(\*, 4\), got shape \(0, 4\)$"
+        with pytest.raises(ShapeMismatch, match=empty):
             trainers.path_metrics(np.zeros((0, 4)), np.zeros((0, 2, 2)), 2)
 
     def test_path_metrics_solves_one_stack_outside_the_memo(self, monkeypatch):
@@ -343,6 +346,12 @@ class TestConfigValidation:
             _quick_cfg(mode="nl_hessian", lam=0.0)
         with pytest.raises(ConfigError):
             _quick_cfg(sigma=0.0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
+    def test_seed_is_checked_when_the_config_is_built(self, seed):
+        # not numpy's bare ValueError from the first generator the run builds
+        with pytest.raises(ConfigError, match=r"^seed must be an integer >= 0, got "):
+            trainers.ExperimentConfig(task="rank", method="neuralsort", seed=seed)
 
     def test_rejects_bad_sort_settings_before_a_run(self):
         with pytest.raises(ConfigError, match="tau must be > 0"):

@@ -1,0 +1,358 @@
+"""errors.checked, the package's one array check, and the contract of the
+library entry points that route their inputs through it: each call returns
+finite output of the documented shape or raises a package error."""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from newtonbench import diffsort, linalg, net, newton, shortest_path, smoothing
+from newtonbench.bench import trainers
+from newtonbench.errors import NewtonBenchError, NonFiniteResult, ShapeMismatch, checked
+
+
+class TestChecked:
+    def test_a_none_entry_matches_any_nonzero_length(self):
+        assert checked(np.ones((3, 2)), "a", (None, 2)).shape == (3, 2)
+        message = r"^a must have shape \(\*, 2\), got shape \(0, 2\)$"
+        with pytest.raises(ShapeMismatch, match=message):
+            checked(np.ones((0, 2)), "a", (None, 2))
+
+    def test_an_all_none_shape_asks_for_a_nonempty_array(self):
+        with pytest.raises(ShapeMismatch, match=r"^a must be 1-D and nonempty, got shape \(0,\)$"):
+            checked([], "a", (None,))
+
+    def test_an_exact_zero_length_matches(self):
+        assert checked(np.ones((0, 3)), "a", (0, 3)).shape == (0, 3)
+        message = r"^a must have shape \(0, 3\), got shape \(1, 3\)$"
+        with pytest.raises(ShapeMismatch, match=message):
+            checked(np.ones((1, 3)), "a", (0, 3))
+
+    def test_a_scalar_shape(self):
+        assert checked(2, "a", ()) == 2.0
+        with pytest.raises(ShapeMismatch, match=r"^a must have shape \(\), got shape \(1,\)$"):
+            checked([2.0], "a", ())
+
+    @pytest.mark.parametrize("shape", [(None,), (None, None, None), (2, 2, 1)])
+    def test_the_wrong_number_of_dimensions(self, shape):
+        with pytest.raises(ShapeMismatch, match=r"^a must .*, got shape \(2, 2\)$"):
+            checked(np.ones((2, 2)), "a", shape)
+
+    @pytest.mark.parametrize(
+        "a,want",
+        [([1, 2], [1.0, 2.0]), (np.array([True, False]), [1.0, 0.0])],
+        ids=["int", "bool"],
+    )
+    def test_int_and_bool_come_back_as_float64(self, a, want):
+        out = checked(a, "a", (2,))
+        assert out.dtype == np.float64
+        assert out.tolist() == want
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_entries(self, bad):
+        with pytest.raises(NonFiniteResult, match=f"^a must be finite, got {bad}$"):
+            checked([[1.0, bad]], "a", (1, 2))
+        with pytest.raises(NonFiniteResult, match=f"^a must be finite, got {bad}$"):
+            checked(bad, "a", ())
+
+    def test_the_shape_is_checked_before_the_entries(self):
+        with pytest.raises(ShapeMismatch):
+            checked([np.nan], "a", (2,))
+
+    def test_float64_input_comes_back_without_a_copy(self):
+        a = np.ones((2, 3))
+        assert checked(a, "a", (None, 3)) is a
+
+
+# ------------------------------------------------------------ the contract
+
+# signed zeros, subnormals and the edges of the float range, beside ordinary
+# values that let a call get past its checks; one entry may turn non-finite
+FINITE = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, 1.0, -0.5)
+NON_FINITE = (np.nan, np.inf, -np.inf)
+
+
+@st.composite
+def arrays(draw):
+    """Arrays of 0, 1 or 2 rows and 1 to 3 dimensions over FINITE, with at
+    most one NON_FINITE entry."""
+    shape = (draw(st.integers(0, 2)), *draw(st.lists(st.integers(1, 3), max_size=2)))
+    size = math.prod(shape)
+    cells = draw(st.lists(st.sampled_from(FINITE), min_size=size, max_size=size))
+    if size and draw(st.booleans()):
+        cells[draw(st.integers(0, size - 1))] = draw(st.sampled_from(NON_FINITE))
+    return np.array(cells, dtype=np.float64).reshape(shape)
+
+
+SMOOTH = smoothing.SmoothingConfig(sigma=0.1, samples=3, seed=0)
+SHIFTED = newton.LossProbe(grad=lambda v: v - 1.0)
+
+# name -> call(a), which returns [(output, its documented shape), ...]; the
+# drawn array a goes in one argument, every other argument is ordinary
+ENTRY_POINTS = {}
+
+
+def entry(fn):
+    ENTRY_POINTS[fn.__name__] = fn
+    return fn
+
+
+def _square(a):
+    return (a.shape[-1],) * 2
+
+
+def _onehot(u):
+    return np.eye(len(u))[np.argmax(u)]
+
+
+def _switch(a):
+    """A black box that returns one of a's entries by the sign of u[0]."""
+    return lambda u: a.flat[int(u[0] > 0) % a.size] if a.size else a
+
+
+@entry
+def solver_matrix(a):
+    return [(linalg.TikhonovSolver(a, 0.1).solve(np.ones(len(a))), (len(a),))]
+
+
+@entry
+def solver_vector(a):
+    return [(linalg.TikhonovSolver(np.eye(2), 0.1).solve(a), (2,))]
+
+
+@entry
+def solver_block(a):
+    return [(linalg.TikhonovSolver(np.eye(len(a)), 0.1).solve_mat(a), a.shape)]
+
+
+@entry
+def woodbury_gradients(a):
+    rhs = np.ones((1, a.shape[-1]))
+    return [(linalg.woodbury_solve(a, 0.1, rhs), rhs.shape)]
+
+
+@entry
+def woodbury_rhs(a):
+    return [(linalg.woodbury_solve(np.ones((2, a.shape[-1])), 0.1, a), a.shape)]
+
+
+@entry
+def inject_fisher(a):
+    return [(newton.inject_fisher(a, 0.1), a.shape)]
+
+
+@entry
+def batch_hessian_point(a):
+    return list(zip(newton.batch_hessian(SHIFTED, a), (a.shape, _square(a))))
+
+
+@entry
+def batch_hessian_grads(a):
+    parts = newton.batch_hessian(newton.LossProbe(grad=lambda v: a), np.ones(a.shape))
+    return list(zip(parts, (a.shape, _square(a))))
+
+
+@entry
+def target_fisher(a):
+    return [(newton.newton_target_fisher(a, SHIFTED, 0.1).z_star, a.shape)]
+
+
+@entry
+def target_grads(a):
+    target = newton.newton_target_from_parts(np.ones(a.shape), a, np.eye(a.shape[-1]), 0.1)
+    return [(target.z_star, a.shape)]
+
+
+@entry
+def target_point(a):
+    target = newton.newton_target_from_parts(a, -a, np.zeros(_square(a)), 1.0)
+    return [(target.z_star, a.shape)]
+
+
+@entry
+def target_hessian(a):
+    rows = np.ones((2, len(a)))
+    return [(newton.newton_target_from_parts(rows, rows, a, 0.1).z_star, rows.shape)]
+
+
+@entry
+def loss_eval_point(a):
+    parts = newton.newton_loss_eval(a, newton.NewtonTarget(np.ones(a.shape)))
+    return list(zip(parts, ((), a.shape)))
+
+
+@entry
+def loss_eval_target(a):
+    parts = newton.newton_loss_eval(np.ones(a.shape), newton.NewtonTarget(a))
+    return list(zip(parts, ((), a.shape)))
+
+
+@entry
+def hard_rank(a):
+    return [(diffsort.hard_rank(a).matrix, (len(a),) * 2)]
+
+
+@entry
+def neuralsort(a):
+    return [(diffsort.neuralsort_perm(a, 1.0).entries, (len(a),) * 2)]
+
+
+@entry
+def dsn(a):
+    return [(diffsort.dsn_perm(a, 10.0, "cauchy").entries, (len(a),) * 2)]
+
+
+@entry
+def ranking_loss(a):
+    truth = diffsort.truth_from_order(range(len(a)))
+    parts = diffsort.ranking_loss(a, truth, diffsort.SortConfig("softsort"))
+    return list(zip(parts, ((), (len(a),))))
+
+
+@entry
+def smooth_grad_point(a):
+    return [(smoothing.smooth_grad(np.sum, a, SMOOTH), (len(a),))]
+
+
+@entry
+def smooth_grad_values(a):
+    return [(smoothing.smooth_grad(_switch(a), np.zeros(2), SMOOTH), (2,))]
+
+
+@entry
+def smooth_hessian_point(a):
+    return [(smoothing.smooth_hessian(np.max, a, SMOOTH), (len(a),) * 2)]
+
+
+@entry
+def smooth_hessian_values(a):
+    return [(smoothing.smooth_hessian(_switch(a), np.zeros(2), SMOOTH), (2, 2))]
+
+
+@entry
+def smooth_jacobian_values(a):
+    estimates = smoothing.smooth_jacobian(lambda u: a, np.zeros(2), SMOOTH)
+    return list(zip(estimates, (a.shape, (*a.shape, 2))))
+
+
+@entry
+def fy_point(a):
+    return [(smoothing.fy_loss_grad(a, np.zeros(len(a)), _onehot, SMOOTH), (len(a),))]
+
+
+@entry
+def fy_target(a):
+    return [(smoothing.fy_loss_grad(np.ones(len(a)), a, _onehot, SMOOTH), (len(a),))]
+
+
+def _model_step(a, kind):
+    """backward with output gradient rows a, then one optimizer step."""
+    model = net.Mlp.init([2, 3, 1], ["tanh", "identity"], 0)
+    _, tape = net.forward(model, np.ones((len(a), 2)))
+    grads = net.backward(model, tape, a)
+    net.optimizer_step(net.OptimizerState.create(kind, 0.1, model), model, grads)
+    return [(grads, model.flat.shape), (model.flat, model.flat.shape)]
+
+
+@entry
+def sgd_step(a):
+    return _model_step(a, "sgd")
+
+
+@entry
+def adam_step(a):
+    return _model_step(a, "adam")
+
+
+@entry
+def indicator_argmax(a):
+    return [(shortest_path.indicator_argmax(a, 1, len(a)), (len(a),))]
+
+
+@entry
+def rank_metrics(a):
+    metrics = trainers.rank_metrics(a, np.argsort(-np.ones(a.shape), axis=-1))
+    return [(list(metrics.values()), (2,))]
+
+
+@entry
+def path_metrics(a):
+    metrics = trainers.path_metrics(a, np.ones((len(a), 1, 1)), 1)
+    return [(list(metrics.values()), (1,))]
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(a=arrays())
+def test_entry_points_return_finite_output_of_their_shape_or_a_package_error(name, a):
+    try:
+        with warnings.catch_warnings():
+            # overflow inside a relaxation warns on its way to NonFiniteResult
+            warnings.simplefilter("ignore", RuntimeWarning)
+            outputs = ENTRY_POINTS[name](a)
+    except NewtonBenchError:
+        return
+    for out, shape in outputs:
+        out = np.asarray(out)
+        assert out.shape == shape
+        assert np.all(np.isfinite(out))
+
+
+# what the contract test found, one explicit case each
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (
+            lambda: newton.newton_loss_eval([[1e308]], newton.NewtonTarget([[-1e308]])),
+            "^loss value must be finite, got inf$",
+        ),
+        (
+            lambda: newton.newton_target_from_parts([[-1e308]], [[1e308]], [[0.0]], 1.0),
+            "^z_star must be finite, got -inf$",
+        ),
+        (
+            lambda: smoothing.smooth_grad(_switch(np.array([-1e308, 1e308])), np.zeros(2), SMOOTH),
+            "^gradient estimate must be finite, got ",
+        ),
+        (
+            lambda: smoothing.smooth_jacobian(lambda u: np.array([1e308]), np.zeros(2), SMOOTH),
+            "^mean estimate must be finite, got inf$",
+        ),
+    ],
+    ids=["loss-value", "target", "smoothed-gradient", "smoothed-mean"],
+)
+def test_an_overflowing_output_raises(call, message):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteResult, match=message):
+            call()
+
+
+def test_path_metrics_rows_must_hold_one_grid_each():
+    message = r"^held-out outputs must have shape \(\*, 4\), got shape \(2, 3\)$"
+    with pytest.raises(ShapeMismatch, match=message):
+        trainers.path_metrics(np.zeros((2, 3)), np.ones((2, 2, 2)), 2)
+
+
+# one stored label per held-out row: fewer labels used to broadcast against
+# the rows and score above 100%, or stop at numpy's broadcast ValueError
+@pytest.mark.parametrize(
+    "score,message",
+    [
+        (
+            lambda: trainers.rank_metrics(np.zeros((2, 3)), np.zeros((1, 3), dtype=np.int64)),
+            r"^rankings must have shape \(2, 3\), got shape \(1, 3\)$",
+        ),
+        (
+            lambda: trainers.path_metrics(np.zeros((2, 4)), np.ones((1, 2, 2)), 2),
+            r"^masks must have shape \(2, 2, 2\), got shape \(1, 2, 2\)$",
+        ),
+    ],
+    ids=["rank", "path"],
+)
+def test_metrics_want_one_label_per_row(score, message):
+    with pytest.raises(ShapeMismatch, match=message):
+        score()

@@ -103,6 +103,10 @@ class TestSolveTikhonov:
         with pytest.raises(ShapeMismatch):
             linalg.TikhonovSolver(np.ones((2, 3)), 1.0).solve(np.ones(2))
 
+    def test_an_empty_rhs_vector_is_named(self):
+        with pytest.raises(ShapeMismatch, match=r"^g must have shape \(2,\), got shape \(0,\)$"):
+            linalg.TikhonovSolver(np.eye(2), 1.0).solve([])
+
 
 class TestWoodburySolve:
     def test_single_row(self):

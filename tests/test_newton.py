@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from newtonbench import diffsort, linalg, net, newton
-from newtonbench.errors import ConfigError, ShapeMismatch, SingularMatrix
+from newtonbench.errors import ConfigError, NonFiniteResult, ShapeMismatch, SingularMatrix
 
 from oracles import gauss_jordan_inverse, rel_err
 
@@ -105,6 +105,11 @@ class TestHessianTargets:
         t2 = newton.newton_target_from_parts(y, probe.grad(y), a, 0.05)
         assert np.array_equal(t1.z_star, t2.z_star)
 
+    def test_from_parts_names_non_finite_grads(self):
+        grads = np.array([[1.0, np.nan]])
+        with pytest.raises(NonFiniteResult, match="^grads must be finite, got nan$"):
+            newton.newton_target_from_parts(np.zeros((1, 2)), grads, np.eye(2), 0.1)
+
 
 class TestFisherTargets:
     def test_single_row_worked_example(self):
@@ -197,6 +202,19 @@ class TestNewtonLossEval:
         target = newton.NewtonTarget(z_star=np.zeros((2, 3)))
         with pytest.raises(ShapeMismatch):
             newton.newton_loss_eval(np.zeros((3, 2)), target)
+
+    @pytest.mark.parametrize(
+        "use",
+        [
+            lambda t: newton.newton_loss_eval(np.zeros((1, 2)), t),
+            newton.newton_loss_probe,  # its value used to read nan
+        ],
+        ids=["eval", "probe"],
+    )
+    def test_non_finite_target_raises(self, use):
+        target = newton.NewtonTarget(z_star=np.array([[0.0, np.nan]]))
+        with pytest.raises(NonFiniteResult, match="^target.z_star must be finite, got nan$"):
+            use(target)
 
 
 class TestFixpointAndLimits:

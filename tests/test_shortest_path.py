@@ -442,3 +442,7 @@ class TestArgmaxView:
             inst = random_grid(rng, 4, 4)
             w = sp.indicator_argmax(-inst.node_costs.ravel(), 4, 4)
             np.testing.assert_array_equal(w.reshape(4, 4), sp.dijkstra_grid(inst))
+
+    def test_a_non_finite_score_is_named(self):
+        with pytest.raises(NonFiniteResult, match="^scores must be finite, got nan$"):
+            sp.indicator_argmax(np.array([-1.0, np.nan, -1.0, -1.0]), 2, 2)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -236,8 +238,28 @@ def test_base_value_checked_like_the_draws(estimator, value, base, error):
 )
 def test_the_point_must_be_a_nonempty_vector(estimate, y):
     cfg = SmoothingConfig(sigma=0.1, samples=5, seed=0)
-    with pytest.raises(ShapeMismatch, match="^the smoothed point must be a nonempty 1-d vector"):
+    got = re.escape(str(np.shape(y)))
+    with pytest.raises(ShapeMismatch, match=rf"^y must be 1-D and nonempty, got shape {got}$"):
         estimate(y, cfg)
+
+
+# a non-finite point is named as such: an estimate at [inf, 1] used to come
+# back as zeros, and a NaN point was blamed on the black box
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda y, cfg: smoothing.smooth_grad(lambda u: 1.0, y, cfg),
+        lambda y, cfg: smoothing.smooth_hessian(lambda u: 1.0, y, cfg),
+        lambda y, cfg: smoothing.smooth_jacobian(lambda u: np.ones(2), y, cfg),
+        lambda y, cfg: smoothing.fy_loss_grad(y, np.zeros(2), lambda u: np.zeros(2), cfg),
+    ],
+    ids=["grad", "hessian", "jacobian", "fy"],
+)
+def test_the_point_must_be_finite(estimate, bad):
+    cfg = SmoothingConfig(sigma=0.1, samples=5, seed=0)
+    with pytest.raises(NonFiniteResult, match=f"^y must be finite, got {bad}$"):
+        estimate(np.array([bad, 1.0]), cfg)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, "0", None])
