@@ -201,10 +201,12 @@ def _rank_grads(cfg, y, rankings, step):
 # ---------------------------------------------------------------- path task
 
 
-def _mask_of_raw(raw, size):
-    costs = datagen.costs_from_raw(raw).reshape(size, size)
-    inst = shortest_path.GridInstance(height=size, width=size, node_costs=costs)
-    return shortest_path.dijkstra_grid(inst).ravel()
+def _masks_of_raw(raw, size):
+    """The solver's flat masks for a (k, size*size) stack of raw outputs: one
+    GridInstance and one dijkstra_grid call, through the module attribute, per row."""
+    costs = datagen.costs_from_raw(raw).reshape(-1, size, size)
+    grids = [shortest_path.GridInstance(height=size, width=size, node_costs=c) for c in costs]
+    return np.array([shortest_path.dijkstra_grid(g) for g in grids]).reshape(len(costs), -1)
 
 
 def path_metrics(raw_rows, masks, size):
@@ -227,11 +229,10 @@ def _path_grads(cfg, y, masks, step):
     rows = np.empty_like(y)
     hess = np.zeros((m, m)) if cfg.mode == "nl_hessian" else None
 
-    def solver(u):
-        return _mask_of_raw(u, size)
-
-    def argmax(s):
-        return shortest_path.indicator_argmax(s, size, size)
+    solver = smoothing.Stacked(lambda u: _masks_of_raw(u, size))
+    argmax = smoothing.Stacked(
+        lambda s: np.array([shortest_path.indicator_argmax(r, size, size) for r in s])
+    )
 
     for j, mask in enumerate(masks.reshape(n, m)):
         scfg = smoothing.SmoothingConfig(
@@ -240,11 +241,10 @@ def _path_grads(cfg, y, masks, step):
             seed=_sub_seed(cfg.seed, _PATH_SEED_TAGS[cfg.method], step, j),
         )
         if cfg.method == "ss_loss":
-
-            def hamming(u):
-                # the sum of |solved - mask| over 0/1 masks, exactly
-                return float(np.count_nonzero(_mask_of_raw(u, size) != mask))
-
+            # the sum of |solved - mask| over 0/1 masks, exactly, per point
+            hamming = smoothing.Stacked(
+                lambda u: np.count_nonzero(_masks_of_raw(u, size) != mask, axis=1)
+            )
             rows[j] = smoothing.smooth_grad(hamming, y[j], scfg)
             if hess is not None:
                 hess += smoothing.smooth_hessian(hamming, y[j], scfg)

@@ -46,9 +46,7 @@ class TikhonovSolver:
 
     def solve_mat(self, B):
         """Solve against an (dim x k) block of right-hand sides."""
-        B = checked(B, "B", (None, None))
-        if B.shape[0] != self.dim:
-            raise ShapeMismatch(f"rhs rows {B.shape[0]} != system dim {self.dim}")
+        B = checked(B, "B", (self.dim, None))
         X = self._V @ ((self._V.T @ B) / self._w[:, None])
         if not np.all(np.isfinite(X)):
             raise NonFiniteResult("solve produced non-finite values")

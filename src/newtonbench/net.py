@@ -110,15 +110,8 @@ def clone_model(model):
 
 def forward(model, batch):
     """Run the batch through the model, returning outputs and a tape."""
-    x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeMismatch(f"inputs must be 2-d, got shape {x.shape}")
-    if x.shape[1] != model.weights[0].shape[1]:
-        raise ShapeMismatch(
-            f"input width {x.shape[1]} != model width {model.weights[0].shape[1]}"
-        )
+    a = checked(batch, "batch", (None, model.weights[0].shape[1]))
     inputs, preacts = [], []
-    a = x
     for W, b, act in zip(model.weights, model.biases, model.activations):
         inputs.append(a)
         z = a @ W.T + b

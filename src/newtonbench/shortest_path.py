@@ -17,6 +17,7 @@ training.
 
 import functools
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,11 @@ class GridInstance:
             raise ShapeMismatch(
                 f"costs shape {costs.shape} must be ({self.height}, {self.width}), no side empty"
             )
-        if not all(0.0 < c < np.inf for c in costs.ravel().tolist()):
-            _check_costs(costs)  # one pass accepts; this only names the failure
+        # positive cells with a finite sum are all finite; any other grid,
+        # a finite one whose sum overflows too, gets the full check
+        cells = costs.ravel().tolist()
+        if not (min(cells) > 0.0 and math.isfinite(sum(cells))):
+            _check_costs(costs)
 
 
 def _check_costs(costs):

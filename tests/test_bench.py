@@ -10,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from newtonbench import diffsort, net, shortest_path
+from newtonbench import diffsort, net, shortest_path, smoothing
 from newtonbench.bench import checks, cli, datagen, report, slices, trainers
 from newtonbench.errors import ConfigError, NonFiniteResult, ShapeMismatch
 
@@ -298,7 +298,7 @@ class TestMetrics:
         raw = rng.normal(0.0, 1.0, (40, 9))
 
         def per_grid(r):
-            return trainers._mask_of_raw(r, 3).reshape(3, 3)
+            return trainers._masks_of_raw(r[None], 3).reshape(3, 3)
 
         masks = np.stack([per_grid(r if j % 3 else -r) for j, r in enumerate(raw)])
         hits = sum(np.array_equal(per_grid(r), m) for r, m in zip(raw, masks))
@@ -352,6 +352,12 @@ class TestConfigValidation:
         # not numpy's bare ValueError from the first generator the run builds
         with pytest.raises(ConfigError, match=r"^seed must be an integer >= 0, got "):
             trainers.ExperimentConfig(task="rank", method="neuralsort", seed=seed)
+
+    @pytest.mark.parametrize("samples", [2.5, 0])
+    def test_samples_are_checked_when_the_config_is_built(self, samples):
+        # not a bare TypeError from the first draw block of the run
+        with pytest.raises(ConfigError, match=r"^samples must be an integer >= 1, got "):
+            trainers.ExperimentConfig(task="path", method="ss_loss", samples=samples)
 
     def test_rejects_bad_sort_settings_before_a_run(self):
         with pytest.raises(ConfigError, match="tau must be > 0"):
@@ -491,6 +497,21 @@ class TestPathOutputGrads:
             assert isinstance(inst, shortest_path.GridInstance)
             assert inst.node_costs.dtype == np.float64
             assert inst.node_costs.shape == (cfg.grid, cfg.grid)
+
+    def test_one_draw_block_per_row(self, monkeypatch):
+        # at stepbench's path-hessian shape the gradient and the Hessian
+        # estimates of a row share its draws, so each row builds one generator
+        cfg, masks, y = self._setup("ss_loss", "nl_hessian", 4, 20, 10)
+        philox, keys = np.random.Philox, []
+
+        def counted(key):
+            keys.append(key)
+            return philox(key=key)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        smoothing._draws.cache_clear()
+        trainers.output_grads(cfg, y, masks, 1)
+        assert len(keys) == len(set(keys)) == 20
 
 
 class TestRankOutputGrads:

@@ -240,6 +240,20 @@ def smooth_jacobian_values(a):
 
 
 @entry
+def smooth_grad_stacked(a):
+    # a Stacked black box whose outputs repeat a's entries along the stack
+    rows = smoothing.Stacked(lambda p: np.resize(a, len(p)) if a.size else a)
+    return [(smoothing.smooth_grad(rows, np.zeros(2), SMOOTH), (2,))]
+
+
+@entry
+def smooth_jacobian_stacked(a):
+    rows = smoothing.Stacked(lambda p: np.resize(a, (len(p), *a.shape[1:])) if a.size else a)
+    estimates = smoothing.smooth_jacobian(rows, np.zeros(2), SMOOTH)
+    return list(zip(estimates, (a.shape[1:], (*a.shape[1:], 2))))
+
+
+@entry
 def fy_point(a):
     return [(smoothing.fy_loss_grad(a, np.zeros(len(a)), _onehot, SMOOTH), (len(a),))]
 
@@ -266,6 +280,12 @@ def sgd_step(a):
 @entry
 def adam_step(a):
     return _model_step(a, "adam")
+
+
+@entry
+def forward_batch(a):
+    model = net.Mlp.init([a.shape[-1], 3, 1], ["tanh", "identity"], 0)
+    return [(net.forward(model, a)[0], (len(a), 1))]
 
 
 @entry

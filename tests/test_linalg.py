@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,19 +15,32 @@ def random_spd(rng, m, scale=1.0):
 
 
 class TestSolveTikhonov:
+    # the right-hand sides must match the system's rows, so their pin names that shape
     @pytest.mark.parametrize(
-        "solve",
+        "solve,message",
         [
-            lambda: linalg.TikhonovSolver(np.zeros((0, 0)), 1.0),
-            lambda: linalg.TikhonovSolver(np.eye(2), 1.0).solve_mat(np.zeros((2, 0))),
-            lambda: linalg.woodbury_solve(np.zeros((0, 3)), 1.0, np.ones((1, 3))),
-            lambda: newton.inject_fisher(np.zeros((0, 3)), 1.0),
+            (lambda: linalg.TikhonovSolver(np.zeros((0, 0)), 1.0), "must be 2-D and nonempty"),
+            (
+                lambda: linalg.TikhonovSolver(np.eye(2), 1.0).solve_mat(np.zeros((2, 0))),
+                r"B must have shape \(2, \*\)",
+            ),
+            (
+                lambda: linalg.woodbury_solve(np.zeros((0, 3)), 1.0, np.ones((1, 3))),
+                "must be 2-D and nonempty",
+            ),
+            (lambda: newton.inject_fisher(np.zeros((0, 3)), 1.0), "must be 2-D and nonempty"),
         ],
         ids=["solver", "rhs", "woodbury", "inject-fisher"],
     )
-    def test_every_matrix_must_be_nonempty(self, solve):
-        with pytest.raises(ShapeMismatch, match="must be 2-D and nonempty, got shape"):
+    def test_every_matrix_must_be_nonempty(self, solve, message):
+        with pytest.raises(ShapeMismatch, match=f"{message}, got shape"):
             solve()
+
+    @pytest.mark.parametrize("rhs", [np.ones((3, 1)), np.ones(2), np.ones((2, 1, 1))])
+    def test_rhs_rows_must_match_the_system(self, rhs):
+        message = rf"^B must have shape \(2, \*\), got shape {re.escape(str(rhs.shape))}$"
+        with pytest.raises(ShapeMismatch, match=message):
+            linalg.TikhonovSolver(np.eye(2), 1.0).solve_mat(rhs)
 
     def test_zero_matrix_unit_lambda_is_identity(self):
         x = linalg.TikhonovSolver(np.zeros((2, 2)), 1.0).solve(np.array([3.0, 4.0]))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,20 @@ class TestForward:
         model = make_model([3, 2], ["relu"])
         with pytest.raises(ShapeMismatch):
             net.forward(model, np.ones((2, 4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_a_non_finite_batch_is_named_as_the_input(self, bad):
+        # not blamed on the forward pass
+        model = make_model([2, 3, 1], ["tanh", "identity"])
+        with pytest.raises(NonFiniteResult, match=f"^batch must be finite, got {bad}$"):
+            net.forward(model, [[bad, 1.0]])
+
+    @pytest.mark.parametrize("shape", [(0, 2), (2,), (1, 2, 1)])
+    def test_a_batch_must_be_a_nonempty_stack_of_rows(self, shape):
+        model = make_model([2, 3, 1], ["tanh", "identity"])
+        message = rf"^batch must have shape \(\*, 2\), got shape {re.escape(str(shape))}$"
+        with pytest.raises(ShapeMismatch, match=message):
+            net.forward(model, np.ones(shape))
 
 
 class TestBackward:

@@ -66,6 +66,29 @@ class TestGridInstance:
         with pytest.raises(ShapeMismatch):
             sp.GridInstance(height=2, width=3, node_costs=np.ones((3, 2)))
 
+    def test_finite_costs_whose_sum_overflows_are_accepted(self):
+        costs = np.full((4, 4), 1e308)
+        with np.errstate(over="raise"):
+            inst = sp.GridInstance(height=4, width=4, node_costs=costs)
+        assert np.array_equal(inst.node_costs, costs)
+
+    # the quick accept and the full check agree on every pair of edge values,
+    # in both orders, beside ordinary cells: same accepted set, same errors
+    EDGES = (1.0, 1e308, 5e-324, 0.0, -0.0, -1.0, np.nan, np.inf, -np.inf)
+
+    @pytest.mark.parametrize("first", EDGES)
+    @pytest.mark.parametrize("second", EDGES)
+    def test_one_pass_accepts_what_the_full_check_accepts(self, first, second):
+        costs = np.ones((2, 2))
+        costs[0, 0], costs[1, 1] = first, second
+        try:
+            sp._check_costs(costs)
+        except (NonFiniteResult, ValueError) as exc:
+            with pytest.raises(type(exc), match=f"^{exc}$"):
+                sp.GridInstance(height=2, width=2, node_costs=costs)
+        else:
+            sp.GridInstance(height=2, width=2, node_costs=costs)
+
     def test_accepts_positive_costs_as_float64(self):
         inst = sp.GridInstance(height=1, width=2, node_costs=[[1, 5e-324]])
         assert inst.node_costs.dtype == np.float64

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -322,3 +323,165 @@ class TestFyLossGrad:
         g = smoothing.fy_loss_grad(y, w_bar, onehot_argmax, cfg)
         se = np.sqrt(0.25 / n + 0.25 / 20_000)
         assert np.linalg.norm(g) <= 4 * se * np.sqrt(3)
+
+
+# ------------------------------------------------ stacked black boxes and draws
+
+
+def _quad(u):
+    return u[0] * u[1] + u[2] ** 2
+
+
+def _quad_rows(p):
+    return p[:, 0] * p[:, 1] + p[:, 2] ** 2
+
+
+# each estimator with a per-point f and a stacked f doing the same float
+# operations per point
+STACKED_PAIRS = [
+    (smoothing.smooth_grad, _quad, _quad_rows),
+    (smoothing.smooth_hessian, _quad, _quad_rows),
+    (
+        smoothing.smooth_jacobian,
+        lambda u: np.array([u[0] ** 2, u[1] * u[2]]),
+        lambda p: np.stack([p[:, 0] ** 2, p[:, 1] * p[:, 2]], axis=1),
+    ),
+    (
+        lambda f, y, cfg: smoothing.fy_loss_grad(y, np.eye(3)[1], f, cfg),
+        onehot_argmax,
+        lambda p: np.eye(p.shape[1])[np.argmax(p, axis=1)],
+    ),
+]
+STACKED_IDS = ["grad", "hessian", "jacobian", "fy"]
+
+
+@pytest.mark.parametrize("estimate,per_point,rows", STACKED_PAIRS, ids=STACKED_IDS)
+def test_a_stacked_black_box_gives_the_per_point_estimate_bit_for_bit(estimate, per_point, rows):
+    y = np.array([0.3, -0.2, 0.25])
+    cfg = SmoothingConfig(sigma=0.2, samples=64, seed=21)
+    calls = []
+
+    def counted(p):
+        calls.append(p.shape)
+        return rows(p)
+
+    want = estimate(per_point, y, cfg)
+    got = estimate(smoothing.Stacked(counted), y, cfg)
+    want, got = (x if isinstance(x, tuple) else (x,) for x in (want, got))  # jacobian: (mean, jac)
+    assert len(want) == len(got)
+    for a, b in zip(want, got):
+        assert np.array_equal(a, b)
+    # one call on the whole draw stack, at most one on the point alone for the base value
+    assert sorted(calls, reverse=True) in ([(64, 3)], [(64, 3), (1, 3)])
+
+
+def test_a_stacked_black_box_raises_its_own_value_error_unwrapped():
+    def f(p):
+        raise ValueError("my own failure")
+
+    cfg = SmoothingConfig(sigma=0.1, samples=5, seed=0)
+    with pytest.raises(ValueError, match="^my own failure$"):
+        smoothing.smooth_grad(smoothing.Stacked(f), np.zeros(2), cfg)
+
+
+# a Stacked black box passes the per-point checks: the probe's name the draw
+# stack, the base value's the one-row stack of the point itself
+@pytest.mark.parametrize(
+    "estimate,rows,error,message",
+    [
+        (
+            smoothing.smooth_grad,
+            lambda p: p,
+            ShapeMismatch,
+            r"^black-box probe must have shape \(5,\), got shape \(5, 2\)$",
+        ),
+        (smoothing.smooth_hessian, lambda p: p[:1, 0], ShapeMismatch, "^black-box probe must"),
+        (
+            smoothing.smooth_jacobian,
+            lambda p: p[:, :1] if len(p) > 1 else p,
+            ShapeMismatch,
+            r"^black-box probe must have shape \(5, 2\), got shape \(5, 1\)$",
+        ),
+        (
+            smoothing.smooth_grad,
+            lambda p: np.full(len(p), np.nan),
+            NonFiniteResult,
+            "^black-box probe must be finite, got nan$",
+        ),
+        (
+            smoothing.smooth_hessian,
+            lambda p: np.where(np.any(p != 0.0, axis=1), 1.0, np.inf),
+            NonFiniteResult,
+            "^black-box base value must be finite, got inf$",
+        ),
+        (
+            smoothing.smooth_jacobian,
+            lambda p: p if len(p) > 1 else np.full_like(p, np.nan),
+            NonFiniteResult,
+            "^black-box base value must be finite, got nan$",
+        ),
+        (
+            smoothing.smooth_grad,
+            lambda p: p[:, 0] if len(p) > 1 else p,
+            ShapeMismatch,
+            r"^black-box base value must have shape \(1,\), got shape \(1, 2\)$",
+        ),
+        (
+            smoothing.smooth_grad,
+            lambda p: np.ones(len(p) + 1),
+            ShapeMismatch,
+            r"^black-box probe must have shape \(5,\), got shape \(6,\)$",
+        ),
+        (
+            lambda f, y, cfg: smoothing.fy_loss_grad(y, np.zeros(2), f, cfg),
+            lambda p: [[1.0] * (1 + i % 2) for i in range(len(p))],
+            ShapeMismatch,
+            "^black-box output shape changed between probes$",
+        ),
+    ],
+    ids=[
+        "grad-shape",
+        "hessian-rows",
+        "jacobian-width",
+        "grad-nan",
+        "hessian-base-inf",
+        "jacobian-base-nan",
+        "grad-base-shape",
+        "grad-extra-row",
+        "fy-ragged",
+    ],
+)
+def test_a_stacked_black_box_keeps_the_checks(estimate, rows, error, message):
+    cfg = SmoothingConfig(sigma=0.1, samples=5, seed=0)
+    with pytest.raises(error, match=message):
+        estimate(smoothing.Stacked(rows), np.zeros(2), cfg)
+
+
+@pytest.mark.parametrize("samples", [2.5, 2.0, "10", None, np.float64(3.0)])
+def test_samples_must_be_an_integer(samples):
+    with pytest.raises(ConfigError, match=r"^samples must be an integer >= 1, got "):
+        SmoothingConfig(sigma=0.1, samples=samples)
+
+
+def test_equal_configs_share_one_read_only_draw_block():
+    smoothing._draws.cache_clear()
+    a = smoothing._draws(SmoothingConfig(sigma=0.1, samples=4, seed=3), 2)
+    b = smoothing._draws(SmoothingConfig(sigma=0.1, samples=4, seed=3), 2)
+    assert a is b and not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0] = 1.0
+    # any other value of the four keys draws its own block
+    keys = [(0.1, 4, 3, 2), (0.2, 4, 3, 2), (0.1, 5, 3, 2), (0.1, 4, 4, 2), (0.1, 4, 3, 3)]
+    for sigma, samples, seed, m in keys:
+        block = smoothing._draws(SmoothingConfig(sigma=sigma, samples=samples, seed=seed), m)
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        assert np.array_equal(block, sigma * rng.standard_normal((samples, m)))
+        assert (block is a) == ((sigma, samples, seed, m) == (0.1, 4, 3, 2))
+
+
+def test_a_config_cannot_be_changed_after_its_draws_are_made():
+    cfg = SmoothingConfig(sigma=0.1, samples=4, seed=3)
+    before = smoothing.smooth_grad(np.sum, np.zeros(2), cfg)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.seed = 4
+    assert np.array_equal(smoothing.smooth_grad(np.sum, np.zeros(2), cfg), before)
