@@ -171,12 +171,8 @@ def _cmd_slice(args):
     return 0
 
 
-def _add_common_run_flags(p, task):
-    p.add_argument("--mode", choices=trainers.MODES)
-    p.add_argument("--lambda", dest="lam", type=float, help="Tikhonov strength")
-    seeding = p.add_mutually_exclusive_group()
-    seeding.add_argument("--seed", type=_seed)
-    seeding.add_argument("--seeds", type=int, help="fan out over seeds 0..k-1")
+def _add_shared_run_flags(p, task):
+    """The run flags of every training command: bench rank|path and ablate lambda."""
     p.add_argument("--steps", type=int)
     p.add_argument("--batch", type=int)
     if task == "rank":
@@ -189,6 +185,15 @@ def _add_common_run_flags(p, task):
         p.add_argument("--samples", type=int, help="smoothing sample count")
     p.add_argument("--data", dest="data_path", help="JSON-lines dataset to reuse")
     p.add_argument("--out", help="output path (default: stdout)")
+
+
+def _add_common_run_flags(p, task):
+    p.add_argument("--mode", choices=trainers.MODES)
+    p.add_argument("--lambda", dest="lam", type=float, help="Tikhonov strength")
+    seeding = p.add_mutually_exclusive_group()
+    seeding.add_argument("--seed", type=_seed)
+    seeding.add_argument("--seeds", type=int, help="fan out over seeds 0..k-1")
+    _add_shared_run_flags(p, task)
     p.add_argument("--format", choices=("json", "tsv"), default="json")
 
 
@@ -232,13 +237,7 @@ def build_parser():
         "--lambdas", default=DEFAULT_LAMBDAS, help="comma-separated ascending values"
     )
     lam.add_argument("--seed", type=_seed)
-    lam.add_argument("--steps", type=int)
-    lam.add_argument("--batch", type=int)
-    lam.add_argument("--n", type=int)
-    lam.add_argument("--tau", type=float)
-    lam.add_argument("--beta", type=float)
-    lam.add_argument("--data", dest="data_path")
-    lam.add_argument("--out")
+    _add_shared_run_flags(lam, "rank")
     lam.set_defaults(fn=_cmd_ablate)
 
     check = sub.add_parser("check", help="numeric self-tests")

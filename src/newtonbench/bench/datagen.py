@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, checked_int
 from .. import shortest_path
 from ..diffsort import hard_rank
 
@@ -69,13 +69,11 @@ def costs_from_raw(raw):
     return np.logaddexp(0.0, raw) + COST_FLOOR
 
 
-def _validate_common(what, size, count, feature_dim):
-    if size < 2:
-        raise ConfigError(f"{what} must be >= 2, got {size}")
-    if count < 1:
-        raise ConfigError(f"count must be >= 1, got {count}")
-    if feature_dim < 1:
-        raise ConfigError(f"feature_dim must be >= 1, got {feature_dim}")
+def _validate_common(seed, size_name, size, count, feature_dim):
+    checked_int(seed, "seed", 0)
+    checked_int(size, size_name, 2)
+    checked_int(count, "count", 1)
+    checked_int(feature_dim, "feature_dim", 1)
 
 
 def min_latent_gap(n):
@@ -117,7 +115,7 @@ def _draw_records(rng, count, shape, accept, failure):
 
 def gen_ranking_data(seed, n, count, feature_dim=FEATURE_DIM):
     """Feature sets whose hidden latent scores induce the stored ranking."""
-    _validate_common("ranking length", n, count, feature_dim)
+    _validate_common(seed, "n", n, count, feature_dim)
     readout = _readout(seed, feature_dim, tag=1)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 11)))
     gap = min_latent_gap(n)
@@ -137,7 +135,7 @@ def gen_ranking_data(seed, n, count, feature_dim=FEATURE_DIM):
 
 def gen_grid_data(seed, size, count, feature_dim=FEATURE_DIM):
     """Per-cell feature grids whose hidden costs induce the stored mask."""
-    _validate_common("grid size", size, count, feature_dim)
+    _validate_common(seed, "size", size, count, feature_dim)
     readout = _readout(seed, feature_dim, tag=2)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 12)))
 
@@ -195,13 +193,6 @@ def _json_object(path, lineno, line, fields):
     return obj
 
 
-def _header_int(path, meta, key, least):
-    value = meta[key]
-    if type(value) is not int or value < least:
-        raise ConfigError(f"{path} line 1: {key} must be an int >= {least}, got {value!r}")
-    return value
-
-
 def _record(kind, row, size, shape):
     features = np.asarray(row["features"], dtype=np.float64)
     if features.shape != shape:
@@ -236,9 +227,9 @@ def load_dataset(path):
                 raise ConfigError(f"unrecognized dataset header in {path}")
             size_key, label_key = _KINDS[kind]
             meta = _json_object(path, 1, header, (size_key, "feature_dim", "seed"))
-            size = _header_int(path, meta, size_key, 1)
-            feature_dim = _header_int(path, meta, "feature_dim", 1)
-            seed = _header_int(path, meta, "seed", 0)
+            size = checked_int(meta[size_key], f"{path} line 1: {size_key}", 1)
+            feature_dim = checked_int(meta["feature_dim"], f"{path} line 1: feature_dim", 1)
+            seed = checked_int(meta["seed"], f"{path} line 1: seed", 0)
             feature_shape = (size if kind == "rank" else size * size, feature_dim)
             records = []
             for lineno, line in enumerate(fh, start=2):

@@ -16,10 +16,11 @@ and smoothing draws all derive from cfg.seed through separate seed streams.
 """
 
 from dataclasses import dataclass, asdict
+from numbers import Real
 
 import numpy as np
 
-from ..errors import ConfigError, checked
+from ..errors import ConfigError, checked, checked_int
 from .. import diffsort, net, newton, shortest_path, smoothing
 from . import datagen
 from .report import MODES, TrainReport
@@ -100,16 +101,14 @@ class ExperimentConfig:
                 "the smoothed solver output is intractable; use baseline or "
                 "nl_fisher"
             )
-        for name in ("steps", "batch"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        checked_int(self.steps, "steps", 1)
+        checked_int(self.batch, "batch", 1)
         # the root of every seed stream; the generators take non-negative seeds only
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if self.task == "rank" and self.n < 2:
-            raise ConfigError(f"ranking length must be >= 2, got {self.n}")
-        if self.task == "path" and self.grid < 2:
-            raise ConfigError(f"grid side must be >= 2, got {self.grid}")
+        checked_int(self.seed, "seed", 0)
+        if self.task == "rank":
+            checked_int(self.n, "n", 2)
+        else:
+            checked_int(self.grid, "grid", 2)
         # the sort rules on tau and beta and the smoothing rules, before the first run
         if self.task == "rank":
             diffsort.SortConfig(method=self.method, tau=self.tau, beta=self.beta)
@@ -122,8 +121,8 @@ class ExperimentConfig:
             raise ConfigError("baseline trains on the plain loss gradient and reads no lambda")
         if self.lam is None:
             self.lam = lambda_preset(self.method, self.mode, self.n)
-        if not 0 <= self.lam < np.inf:
-            raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
+        if not (isinstance(self.lam, Real) and 0 <= self.lam < np.inf):
+            raise ConfigError(f"lam must be finite and >= 0, got {self.lam!r}")
         if self.mode != "baseline" and self.lam <= 0:
             raise ConfigError("Newton modes need lam > 0")
 

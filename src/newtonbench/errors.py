@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one array check."""
+"""Exception types shared across the package, and its one array and integer checks."""
 
 import numpy as np
 
@@ -50,3 +50,11 @@ def checked(a, name, shape):
     if not np.logical_and.reduce(finite, axis=None):
         raise NonFiniteResult(f"{name} must be finite, got {a[~finite][0]}")
     return a
+
+
+def checked_int(value, name, least):
+    """value, once it is an integer >= least (a bool is not); raises
+    ConfigError naming the setting."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value

@@ -12,15 +12,15 @@ with e ~ N(0, sigma^2 I). The baseline b = f(y) cuts variance without
 changing the expectation. fy_loss_grad is the perturbed-argmax loss
 gradient mean[argmax(y+e)] - w_star, which never needs a loss value.
 
-Every estimator reduces one probe of f at y plus a draw set. Draws come
+Every estimator reduces one evaluation of f on a draw set. Draws come
 from a counter-based Philox stream keyed by cfg.seed, so estimates are
 bit-reproducible; configs are frozen, and estimators called with equal
-configs share one read-only draw block.  The black box is a per-point f,
-called once per draw and once at y, or a Stacked one, called once on the
-whole (samples, m) stack of perturbed points and once on y as a one-row
-stack.  The point, every black-box output and every estimate pass
-errors.checked, so a non-finite value raises NonFiniteResult instead of
-entering a result.
+configs share one read-only draw block.  The black box sees the
+(samples + 1, m) stack [y + e; y], whose last row gives the baseline f(y);
+fy_loss_grad needs no baseline and probes the samples draws alone.  A
+per-point f is called once per row, a Stacked one once on the whole stack.
+The point, every black-box output and every estimate pass errors.checked,
+so a non-finite value raises NonFiniteResult instead of entering a result.
 """
 
 import functools
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatch, checked
+from .errors import ConfigError, ShapeMismatch, checked, checked_int
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,7 @@ class SmoothingConfig:
             raise ConfigError(
                 f"sigma**4 must be a finite normal float, got sigma={self.sigma}"
             )
-        if not (isinstance(self.samples, (int, np.integer)) and self.samples >= 1):
-            raise ConfigError(f"samples must be an integer >= 1, got {self.samples!r}")
+        checked_int(self.samples, "samples", 1)
         # the Philox key of the draws
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**128):
             raise ConfigError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
@@ -73,54 +72,47 @@ def _draws(cfg, m):
     return eps
 
 
-def _probe(f, y, cfg, shape=()):
-    """(eps, vals): the draws and f at every y + eps[i], stacked; every
-    output must be finite and have the given shape."""
+def _probe(f, y, cfg, shape=(), base=True):
+    """(eps, vals, fy): the draws, f at every y + eps[i] and f(y), from one
+    evaluation of f on the stack [y + eps; y]; without base the stack is
+    y + eps alone and fy is None.  The point must be a finite nonempty
+    vector, and every output finite and of the given shape."""
+    y = checked(y, "y", (None,))
     eps = _draws(cfg, y.shape[0])
-    points = y + eps
+    points = np.vstack([y + eps, y]) if base else y + eps
     # the black box's own errors propagate
     outs = f.f(points) if isinstance(f, Stacked) else [f(p) for p in points]
     try:
         vals = np.asarray(outs, dtype=np.float64)
     except ValueError:
         raise ShapeMismatch("black-box output shape changed between probes") from None
-    return eps, checked(vals, "black-box probe", (cfg.samples, *shape))
-
-
-def _base(f, y, shape=()):
-    """f at y itself, checked as each draw is; a Stacked f gets a one-row stack."""
-    if isinstance(f, Stacked):
-        return checked(f.f(y[None]), "black-box base value", (1, *shape))[0]
-    return checked(f(y), "black-box base value", shape)
+    vals = checked(vals, "black-box probe", (len(points), *shape))
+    return eps, vals[: cfg.samples], vals[-1] if base else None
 
 
 def smooth_grad(f, y, cfg):
     """Score-function gradient estimate of the Gaussian-smoothed f at y."""
-    y = checked(y, "y", (None,))
-    eps, vals = _probe(f, y, cfg)
-    w = vals - _base(f, y)
-    return checked((w[:, None] * eps).mean(axis=0) / cfg.sigma**2, "gradient estimate", y.shape)
+    eps, vals, fy = _probe(f, y, cfg)
+    g = ((vals - fy)[:, None] * eps).mean(axis=0) / cfg.sigma**2
+    return checked(g, "gradient estimate", eps.shape[1:])
 
 
 def smooth_hessian(f, y, cfg):
     """Estimate of the smoothed Hessian, symmetrized exactly."""
-    y = checked(y, "y", (None,))
-    eps, vals = _probe(f, y, cfg)
-    w = vals - _base(f, y)
+    eps, vals, fy = _probe(f, y, cfg)
+    w = vals - fy
     # mean_i w_i (e_i e_i^T / s^4 - I / s^2), accumulated as matrix products
     outer = (eps * w[:, None]).T @ eps / (cfg.samples * cfg.sigma**4)
-    h = outer - np.mean(w) / cfg.sigma**2 * np.eye(y.shape[0])
+    h = outer - np.mean(w) / cfg.sigma**2 * np.eye(eps.shape[1])
     return checked(0.5 * (h + h.T), "hessian estimate", h.shape)
 
 
 def smooth_jacobian(f, y, cfg):
     """(mean, jac) of a vector function from one draw set: the smoothed
     output mean[f(y+e)] and its per-row smoothed gradients."""
-    y = checked(y, "y", (None,))
-    base = _base(f, y, (None,))
-    eps, vals = _probe(f, y, cfg, base.shape)
-    mean = checked(vals.mean(axis=0), "mean estimate", base.shape)
-    jac = (vals - base).T @ eps / (cfg.samples * cfg.sigma**2)
+    eps, vals, fy = _probe(f, y, cfg, (None,))
+    mean = checked(vals.mean(axis=0), "mean estimate", fy.shape)
+    jac = (vals - fy).T @ eps / (cfg.samples * cfg.sigma**2)
     return mean, checked(jac, "jacobian estimate", jac.shape)
 
 
@@ -129,6 +121,6 @@ def fy_loss_grad(y, w_star, argmax_solver, cfg):
 
     Only argmax calls are made; the loss value itself is never formed.
     """
-    y = checked(y, "y", (None,))
-    w_star = checked(w_star, "w_star", y.shape)
-    return _probe(argmax_solver, y, cfg, y.shape)[1].mean(axis=0) - w_star
+    # a y that is not a nonempty vector fails the probe's point check first
+    vals = _probe(argmax_solver, y, cfg, np.shape(y), base=False)[1]
+    return vals.mean(axis=0) - checked(w_star, "w_star", vals.shape[1:])

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import pathlib
+import re
 
 import jsonschema
 import numpy as np
@@ -82,6 +83,28 @@ class TestRankDatagen:
             datagen.gen_ranking_data(0, 3, 0)
         with pytest.raises(ConfigError):
             datagen.gen_ranking_data(0, 3, 10, feature_dim=0)
+
+
+# a setting of the wrong type is named, not a bare TypeError or ValueError
+# from numpy partway through the draws
+@pytest.mark.parametrize(
+    "gen,args,field",
+    [
+        (datagen.gen_ranking_data, (0, 5.0, 10), "n"),
+        (datagen.gen_ranking_data, (0, 5, 10.0), "count"),
+        (datagen.gen_ranking_data, (0, 5, 10, 2.5), "feature_dim"),
+        (datagen.gen_ranking_data, (-1, 5, 10), "seed"),
+        (datagen.gen_grid_data, (0, 3, 4.0), "count"),
+        (datagen.gen_grid_data, (0, 3.0, 4), "size"),
+        (datagen.gen_grid_data, (0, 3, 4, 2.5), "feature_dim"),
+        (datagen.gen_grid_data, (0.5, 3, 4), "seed"),
+    ],
+    ids=["rank-n", "rank-count", "rank-feature-dim", "rank-seed", "grid-count", "grid-size",
+         "grid-feature-dim", "grid-seed"],
+)
+def test_generator_settings_must_be_integers(gen, args, field):
+    with pytest.raises(ConfigError, match=rf"^{field} must be an integer >= [012], got "):
+        gen(*args)
 
 
 class TestDrawRecords:
@@ -359,6 +382,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"^samples must be an integer >= 1, got "):
             trainers.ExperimentConfig(task="path", method="ss_loss", samples=samples)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("steps", 2.5), ("batch", 2.5), ("n", 3.0), ("grid", 2.5), ("steps", True)],
+    )
+    def test_integer_settings_are_checked_before_the_run(self, field, value):
+        # not a bare TypeError partway through the run
+        task, method = ("path", "ss_loss") if field == "grid" else ("rank", "neuralsort")
+        settings = {"steps": 2, "batch": 4, "n": 3, field: value}
+        message = rf"^{field} must be an integer >= [12], got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigError, match=message):
+            trainers.run_experiment(trainers.ExperimentConfig(task=task, method=method, **settings))
+
+    def test_lambda_must_be_a_number(self):
+        with pytest.raises(ConfigError, match="^lam must be finite and >= 0, got '0.1'$"):
+            _quick_cfg(mode="nl_hessian", lam="0.1")
+
     def test_rejects_bad_sort_settings_before_a_run(self):
         with pytest.raises(ConfigError, match="tau must be > 0"):
             trainers.ExperimentConfig(task="rank", method="softsort", tau=0)
@@ -497,6 +536,30 @@ class TestPathOutputGrads:
             assert isinstance(inst, shortest_path.GridInstance)
             assert inst.node_costs.dtype == np.float64
             assert inst.node_costs.shape == (cfg.grid, cfg.grid)
+
+    @pytest.mark.parametrize(
+        "method,mode,estimates,rows",
+        [
+            ("ss_loss", "nl_hessian", 40, 11),
+            ("ss_algorithm", "baseline", 20, 11),
+            ("fy", "nl_hessian", 20, 11),
+            ("fy", "baseline", 20, 10),
+        ],
+    )
+    def test_one_stacked_call_per_estimate(self, method, mode, estimates, rows, monkeypatch):
+        # at stepbench's path-hessian shape (4x4, batch 20, 10 draws) each
+        # estimate evaluates its black box once: the draws and, last, the
+        # point itself for the baseline, which fy's loss gradient never needs
+        cfg, masks, y = self._setup(method, mode, 4, 20, 10)
+        stacks = []
+
+        class Counted(smoothing.Stacked):
+            def __init__(self, f):
+                super().__init__(lambda p: (stacks.append(p.shape), f(p))[1])
+
+        monkeypatch.setattr(smoothing, "Stacked", Counted)
+        trainers.output_grads(cfg, y, masks, 1)
+        assert stacks == [(rows, 16)] * estimates
 
     def test_one_draw_block_per_row(self, monkeypatch):
         # at stepbench's path-hessian shape the gradient and the Hessian

@@ -542,6 +542,20 @@ def test_every_run_setting_is_a_bench_flag():
     assert sorted(fields - dests) == ["task"]
 
 
+def test_ablate_lambda_declares_its_run_flags_as_bench_rank_does():
+    # the same flags as before, each with bench rank's type, dest and help
+    parser = cli.build_parser()
+    ablate, rank = (
+        {a.option_strings[0]: a for a in _subparser(_subparser(parser, cmd), kind)._actions}
+        for cmd, kind in (("ablate", "lambda"), ("bench", "rank"))
+    )
+    shared = ["--steps", "--batch", "--n", "--tau", "--beta", "--data", "--out"]
+    assert sorted(ablate) == sorted(["-h", "--method", "--lambdas", "--seed", *shared])
+    for flag in shared:
+        same = ("dest", "type", "help", "default")
+        assert [getattr(ablate[flag], k) for k in same] == [getattr(rank[flag], k) for k in same]
+
+
 def test_every_accepted_pair_has_a_preset_and_every_preset_an_accepted_pair():
     bench = _subparser(cli.build_parser(), "bench")
     flags = {kind: {a.dest: a.choices for a in _subparser(bench, kind)._actions}

@@ -197,7 +197,8 @@ class TestSmoothJacobian:
             smoothing.smooth_jacobian(lambda y: y[: 1 + int(y[0] > 0)], np.zeros(2), cfg)
 
 
-# f(y) gets the draws' checks: a bad base value alone used to leak into the estimate
+# f(y) is probed with the draws and gets their checks: a bad base value alone
+# used to leak into the estimate
 @pytest.mark.parametrize(
     "estimator,value,base,error",
     [
@@ -219,7 +220,8 @@ def test_base_value_checked_like_the_draws(estimator, value, base, error):
 
     with pytest.raises(error):
         estimator(f, y, SmoothingConfig(sigma=0.1, samples=5, seed=0))
-    assert len(calls) <= 6  # at most the five draws and the base
+    # one evaluation of the five draws and, last, the point itself
+    assert len(calls) == 6 and np.array_equal(calls[-1], y)
 
 
 # one point check serves every estimator, so a point that is not a nonempty
@@ -337,42 +339,56 @@ def _quad_rows(p):
 
 
 # each estimator with a per-point f and a stacked f doing the same float
-# operations per point
+# operations per point, and whether it probes y itself for the baseline f(y)
 STACKED_PAIRS = [
-    (smoothing.smooth_grad, _quad, _quad_rows),
-    (smoothing.smooth_hessian, _quad, _quad_rows),
+    (smoothing.smooth_grad, _quad, _quad_rows, True),
+    (smoothing.smooth_hessian, _quad, _quad_rows, True),
     (
         smoothing.smooth_jacobian,
         lambda u: np.array([u[0] ** 2, u[1] * u[2]]),
         lambda p: np.stack([p[:, 0] ** 2, p[:, 1] * p[:, 2]], axis=1),
+        True,
     ),
     (
         lambda f, y, cfg: smoothing.fy_loss_grad(y, np.eye(3)[1], f, cfg),
         onehot_argmax,
         lambda p: np.eye(p.shape[1])[np.argmax(p, axis=1)],
+        False,
     ),
 ]
 STACKED_IDS = ["grad", "hessian", "jacobian", "fy"]
 
 
-@pytest.mark.parametrize("estimate,per_point,rows", STACKED_PAIRS, ids=STACKED_IDS)
-def test_a_stacked_black_box_gives_the_per_point_estimate_bit_for_bit(estimate, per_point, rows):
+@pytest.mark.parametrize("estimate,per_point,rows,base", STACKED_PAIRS, ids=STACKED_IDS)
+def test_a_stacked_black_box_gives_the_per_point_estimate_bit_for_bit(
+    estimate, per_point, rows, base
+):
     y = np.array([0.3, -0.2, 0.25])
     cfg = SmoothingConfig(sigma=0.2, samples=64, seed=21)
-    calls = []
+    points, stacks = [], []
+
+    def one(u):
+        points.append(u.copy())
+        return per_point(u)
 
     def counted(p):
-        calls.append(p.shape)
+        stacks.append(p.copy())
         return rows(p)
 
-    want = estimate(per_point, y, cfg)
+    want = estimate(one, y, cfg)
     got = estimate(smoothing.Stacked(counted), y, cfg)
     want, got = (x if isinstance(x, tuple) else (x,) for x in (want, got))  # jacobian: (mean, jac)
     assert len(want) == len(got)
     for a, b in zip(want, got):
         assert np.array_equal(a, b)
-    # one call on the whole draw stack, at most one on the point alone for the base value
-    assert sorted(calls, reverse=True) in ([(64, 3)], [(64, 3), (1, 3)])
+    # one evaluation: the draws y + eps, then y itself as the last row when
+    # the estimate needs the baseline f(y); a per-point f sees the same rows
+    assert len(stacks) == 1
+    assert stacks[0].shape == (64 + base, 3)
+    assert np.array_equal(stacks[0][:64], y + smoothing._draws(cfg, 3))
+    if base:
+        assert stacks[0][-1].tobytes() == y.tobytes()
+    assert np.array_equal(np.array(points), stacks[0])
 
 
 def test_a_stacked_black_box_raises_its_own_value_error_unwrapped():
@@ -384,8 +400,9 @@ def test_a_stacked_black_box_raises_its_own_value_error_unwrapped():
         smoothing.smooth_grad(smoothing.Stacked(f), np.zeros(2), cfg)
 
 
-# a Stacked black box passes the per-point checks: the probe's name the draw
-# stack, the base value's the one-row stack of the point itself
+# a Stacked black box passes the per-point checks, named as the probe's: the
+# stack holds the five draws and, last, the point itself for the baseline, so
+# a bad value or shape in that row alone is caught as one in a draw's
 @pytest.mark.parametrize(
     "estimate,rows,error,message",
     [
@@ -393,14 +410,14 @@ def test_a_stacked_black_box_raises_its_own_value_error_unwrapped():
             smoothing.smooth_grad,
             lambda p: p,
             ShapeMismatch,
-            r"^black-box probe must have shape \(5,\), got shape \(5, 2\)$",
+            r"^black-box probe must have shape \(6,\), got shape \(6, 2\)$",
         ),
         (smoothing.smooth_hessian, lambda p: p[:1, 0], ShapeMismatch, "^black-box probe must"),
         (
             smoothing.smooth_jacobian,
-            lambda p: p[:, :1] if len(p) > 1 else p,
+            lambda p: p[:, 0],
             ShapeMismatch,
-            r"^black-box probe must have shape \(5, 2\), got shape \(5, 1\)$",
+            r"^black-box probe must have shape \(6, \*\), got shape \(6,\)$",
         ),
         (
             smoothing.smooth_grad,
@@ -412,25 +429,31 @@ def test_a_stacked_black_box_raises_its_own_value_error_unwrapped():
             smoothing.smooth_hessian,
             lambda p: np.where(np.any(p != 0.0, axis=1), 1.0, np.inf),
             NonFiniteResult,
-            "^black-box base value must be finite, got inf$",
+            "^black-box probe must be finite, got inf$",
         ),
         (
             smoothing.smooth_jacobian,
-            lambda p: p if len(p) > 1 else np.full_like(p, np.nan),
+            lambda p: np.where(np.any(p != 0.0, axis=1)[:, None], p, np.nan),
             NonFiniteResult,
-            "^black-box base value must be finite, got nan$",
+            "^black-box probe must be finite, got nan$",
         ),
         (
             smoothing.smooth_grad,
-            lambda p: p[:, 0] if len(p) > 1 else p,
+            lambda p: [*p[:-1, 0], p[-1]],
             ShapeMismatch,
-            r"^black-box base value must have shape \(1,\), got shape \(1, 2\)$",
+            "^black-box output shape changed between probes$",
         ),
         (
             smoothing.smooth_grad,
             lambda p: np.ones(len(p) + 1),
             ShapeMismatch,
-            r"^black-box probe must have shape \(5,\), got shape \(6,\)$",
+            r"^black-box probe must have shape \(6,\), got shape \(7,\)$",
+        ),
+        (
+            lambda f, y, cfg: smoothing.fy_loss_grad(y, np.zeros(2), f, cfg),
+            lambda p: np.ones((len(p) + 1, 2)),
+            ShapeMismatch,
+            r"^black-box probe must have shape \(5, 2\), got shape \(6, 2\)$",
         ),
         (
             lambda f, y, cfg: smoothing.fy_loss_grad(y, np.zeros(2), f, cfg),
@@ -448,6 +471,7 @@ def test_a_stacked_black_box_raises_its_own_value_error_unwrapped():
         "jacobian-base-nan",
         "grad-base-shape",
         "grad-extra-row",
+        "fy-extra-row",
         "fy-ragged",
     ],
 )
