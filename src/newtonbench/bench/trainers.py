@@ -16,11 +16,10 @@ and smoothing draws all derive from cfg.seed through separate seed streams.
 """
 
 from dataclasses import dataclass, asdict
-from numbers import Real
 
 import numpy as np
 
-from ..errors import ConfigError, checked, checked_int
+from ..errors import ConfigError, checked, checked_int, checked_real
 from .. import diffsort, net, newton, shortest_path, smoothing
 from . import datagen
 from .report import MODES, TrainReport
@@ -121,7 +120,7 @@ class ExperimentConfig:
             raise ConfigError("baseline trains on the plain loss gradient and reads no lambda")
         if self.lam is None:
             self.lam = lambda_preset(self.method, self.mode, self.n)
-        if not (isinstance(self.lam, Real) and 0 <= self.lam < np.inf):
+        if not 0 <= checked_real(self.lam, "lam") < np.inf:
             raise ConfigError(f"lam must be finite and >= 0, got {self.lam!r}")
         if self.mode != "baseline" and self.lam <= 0:
             raise ConfigError("Newton modes need lam > 0")
@@ -140,8 +139,18 @@ def _train_count(count, batch):
 
 
 def _sub_seed(*parts):
-    """Stable derived integer seed for an independent RNG stream."""
-    return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1)[0])
+    """Stable derived integer seed for an independent RNG stream: the first
+    word of SeedSequence(parts), given as the uint32 words numpy splits each
+    part into (low word first, 0 as [0]), which skips its per-part conversion."""
+    words = []
+    for p in map(int, parts):
+        if p < 0:
+            raise ValueError(f"seed parts must be non-negative, got {p}")
+        words.append(p & 0xFFFFFFFF)
+        while p > 0xFFFFFFFF:
+            p >>= 32
+            words.append(p & 0xFFFFFFFF)
+    return int(np.random.SeedSequence(np.array(words, np.uint32)).generate_state(1)[0])
 
 
 def _load_data(cfg):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteResult, ShapeMismatch, checked
+from .errors import ConfigError, NonFiniteResult, ShapeMismatch, checked, checked_real
 
 METHODS = ("neuralsort", "softsort", "dsn_logistic", "dsn_cauchy")
 
@@ -49,7 +49,7 @@ class SortConfig:
         if value is None:
             value = {"neuralsort": 1.0, "softsort": 0.1}.get(self.method, 10.0)
             setattr(self, read, value)
-        if not np.isfinite(value):
+        if not np.isfinite(checked_real(value, read)):
             raise ConfigError(f"{read} must be finite, got {value}")
         if value <= 0:
             raise ConfigError(f"{read} must be > 0, got {value}")

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one array and integer checks."""
+"""Exception types shared across the package, and its one array, integer and real-number checks."""
 
 import numpy as np
 
@@ -57,4 +57,13 @@ def checked_int(value, name, least):
     ConfigError naming the setting."""
     if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
         raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def checked_real(value, name):
+    """value, once it is a real number numpy computes with: an int or a float,
+    Python's or numpy's (a bool is not, nor a Fraction, which numpy keeps as
+    an object); raises ConfigError naming the setting."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
     return value

@@ -3,16 +3,16 @@
 Instances are grids of positive node costs; feasible solutions are simple
 4-neighbor paths from the top-left to the bottom-right cell, paying the cost
 of every visited cell including both endpoints. dijkstra_grid is the exact
-solver (memoized on the grid's bytes), two_best_costs the exact best and
-second-best costs and path_mask_is_valid the check of a path encoding, all on
-one Dijkstra loop over flat cell indices in plain Python lists (the same IEEE
-sums as numpy scalars, without their per-element cost) for the one-grid traffic
-of training probes and dataset checks; dijkstra_grids solves evaluation's
-stacks to the same masks (4x4 on one 2-vCPU host: 21 against 202 us for one
-grid, even near 12-15 grids, 2.8 against 0.45 ms for 128).  brute_force_shortest
-is the enumeration oracle for small grids, and indicator_argmax exposes the
-solver as a score maximizer over flattened path indicators for perturbed-argmax
-training.
+solver (memoized on the grid's bytes, one mask per distinct path),
+two_best_costs the exact best and second-best costs and path_mask_is_valid the
+check of a path encoding, all on one Dijkstra loop over flat cell indices in
+plain Python lists (the same IEEE sums as numpy scalars, without their
+per-element cost) for the one-grid traffic of training probes and dataset
+checks; dijkstra_grids solves evaluation's stacks to the same masks (4x4 on
+one 2-vCPU host: 21 against 202 us for one grid, even near 12-15 grids, 2.8
+against 0.45 ms for 128).  brute_force_shortest is the enumeration oracle for
+small grids, and indicator_argmax exposes the solver as a score maximizer over
+flattened path indicators for perturbed-argmax training.
 """
 
 import functools
@@ -141,8 +141,14 @@ def _best_path(cost, h, w):
 @functools.lru_cache(maxsize=256)  # smoothing re-solves each grid of a draw set
 def _solved(key, h, w):
     """dijkstra_grid's read-only mask for the h x w grid whose float64 bytes are key."""
+    return _path_mask(tuple(_best_path(np.frombuffer(key).tolist(), h, w)), h, w)
+
+
+@functools.lru_cache(maxsize=256)  # perturbed grids share few best paths
+def _path_mask(path, h, w):
+    """The read-only h x w 0/1 mask of a path's flat cells, one per distinct path."""
     mask = np.zeros(h * w)
-    mask[_best_path(np.frombuffer(key).tolist(), h, w)] = 1
+    mask[list(path)] = 1
     mask.setflags(write=False)
     return mask.reshape(h, w)
 
@@ -154,7 +160,8 @@ def dijkstra_grid(inst):
     down, right predecessor in that order, so equal-cost instances always
     produce the same mask.  A grid whose best cost overflows raises
     NonFiniteResult.  The last 256 grids solved, keyed by shape and cost
-    bytes, are answered from a memo; every call returns a fresh array.
+    bytes, are answered from a memo, which holds one read-only mask per
+    distinct path; every call returns a fresh array.
     """
     return _solved(inst.node_costs.tobytes(), inst.height, inst.width).copy()
 

@@ -14,21 +14,26 @@ gradient mean[argmax(y+e)] - w_star, which never needs a loss value.
 
 Every estimator reduces one evaluation of f on a draw set. Draws come
 from a counter-based Philox stream keyed by cfg.seed, so estimates are
-bit-reproducible; configs are frozen, and estimators called with equal
-configs share one read-only draw block.  The black box sees the
-(samples + 1, m) stack [y + e; y], whose last row gives the baseline f(y);
-fy_loss_grad needs no baseline and probes the samples draws alone.  A
-per-point f is called once per row, a Stacked one once on the whole stack.
+bit-reproducible: one module Philox generator is re-keyed per config, its
+counter back at 0, which gives the bytes of a Philox(key=cfg.seed) built
+fresh without the cost of building one.  Configs are frozen, and estimators
+called with equal configs share one read-only draw block.  Means are
+np.add.reduce / n, the sum np.mean divides, without its Python wrapper.
+The black box sees the (samples + 1, m) stack [y + e; y], whose last row
+gives the baseline f(y); fy_loss_grad needs no baseline and probes the
+samples draws alone.  A per-point f is called once per row, a Stacked one
+once on the whole stack.
 The point, every black-box output and every estimate pass errors.checked,
 so a non-finite value raises NonFiniteResult instead of entering a result.
 """
 
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatch, checked, checked_int
+from .errors import ConfigError, ShapeMismatch, checked, checked_int, checked_real
 
 
 @dataclass(frozen=True)
@@ -45,7 +50,7 @@ class SmoothingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
+        if not (np.isfinite(checked_real(self.sigma, "sigma")) and self.sigma > 0):
             raise ConfigError(f"sigma must be finite and > 0, got {self.sigma}")
         # smooth_hessian divides by sigma**4: it must neither overflow nor
         # fall below the normal range, where its reciprocal overflows
@@ -63,13 +68,35 @@ class SmoothingConfig:
             raise ConfigError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
 
 
+_PHILOX = np.random.Philox(0)
+_RNG = np.random.Generator(_PHILOX)
+_RNG_LOCK = threading.Lock()  # a re-key and its draws must not interleave with another's
+
+
 @functools.lru_cache(maxsize=8)  # smooth_grad and smooth_hessian share a row's draws
 def _draws(cfg, m):
-    """The read-only (samples, m) draw block of cfg."""
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    eps = cfg.sigma * rng.standard_normal((cfg.samples, m))
+    """The read-only (samples, m) draw block of cfg: the first draws of
+    Philox(key=cfg.seed), whose 128-bit key is two 64-bit words, low first."""
+    seed, zeros = int(cfg.seed), np.zeros(4, np.uint64)
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, seed >> 64], np.uint64)
+    with _RNG_LOCK:
+        # counter 0 and an empty buffer, the state Philox(key=seed) starts in
+        _PHILOX.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros, "key": key},
+            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        eps = cfg.sigma * _RNG.standard_normal((cfg.samples, m))
     eps.setflags(write=False)
     return eps
+
+
+@functools.lru_cache(maxsize=8)
+def _eye(m):
+    """The read-only m x m identity."""
+    eye = np.eye(m)
+    eye.setflags(write=False)
+    return eye
 
 
 def _probe(f, y, cfg, shape=(), base=True):
@@ -79,7 +106,7 @@ def _probe(f, y, cfg, shape=(), base=True):
     vector, and every output finite and of the given shape."""
     y = checked(y, "y", (None,))
     eps = _draws(cfg, y.shape[0])
-    points = np.vstack([y + eps, y]) if base else y + eps
+    points = np.concatenate((y + eps, y[None])) if base else y + eps
     # the black box's own errors propagate
     outs = f.f(points) if isinstance(f, Stacked) else [f(p) for p in points]
     try:
@@ -93,7 +120,7 @@ def _probe(f, y, cfg, shape=(), base=True):
 def smooth_grad(f, y, cfg):
     """Score-function gradient estimate of the Gaussian-smoothed f at y."""
     eps, vals, fy = _probe(f, y, cfg)
-    g = ((vals - fy)[:, None] * eps).mean(axis=0) / cfg.sigma**2
+    g = np.add.reduce((vals - fy)[:, None] * eps) / cfg.samples / cfg.sigma**2
     return checked(g, "gradient estimate", eps.shape[1:])
 
 
@@ -103,7 +130,7 @@ def smooth_hessian(f, y, cfg):
     w = vals - fy
     # mean_i w_i (e_i e_i^T / s^4 - I / s^2), accumulated as matrix products
     outer = (eps * w[:, None]).T @ eps / (cfg.samples * cfg.sigma**4)
-    h = outer - np.mean(w) / cfg.sigma**2 * np.eye(eps.shape[1])
+    h = outer - np.add.reduce(w) / cfg.samples / cfg.sigma**2 * _eye(eps.shape[1])
     return checked(0.5 * (h + h.T), "hessian estimate", h.shape)
 
 
@@ -111,7 +138,7 @@ def smooth_jacobian(f, y, cfg):
     """(mean, jac) of a vector function from one draw set: the smoothed
     output mean[f(y+e)] and its per-row smoothed gradients."""
     eps, vals, fy = _probe(f, y, cfg, (None,))
-    mean = checked(vals.mean(axis=0), "mean estimate", fy.shape)
+    mean = checked(np.add.reduce(vals) / cfg.samples, "mean estimate", fy.shape)
     jac = (vals - fy).T @ eps / (cfg.samples * cfg.sigma**2)
     return mean, checked(jac, "jacobian estimate", jac.shape)
 
@@ -123,4 +150,4 @@ def fy_loss_grad(y, w_star, argmax_solver, cfg):
     """
     # a y that is not a nonempty vector fails the probe's point check first
     vals = _probe(argmax_solver, y, cfg, np.shape(y), base=False)[1]
-    return vals.mean(axis=0) - checked(w_star, "w_star", vals.shape[1:])
+    return np.add.reduce(vals) / cfg.samples - checked(w_star, "w_star", vals.shape[1:])

@@ -2,7 +2,9 @@
 
 import copy
 import dataclasses
+import fractions
 import hashlib
+import itertools
 import json
 import pathlib
 import re
@@ -395,8 +397,39 @@ class TestConfigValidation:
             trainers.run_experiment(trainers.ExperimentConfig(task=task, method=method, **settings))
 
     def test_lambda_must_be_a_number(self):
-        with pytest.raises(ConfigError, match="^lam must be finite and >= 0, got '0.1'$"):
+        with pytest.raises(ConfigError, match="^lam must be a real number, got '0.1'$"):
             _quick_cfg(mode="nl_hessian", lam="0.1")
+
+    @pytest.mark.parametrize(
+        "field,task,method,value",
+        [
+            (field, task, method, value)
+            for field, task, method in (
+                ("lam", "path", "ss_loss"),
+                ("sigma", "path", "ss_loss"),
+                ("tau", "rank", "softsort"),
+                ("beta", "rank", "dsn_logistic"),
+            )
+            for value in ("0.1", True, np.bool_(True), 1j, fractions.Fraction(1, 10))
+        ]
+        # None picks lam's preset and the sort defaults; sigma has none
+        + [("sigma", "path", "ss_loss", None)],
+    )
+    def test_real_settings_must_be_real_numbers(self, field, task, method, value):
+        # not numpy's bare TypeError from isfinite, nor a bool taken as 1.0
+        settings = {field: value, "mode": "nl_hessian"}
+        message = rf"^{field} must be a real number, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigError, match=message):
+            trainers.ExperimentConfig(task=task, method=method, **settings)
+
+    @pytest.mark.parametrize("value", [1, 0.25, np.float32(0.5), np.float64(2.0), np.int64(3)])
+    def test_real_settings_take_ints_and_floats(self, value):
+        cfg = trainers.ExperimentConfig(task="path", method="ss_loss", mode="nl_hessian",
+                                        lam=value, sigma=value)
+        assert (cfg.lam, cfg.sigma) == (value, value)
+        for method, field in (("softsort", "tau"), ("dsn_cauchy", "beta")):
+            cfg = trainers.ExperimentConfig(task="rank", method=method, **{field: value})
+            assert getattr(cfg, field) == value
 
     def test_rejects_bad_sort_settings_before_a_run(self):
         with pytest.raises(ConfigError, match="tau must be > 0"):
@@ -563,18 +596,50 @@ class TestPathOutputGrads:
 
     def test_one_draw_block_per_row(self, monkeypatch):
         # at stepbench's path-hessian shape the gradient and the Hessian
-        # estimates of a row share its draws, so each row builds one generator
+        # estimates of a row share its draws, so each row re-keys the one
+        # generator once, to a key of its own
         cfg, masks, y = self._setup("ss_loss", "nl_hessian", 4, 20, 10)
-        philox, keys = np.random.Philox, []
+        keys = []
 
-        def counted(key):
-            keys.append(key)
-            return philox(key=key)
+        class Recorded:
+            def __init__(self, philox):
+                self.philox = philox
 
-        monkeypatch.setattr(np.random, "Philox", counted)
+            @property
+            def state(self):
+                return self.philox.state
+
+            @state.setter
+            def state(self, state):
+                keys.append(tuple(int(k) for k in state["state"]["key"]))
+                self.philox.state = state
+
+        monkeypatch.setattr(smoothing, "_PHILOX", Recorded(smoothing._PHILOX))
         smoothing._draws.cache_clear()
         trainers.output_grads(cfg, y, masks, 1)
-        assert len(keys) == len(set(keys)) == 20
+        assert len(keys) == len(set(keys)) == smoothing._draws.cache_info().misses == 20
+
+
+_SEED_PARTS = (0, 1, 2**32 - 1, 2**32, 2**64, 2**100)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
+def test_sub_seed_is_seed_sequences_first_word(length):
+    # the packed words give the state numpy derives from the tuple itself
+    rng = np.random.default_rng(length)
+    tuples = [tuple(rng.choice(_SEED_PARTS, length)) for _ in range(60)]
+    if length <= 2:
+        tuples += list(itertools.product(_SEED_PARTS, repeat=length))
+    tuples.append(tuple(int(p) for p in rng.integers(0, 2**63, length)))
+    tuples.append((np.uint64(2**63 + 5),) * length)
+    for parts in tuples:
+        want = np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1)[0]
+        assert trainers._sub_seed(*parts) == want, parts
+
+
+def test_sub_seed_rejects_a_negative_part():
+    with pytest.raises(ValueError, match="non-negative"):
+        trainers._sub_seed(0, -1)
 
 
 class TestRankOutputGrads:

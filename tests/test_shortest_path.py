@@ -200,6 +200,22 @@ class TestSolveMemo:
         assert second.flags.writeable and second is not first
         np.testing.assert_array_equal(second, [[1, 0], [1, 1]])
 
+    def test_grids_with_one_best_path_get_separate_equal_masks(self):
+        sp._solved.cache_clear()
+        cheap = np.array([[1.0, 9.0, 9.0], [1.0, 9.0, 9.0], [1.0, 1.0, 1.0]])
+        grids = [cheap, cheap * 2.0, cheap + np.eye(3) * 0.5]
+        masks = [sp.dijkstra_grid(sp.GridInstance(3, 3, g)) for g in grids]
+        want = [[1, 0, 0], [1, 0, 0], [1, 1, 1]]
+        for mask in masks:
+            np.testing.assert_array_equal(mask, want)
+            assert mask.flags.writeable
+        masks[0][:] = 5.0
+        np.testing.assert_array_equal(masks[1], want)
+        np.testing.assert_array_equal(masks[2], want)
+        for g in grids:  # repeats, from the memo, and a grid not seen before
+            np.testing.assert_array_equal(sp.dijkstra_grid(sp.GridInstance(3, 3, g)), want)
+        np.testing.assert_array_equal(sp.dijkstra_grid(sp.GridInstance(3, 3, cheap * 3.0)), want)
+
     def test_in_place_cost_change_is_a_new_grid(self):
         inst = sp.GridInstance(height=2, width=2, node_costs=np.array([[1.0, 10.0], [1.0, 1.0]]))
         np.testing.assert_array_equal(sp.dijkstra_grid(inst), [[1, 0], [1, 1]])

@@ -503,6 +503,40 @@ def test_equal_configs_share_one_read_only_draw_block():
         assert (block is a) == ((sigma, samples, seed, m) == (0.1, 4, 3, 2))
 
 
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 1, 2**128 - 1, np.uint64(2**63 + 7)])
+def test_draws_match_a_fresh_philox_generator(seed):
+    smoothing._draws.cache_clear()
+    block = smoothing._draws(SmoothingConfig(sigma=0.3, samples=7, seed=seed), 5)
+    fresh = np.random.Generator(np.random.Philox(key=seed)).standard_normal((7, 5))
+    assert block.tobytes() == (0.3 * fresh).tobytes()
+
+
+def test_an_evicted_config_draws_its_own_bytes_again():
+    # configs interleaved past the cache size: each redraw re-keys the one
+    # generator from scratch, whatever it drew last
+    smoothing._draws.cache_clear()
+    size = smoothing._draws.cache_info().maxsize
+    cfgs = [SmoothingConfig(sigma=0.1, samples=3 + k % 2, seed=k * 2**40) for k in range(size + 3)]
+    first = [smoothing._draws(cfg, 4) for cfg in cfgs]
+    for cfg, block in zip(cfgs * 2, first * 2):
+        again = smoothing._draws(cfg, 4)
+        fresh = np.random.Generator(np.random.Philox(key=cfg.seed))
+        fresh = fresh.standard_normal((cfg.samples, 4))
+        assert again.tobytes() == block.tobytes() == (0.1 * fresh).tobytes()
+    assert smoothing._draws.cache_info().misses == 3 * len(cfgs)
+
+
+def test_a_partly_used_generator_does_not_leak_into_the_next_block():
+    # an odd count of 32-bit words or a half-used Philox buffer must not
+    # shift the next config's draws
+    smoothing._draws.cache_clear()
+    smoothing._RNG.integers(0, 2**31, 3, dtype=np.uint32)
+    smoothing._RNG.random(1)
+    block = smoothing._draws(SmoothingConfig(sigma=1.0, samples=2, seed=9), 3)
+    fresh = np.random.Generator(np.random.Philox(key=9)).standard_normal((2, 3))
+    assert block.tobytes() == fresh.tobytes()
+
+
 def test_a_config_cannot_be_changed_after_its_draws_are_made():
     cfg = SmoothingConfig(sigma=0.1, samples=4, seed=3)
     before = smoothing.smooth_grad(np.sum, np.zeros(2), cfg)
