@@ -7,7 +7,7 @@ numbers and pick an exit code without depending on a test runner.
 import numpy as np
 
 from .. import diffsort, net, newton, shortest_path
-from ..errors import ConfigError
+from ..errors import checked_int
 
 GRAD_TOL = 1e-5
 GD_LEMMA_TOL = 1e-10
@@ -28,7 +28,8 @@ def _central_fd_grad(value_fn, y, h):
 
 def check_grad(seed=0, count=50, n=5):
     """Analytic ranking-loss gradients against central differences."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 401)))
+    checked_int(count, "count", 1)
+    rng = np.random.default_rng(np.random.SeedSequence((checked_int(seed, "seed", 0), 401)))
     h = np.cbrt(np.finfo(np.float64).eps)
     per_method = {}
     for method in diffsort.METHODS:
@@ -65,7 +66,7 @@ def _quartic_scalar_probe():
 
 def check_lemmas(seed=0):
     """Split-step equivalences: plain GD and the scalar Newton case."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 402)))
+    rng = np.random.default_rng(np.random.SeedSequence((checked_int(seed, "seed", 0), 402)))
     model = net.Mlp.init(
         [4, 6, 3], ["tanh", "identity"], np.random.SeedSequence((seed, 403))
     )
@@ -98,9 +99,8 @@ def check_lemmas(seed=0):
 
 def check_oracles(seed=0, grids_per_size=100, sizes=(3, 4, 5)):
     """Dijkstra against exhaustive path enumeration and its stacked solve on random grids."""
-    if grids_per_size < 1:
-        raise ConfigError(f"need at least one grid per size, got {grids_per_size}")
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 405)))
+    checked_int(grids_per_size, "grids_per_size", 1)
+    rng = np.random.default_rng(np.random.SeedSequence((checked_int(seed, "seed", 0), 405)))
     max_rel = 0.0
     mask_mismatches = 0
     stack_mismatches = 0

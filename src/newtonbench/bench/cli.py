@@ -20,6 +20,8 @@ from ..errors import (
     NonFiniteResult,
     SingularMatrix,
     TooLarge,
+    checked_int,
+    checked_real,
 )
 from . import checks, datagen, report, slices, trainers
 
@@ -83,9 +85,7 @@ def _run_all(cfgs, key):
 def _cmd_bench(args):
     task = args.kind
     if args.seeds is not None:
-        if args.seeds < 1:
-            raise ConfigError("--seeds must be >= 1")
-        seed_list = list(range(args.seeds))
+        seed_list = list(range(checked_int(args.seeds, "--seeds", 1)))
     else:
         seed_list = [args.seed if args.seed is not None else 0]
     modes = [args.mode] if args.mode else trainers.method_modes(args.method)
@@ -118,8 +118,10 @@ def _cmd_ablate(args):
     lams = _parse_floats(args.lambdas)
     if not lams:
         raise ConfigError("lambda grid must be nonempty")
-    if not all(0 < lam < np.inf for lam in lams) or sorted(lams) != lams:
-        raise ConfigError("lambda grid must be finite, positive and ascending")
+    for lam in lams:
+        checked_real(lam, "--lambdas entry", 0, strict=True)
+    if sorted(lams) != lams:
+        raise ConfigError("lambda grid must be ascending")
     over = _cfg_overrides(args, "rank")
     cfgs = [trainers.ExperimentConfig(**over)] + [
         trainers.ExperimentConfig(**over, mode=mode, lam=lam)
@@ -157,9 +159,7 @@ def _cmd_slice(args):
         if base.size < 2:
             raise ConfigError("--base needs at least two values")
     else:
-        n = 5 if args.n is None else args.n
-        if n < 2:
-            raise ConfigError(f"--n must be >= 2, got {n}")
+        n = 5 if args.n is None else checked_int(args.n, "--n", 2)
         base = np.linspace(2.0, -2.0, n)
     grad_fn = slices.ranking_grad_fn(
         args.method, base.size, tau=args.tau, beta=args.beta

@@ -7,7 +7,7 @@ optimum, and how the empirical-Fisher transform reshapes it.
 import numpy as np
 
 from .. import diffsort, newton
-from ..errors import ConfigError
+from ..errors import ConfigError, checked_int, checked_real
 from .report import fmt
 
 
@@ -20,14 +20,15 @@ def gradient_slice(grad_fn, y_base, coord, lo, hi, steps, fisher_lambda=None):
     """
     y_base = np.asarray(y_base, dtype=np.float64).ravel()
     n = y_base.size
-    if fisher_lambda is not None and not 0 < fisher_lambda < np.inf:
-        raise ConfigError(f"fisher injection needs a finite lambda > 0, got {fisher_lambda}")
+    if fisher_lambda is not None:
+        checked_real(fisher_lambda, "fisher_lambda", 0, strict=True)
     if not np.all(np.isfinite(y_base)):
         raise ConfigError(f"base vector must be finite, got {y_base.tolist()}")
-    if not 0 <= coord < n:
+    if checked_int(coord, "coord", 0) >= n:
         raise ConfigError(f"coord {coord} out of range for n={n}")
-    if steps < 2:
-        raise ConfigError(f"need at least 2 sweep points, got {steps}")
+    checked_int(steps, "steps", 2)
+    checked_real(lo, "lo")
+    checked_real(hi, "hi")
     if not np.isfinite(float(hi) - float(lo)):  # linspace needs the width too
         raise ConfigError(f"sweep bounds and their width must be finite, got [{lo}, {hi}]")
     if not lo < hi:

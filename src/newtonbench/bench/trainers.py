@@ -120,10 +120,7 @@ class ExperimentConfig:
             raise ConfigError("baseline trains on the plain loss gradient and reads no lambda")
         if self.lam is None:
             self.lam = lambda_preset(self.method, self.mode, self.n)
-        if not 0 <= checked_real(self.lam, "lam") < np.inf:
-            raise ConfigError(f"lam must be finite and >= 0, got {self.lam!r}")
-        if self.mode != "baseline" and self.lam <= 0:
-            raise ConfigError("Newton modes need lam > 0")
+        checked_real(self.lam, "lam", 0, strict=self.mode != "baseline")
 
 
 def _train_count(count, batch):

@@ -49,10 +49,7 @@ class SortConfig:
         if value is None:
             value = {"neuralsort": 1.0, "softsort": 0.1}.get(self.method, 10.0)
             setattr(self, read, value)
-        if not np.isfinite(checked_real(value, read)):
-            raise ConfigError(f"{read} must be finite, got {value}")
-        if value <= 0:
-            raise ConfigError(f"{read} must be > 0, got {value}")
+        checked_real(value, read, 0, strict=True)
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Exception types shared across the package, and its one array, integer and real-number checks."""
 
+import math
+
 import numpy as np
 
 
@@ -23,8 +25,8 @@ class TooLarge(NewtonBenchError):
     """Input exceeds a hard size limit of an exhaustive routine."""
 
 
-class ConfigError(NewtonBenchError):
-    """Invalid experiment or CLI configuration."""
+class ConfigError(NewtonBenchError, ValueError):
+    """Invalid experiment, library or CLI configuration; a ValueError too."""
 
 
 def checked(a, name, shape):
@@ -52,18 +54,35 @@ def checked(a, name, shape):
     return a
 
 
+def _holds(value, types, least, strict):
+    """Whether value is one of types but not a bool, finite as a float (an int
+    too large for one is not) and >= least, or > least when strict."""
+    try:
+        return (
+            not isinstance(value, bool)
+            and isinstance(value, types)
+            and math.isfinite(float(value))
+            and (least is None or (value > least if strict else value >= least))
+        )
+    except OverflowError:
+        return False
+
+
 def checked_int(value, name, least):
-    """value, once it is an integer >= least (a bool is not); raises
-    ConfigError naming the setting."""
-    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
+    """value, once it is an integer >= least, Python's or numpy's (a bool is
+    not, nor an int too large for a float); raises ConfigError naming the
+    setting."""
+    if not _holds(value, (int, np.integer), least, False):
         raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
     return value
 
 
-def checked_real(value, name):
-    """value, once it is a real number numpy computes with: an int or a float,
-    Python's or numpy's (a bool is not, nor a Fraction, which numpy keeps as
-    an object); raises ConfigError naming the setting."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ConfigError(f"{name} must be a real number, got {value!r}")
+def checked_real(value, name, least=None, strict=False):
+    """value, once it is a finite real number numpy computes with, >= least
+    (> least when strict) if least is given: an int or a float, Python's or
+    numpy's (a bool is not, nor a Fraction, which numpy keeps as an object,
+    nor an int too large for a float); raises ConfigError naming the setting."""
+    if not _holds(value, (int, float, np.integer, np.floating), least, strict):
+        bound = "" if least is None else f" {'>' if strict else '>='} {least}"
+        raise ConfigError(f"{name} must be a finite real number{bound}, got {value!r}")
     return value

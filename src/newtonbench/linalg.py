@@ -7,7 +7,7 @@ matrices 2-D row-major and nonempty. Inputs are validated to be finite.
 
 import numpy as np
 
-from .errors import NonFiniteResult, ShapeMismatch, SingularMatrix, checked
+from .errors import NonFiniteResult, SingularMatrix, checked, checked_real
 
 # Relative eigenvalue threshold under which a damped system is declared
 # numerically singular: min|w + lam| <= PIVOT_RTOL * max|w + lam|.
@@ -26,12 +26,10 @@ class TikhonovSolver:
 
     def __init__(self, M, lam):
         M = checked(M, "M", (None, None))
-        m = M.shape[0]
+        self.dim = m = len(M)
         if M.shape[1] != m:
-            raise ShapeMismatch(f"M must be square, got {M.shape}")
-        if not 0 <= lam < np.inf:
-            raise ValueError(f"lambda must be finite and >= 0, got {lam}")
-        self.dim = m
+            checked(M, "M", (m, m))  # raises, in checked's form
+        checked_real(lam, "lam", 0)
         w, self._V = np.linalg.eigh(0.5 * (M + M.T))
         self._w = w + lam
         mag = np.abs(self._w)
@@ -65,8 +63,7 @@ def woodbury_solve(G, lam, B):
     G = checked(G, "G", (None, None))
     n, m = G.shape
     B = checked(B, "B", (None, m))
-    if not np.isfinite(lam) or lam <= 0:
-        raise ValueError(f"lambda must be finite and > 0, got {lam}")
+    checked_real(lam, "lam", 0, strict=True)
     inner = (G @ G.T) / (n * lam)
     try:
         W = TikhonovSolver(inner, 1.0).solve_mat(G @ B.T)

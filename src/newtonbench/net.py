@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteResult, ShapeMismatch, checked
+from .errors import ConfigError, NonFiniteResult, ShapeMismatch, checked, checked_real
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and floor
@@ -46,29 +46,22 @@ class Mlp:
 
     flat holds every parameter layer by layer, the (out, in) weight matrix
     then the bias; weights[l] and biases[l] are views into it.  The
-    constructor copies its inputs.
+    constructor copies its inputs, once errors.checked has found each of
+    them finite and of its layer's shape.
     """
 
     def __init__(self, weights, biases, activations):
         if not (len(weights) == len(biases) == len(activations) > 0):
             raise ShapeMismatch("layer lists must have equal, nonzero length")
+        parts, self._shapes = [], []
         for idx, (W, b, act) in enumerate(zip(weights, biases, activations)):
             if act not in ACTIVATIONS:
                 raise ConfigError(f"unknown activation {act!r}")
-            if W.ndim != 2 or b.ndim != 1 or W.shape[0] != b.shape[0]:
-                raise ShapeMismatch(f"layer {idx}: weight {W.shape} vs bias {b.shape}")
-            if idx > 0 and W.shape[1] != weights[idx - 1].shape[0]:
-                raise ShapeMismatch(
-                    f"layer {idx} expects width {W.shape[1]}, "
-                    f"previous layer emits {weights[idx - 1].shape[0]}"
-                )
-            if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
-                raise NonFiniteResult(f"layer {idx} has non-finite parameters")
-        self._shapes = [W.shape for W in weights]
-        self.flat = np.concatenate(
-            [part for W, b in zip(weights, biases) for part in (W.ravel(), b)],
-            dtype=np.float64,
-        )
+            # each layer takes the width the previous one emits
+            W = checked(W, f"weights[{idx}]", (None, self._shapes[-1][0] if idx else None))
+            parts += [W.ravel(), checked(b, f"biases[{idx}]", (len(W),))]
+            self._shapes.append(W.shape)
+        self.flat = np.concatenate(parts)
         self.weights, self.biases = self.layer_views(self.flat)
         self.activations = list(activations)
 
@@ -149,8 +142,7 @@ class OptimizerState:
     def create(cls, kind, lr, model):
         if kind not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer {kind!r}")
-        if not 0 < lr < np.inf:
-            raise ConfigError(f"learning rate must be finite and > 0, got {lr}")
+        checked_real(lr, "lr", 0, strict=True)
         state = cls(kind=kind, lr=lr)
         if kind == "adam":
             state.m = np.zeros_like(model.flat)

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ShapeMismatch, checked
+from .errors import ShapeMismatch, checked, checked_real
 from . import linalg
 from . import net
 
@@ -62,8 +62,7 @@ class NewtonConfig:
     def __post_init__(self):
         if self.variant not in ("hessian", "fisher"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if not np.isfinite(self.lam) or self.lam < 0:
-            raise ValueError("lam must be finite and >= 0")
+        checked_real(self.lam, "lam", 0)
 
 
 @dataclass
@@ -120,8 +119,6 @@ def newton_target_fisher(y_bar, probe, lam, inversion="direct"):
     by 1/N, rescaled by N.
     """
     y = checked(y_bar, "y_bar", (None, None))
-    if not np.isfinite(lam) or lam <= 0:
-        raise ValueError("fisher variant requires lam > 0")
     grads = checked(probe.grad(y), "probe.grad output", y.shape)
     n = y.shape[0]
     if inversion == "direct":
@@ -200,8 +197,7 @@ def inject_fisher(batch_grads, lam):
     without ever forming targets.  Requires lam > 0.
     """
     g = checked(batch_grads, "batch_grads", (None, None))
-    if not np.isfinite(lam) or lam <= 0:
-        raise ValueError("inject_fisher requires lam > 0")
+    checked_real(lam, "lam", 0, strict=True)
     n = g.shape[0]
     solver = linalg.TikhonovSolver(n * (g.T @ g), lam)
     return solver.solve_mat(g.T).T

@@ -167,8 +167,8 @@ def dijkstra_grid(inst):
 
 
 def dijkstra_grids(costs):
-    """dijkstra_grid's masks for a (B, h, w) cost stack, bit for bit, as one
-    fresh (B, h, w) float64 array; no grid enters the memo.
+    """dijkstra_grid's masks for a nonempty (B, h, w) cost stack, bit for bit,
+    as one fresh (B, h, w) float64 array; no grid enters the memo.
 
     Laid out (h+2, w+2, B) with an inf border, each neighbour view runs over
     B contiguously.  Bellman-Ford over the views reaches Dijkstra's
@@ -177,9 +177,8 @@ def dijkstra_grids(costs):
     exactly, which is strictly cheaper, so settled earlier, unless the sum
     absorbed a cost; only the settle order decides that, so _best_path does."""
     costs = np.asarray(costs, dtype=np.float64)
-    if costs.ndim != 3 or 0 in costs.shape[1:]:
-        raise ShapeMismatch(f"expected a (B, h, w) cost stack, got shape {costs.shape}")
-    _check_costs(costs)
+    _check_costs(costs)  # first, so a stack fails with its grids' messages
+    costs = checked(costs, "costs", (None, None, None))
     b, h, w = costs.shape
     cost = np.ascontiguousarray(np.moveaxis(costs, 0, -1))
     pad = np.full((h + 2, w + 2, b), np.inf)

@@ -50,8 +50,7 @@ class SmoothingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(checked_real(self.sigma, "sigma")) and self.sigma > 0):
-            raise ConfigError(f"sigma must be finite and > 0, got {self.sigma}")
+        checked_real(self.sigma, "sigma", 0, strict=True)
         # smooth_hessian divides by sigma**4: it must neither overflow nor
         # fall below the normal range, where its reciprocal overflows
         try:
@@ -64,7 +63,7 @@ class SmoothingConfig:
             )
         checked_int(self.samples, "samples", 1)
         # the Philox key of the draws
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**128):
+        if checked_int(self.seed, "seed", 0) >= 2**128:
             raise ConfigError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
 
 

@@ -397,7 +397,7 @@ class TestConfigValidation:
             trainers.run_experiment(trainers.ExperimentConfig(task=task, method=method, **settings))
 
     def test_lambda_must_be_a_number(self):
-        with pytest.raises(ConfigError, match="^lam must be a real number, got '0.1'$"):
+        with pytest.raises(ConfigError, match="^lam must be a finite real number > 0, got '0.1'$"):
             _quick_cfg(mode="nl_hessian", lam="0.1")
 
     @pytest.mark.parametrize(
@@ -418,7 +418,7 @@ class TestConfigValidation:
     def test_real_settings_must_be_real_numbers(self, field, task, method, value):
         # not numpy's bare TypeError from isfinite, nor a bool taken as 1.0
         settings = {field: value, "mode": "nl_hessian"}
-        message = rf"^{field} must be a real number, got {re.escape(repr(value))}$"
+        message = rf"^{field} must be a finite real number > 0, got {re.escape(repr(value))}$"
         with pytest.raises(ConfigError, match=message):
             trainers.ExperimentConfig(task=task, method=method, **settings)
 
@@ -432,9 +432,9 @@ class TestConfigValidation:
             assert getattr(cfg, field) == value
 
     def test_rejects_bad_sort_settings_before_a_run(self):
-        with pytest.raises(ConfigError, match="tau must be > 0"):
+        with pytest.raises(ConfigError, match="tau must be a finite real number > 0, got 0"):
             trainers.ExperimentConfig(task="rank", method="softsort", tau=0)
-        with pytest.raises(ConfigError, match="beta must be > 0"):
+        with pytest.raises(ConfigError, match="beta must be a finite real number > 0, got -1"):
             trainers.ExperimentConfig(task="rank", method="dsn_logistic", beta=-1)
         # a setting the run does not read, even at a value it would accept
         with pytest.raises(ConfigError, match="neuralsort reads tau, not beta"):
@@ -781,8 +781,8 @@ class TestAblation:
         monkeypatch.setattr(trainers, "run_experiment", None)  # no run may start
         for grid, message in [
             ("", "lambda grid must be nonempty"),
-            ("1,0.5", "lambda grid must be finite, positive and ascending"),
-            ("-1,1", "lambda grid must be finite, positive and ascending"),
+            ("1,0.5", "lambda grid must be ascending"),
+            ("-1,1", "--lambdas entry must be a finite real number > 0, got -1.0"),
         ]:
             assert cli.main(["ablate", "lambda", f"--lambdas={grid}", *QUICK_ABLATE]) == 2
             assert capsys.readouterr().err == f"config error: {message}\n"

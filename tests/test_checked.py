@@ -1,18 +1,29 @@
 """errors.checked, the package's one array check, and the contract of the
 library entry points that route their inputs through it: each call returns
-finite output of the documented shape or raises a package error."""
+finite output of the documented shape or raises a package error.  Then the
+scalar settings: every one goes through errors.checked_int or checked_real,
+and a bad value raises ConfigError naming it."""
 
+import inspect
 import math
+import re
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newtonbench import diffsort, linalg, net, newton, shortest_path, smoothing
-from newtonbench.bench import trainers
-from newtonbench.errors import NewtonBenchError, NonFiniteResult, ShapeMismatch, checked
+from newtonbench import diffsort, errors, linalg, net, newton, shortest_path, smoothing
+from newtonbench.bench import checks, cli, datagen, report, slices, trainers
+from newtonbench.errors import (
+    ConfigError,
+    NewtonBenchError,
+    NonFiniteResult,
+    ShapeMismatch,
+    checked,
+)
 
 
 class TestChecked:
@@ -351,6 +362,69 @@ def test_an_overflowing_output_raises(call, message):
             call()
 
 
+G = np.ones((1, 2))
+MODEL = net.Mlp.init([2, 1], ["identity"], 0)
+SLICE = dict(grad_fn=lambda y: y, y_base=np.zeros(3), coord=0, lo=0.0, hi=1.0, steps=3)
+HUGE = 10**400  # an int no float holds
+
+
+def _slice(**setting):
+    return slices.gradient_slice(**{**SLICE, **setting})
+
+
+GE0, GT0 = "a finite real number >= 0", "a finite real number > 0"
+INT1 = "an integer >= 1"
+
+
+# each was accepted, or stopped with a bare TypeError, IndexError or
+# OverflowError, before the bound moved into checked_int and checked_real
+@pytest.mark.parametrize(
+    "call,name,rule,value",
+    [
+        (lambda v: linalg.TikhonovSolver(np.eye(2), v), "lam", GE0, True),
+        (lambda v: linalg.woodbury_solve(G, v, G), "lam", GT0, True),
+        (lambda v: newton.inject_fisher(G, v), "lam", GT0, True),
+        (lambda v: newton.NewtonConfig(lam=v), "lam", GE0, True),
+        (lambda v: net.OptimizerState.create("adam", v, MODEL), "lr", GT0, True),
+        (lambda v: smoothing.SmoothingConfig(0.1, 2, seed=v), "seed", "an integer >= 0", True),
+        (lambda v: _slice(fisher_lambda=v), "fisher_lambda", GT0, True),
+        (lambda v: _slice(coord=v), "coord", "an integer >= 0", True),
+        (lambda v: checks.check_oracles(grids_per_size=v), "grids_per_size", INT1, True),
+        (lambda v: linalg.TikhonovSolver(np.eye(2), v), "lam", GE0, "0.1"),
+        (lambda v: linalg.woodbury_solve(G, v, G), "lam", GT0, "0.1"),
+        (lambda v: newton.inject_fisher(G, v), "lam", GT0, "0.1"),
+        (lambda v: newton.newton_target_fisher(G, SHIFTED, v), "lam", GT0, "0.1"),
+        (lambda v: newton.NewtonConfig(lam=v), "lam", GE0, "0.1"),
+        (lambda v: net.OptimizerState.create("adam", v, MODEL), "lr", GT0, "0.1"),
+        (lambda v: _slice(fisher_lambda=v), "fisher_lambda", GT0, "0.1"),
+        (lambda v: _slice(steps=v), "steps", "an integer >= 2", 2.5),
+        (lambda v: checks.check_oracles(grids_per_size=v), "grids_per_size", INT1, 2.5),
+        (lambda v: diffsort.SortConfig("softsort", tau=v), "tau", GT0, HUGE),
+        (lambda v: _slice(coord=v), "coord", "an integer >= 0", 1.5),
+        (lambda v: linalg.TikhonovSolver(np.eye(2), v), "lam", GE0, HUGE),
+        (
+            lambda v: trainers.ExperimentConfig("rank", "neuralsort", "nl_fisher", lam=v),
+            "lam", GT0, HUGE,
+        ),
+    ],
+    ids=[
+        "solver-bool", "woodbury-bool", "inject-bool", "newton-config-bool", "optimizer-bool",
+        "smoothing-seed-bool", "slice-lambda-bool", "slice-coord-bool", "oracles-bool",
+        "solver-str", "woodbury-str", "inject-str", "target-fisher-str", "newton-config-str",
+        "optimizer-str", "slice-lambda-str", "slice-steps-float", "oracles-float", "tau-huge",
+        "slice-coord-float", "solver-huge", "experiment-lam-huge",
+    ],
+)
+def test_a_bad_setting_raises_config_error_naming_it(call, name, rule, value):
+    message = f"{name} must be {rule}, got {value!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+def test_config_error_is_a_value_error():
+    assert issubclass(ConfigError, ValueError) and issubclass(ConfigError, NewtonBenchError)
+
+
 def test_path_metrics_rows_must_hold_one_grid_each():
     message = r"^held-out outputs must have shape \(\*, 4\), got shape \(2, 3\)$"
     with pytest.raises(ShapeMismatch, match=message):
@@ -376,3 +450,188 @@ def test_path_metrics_rows_must_hold_one_grid_each():
 def test_metrics_want_one_label_per_row(score, message):
     with pytest.raises(ShapeMismatch, match=message):
         score()
+
+
+# ------------------------------------------------------- the scalar settings
+
+# (entry point, setting, least, strict, int or float): entry(**{setting: v})
+# calls the entry point with v and every other argument ordinary
+SETTINGS = [
+    (partial(linalg.TikhonovSolver, M=np.eye(2)), "lam", 0, False, float),
+    (partial(linalg.woodbury_solve, G=G, B=G), "lam", 0, True, float),
+    (newton.NewtonConfig, "lam", 0, False, float),
+    (partial(newton.inject_fisher, batch_grads=G), "lam", 0, True, float),
+    (partial(newton.newton_target_hessian, y_bar=G, probe=SHIFTED), "lam", 0, False, float),
+    (partial(newton.newton_target_fisher, y_bar=G, probe=SHIFTED), "lam", 0, True, float),
+    (
+        partial(newton.newton_target_from_parts, y_bar=G, grads=G, hessian=np.eye(2)),
+        "lam", 0, False, float,
+    ),
+    (partial(net.OptimizerState.create, kind="adam", model=MODEL), "lr", 0, True, float),
+    (partial(smoothing.SmoothingConfig, samples=2), "sigma", 0, True, float),
+    (partial(smoothing.SmoothingConfig, sigma=0.1), "samples", 1, False, int),
+    (partial(smoothing.SmoothingConfig, sigma=0.1, samples=2), "seed", 0, False, int),
+    (partial(diffsort.SortConfig, method="softsort"), "tau", 0, True, float),
+    (partial(diffsort.SortConfig, method="dsn_cauchy"), "beta", 0, True, float),
+    (partial(diffsort.softsort_perm, y=[1.0, 0.0]), "tau", 0, True, float),
+    (partial(diffsort.neuralsort_perm, y=[1.0, 0.0]), "tau", 0, True, float),
+    (partial(diffsort.dsn_perm, y=[1.0, 0.0], family="cauchy"), "beta", 0, True, float),
+    (partial(slices.ranking_grad_fn, method="softsort", n=3), "tau", 0, True, float),
+    (partial(slices.ranking_grad_fn, method="dsn_cauchy", n=3), "beta", 0, True, float),
+    (partial(slices.gradient_slice, **SLICE), "fisher_lambda", 0, True, float),
+    (partial(slices.gradient_slice, **SLICE), "coord", 0, False, int),
+    (partial(slices.gradient_slice, **SLICE), "steps", 2, False, int),
+    (partial(slices.gradient_slice, **SLICE), "lo", None, False, float),
+    (partial(slices.gradient_slice, **SLICE), "hi", None, False, float),
+    (partial(checks.check_grad, count=1, n=3), "seed", 0, False, int),
+    (partial(checks.check_grad, n=3), "count", 1, False, int),
+    (checks.check_lemmas, "seed", 0, False, int),
+    (partial(checks.check_oracles, grids_per_size=1, sizes=(3,)), "seed", 0, False, int),
+    (partial(checks.check_oracles, sizes=(3,)), "grids_per_size", 1, False, int),
+    *(
+        (partial(gen, seed=0, count=2, feature_dim=1, **{size: 3}), name, least, False, int)
+        for gen, size in ((datagen.gen_ranking_data, "n"), (datagen.gen_grid_data, "size"))
+        for name, least in (("seed", 0), (size, 2), ("count", 1), ("feature_dim", 1))
+    ),
+    *(
+        (partial(trainers.ExperimentConfig, task=task, method=method, mode=mode), name, least,
+         strict, kind)
+        for task, method, mode, name, least, strict, kind in (
+            ("rank", "neuralsort", "nl_hessian", "lam", 0, True, float),
+            ("rank", "neuralsort", "baseline", "seed", 0, False, int),
+            ("rank", "neuralsort", "baseline", "steps", 1, False, int),
+            ("rank", "neuralsort", "baseline", "batch", 1, False, int),
+            ("rank", "neuralsort", "baseline", "n", 2, False, int),
+            ("path", "ss_loss", "baseline", "grid", 2, False, int),
+            ("path", "ss_loss", "baseline", "sigma", 0, True, float),
+            ("path", "ss_loss", "baseline", "samples", 1, False, int),
+            ("rank", "softsort", "baseline", "tau", 0, True, float),
+            ("rank", "dsn_cauchy", "baseline", "beta", 0, True, float),
+        )
+    ),
+]
+
+
+def _qualname(fn):
+    fn = getattr(fn, "func", fn)
+    return f"{fn.__module__.removeprefix('newtonbench.')}.{fn.__qualname__}"
+
+
+def _bad_values(least, strict, kind):
+    """(id, value) pairs each setting must refuse."""
+    values = [("bool", True), ("str", "1"), ("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf),
+              ("huge", HUGE)]
+    if kind is int:
+        values += [("float", 2.5), ("below", least - 1)]
+    elif least is not None:
+        values.append(("below", np.nextafter(float(least), -np.inf)))
+        if strict:
+            values.append(("at", least))
+    return values
+
+
+def _message(name, least, strict, kind, value):
+    if kind is int:
+        rule = f"an integer >= {least}"
+    else:
+        bound = "" if least is None else f" {'>' if strict else '>='} {least}"
+        rule = f"a finite real number{bound}"
+    return f"^{re.escape(f'{name} must be {rule}, got {value!r}')}$"
+
+
+@pytest.mark.parametrize(
+    "entry,name,least,strict,kind,value",
+    [
+        pytest.param(entry, name, least, strict, kind, value,
+                     id=f"{_qualname(entry)}-{name}-{value_id}")
+        for entry, name, least, strict, kind in SETTINGS
+        for value_id, value in _bad_values(least, strict, kind)
+    ],
+)
+def test_every_setting_refuses_a_bad_value_by_name(entry, name, least, strict, kind, value):
+    with pytest.raises(ConfigError, match=_message(name, least, strict, kind, value)):
+        entry(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "entry,name,least,kind",
+    [
+        pytest.param(entry, name, least, kind, id=f"{_qualname(entry)}-{name}")
+        for entry, name, least, _, kind in SETTINGS
+    ],
+)
+def test_every_setting_takes_an_ordinary_value(entry, name, least, kind):
+    entry(**{name: least + 1 if kind is int else (least or 0) + 0.5})
+
+
+# parameters named like a scalar setting that are not one
+EXEMPT = {
+    ("net.Mlp.init", "seed"): "a SeedSequence or an int, handed to numpy's default_rng",
+    ("net.OptimizerState", "lr"): "the optimizer's running state; OptimizerState.create checks lr",
+    ("bench.datagen.Dataset", "seed"): "a record of what the generator or loader checked",
+    ("bench.datagen.Dataset", "feature_dim"): "a record of what the generator or loader checked",
+    ("bench.slices.slice_tsv", "coord"): "only names the first column of a finished table",
+}
+SETTING_NAMES = {"lam", "lr", "sigma", "tau", "beta", "seed", "samples", "steps", "count",
+                 "feature_dim", "fisher_lambda", "coord", "grids_per_size"}
+MODULES = (errors, linalg, net, newton, shortest_path, smoothing, diffsort,
+           checks, cli, datagen, report, slices, trainers)
+
+
+def _public_callables():
+    """Every public function and class of the package but its exceptions,
+    and each public method of those classes."""
+    for module in MODULES:
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield obj
+            elif inspect.isclass(obj) and not issubclass(obj, Exception):
+                yield obj
+                for attr, member in vars(obj).items():
+                    func = getattr(member, "__func__", member)
+                    if not attr.startswith("_") and inspect.isfunction(func):
+                        yield getattr(obj, attr)
+
+
+def test_every_parameter_named_like_a_setting_is_checked():
+    # a new copy of a setting cannot go unchecked: SETTINGS lists it, or
+    # EXEMPT says why it is not a scalar setting
+    listed = {(_qualname(entry), name) for entry, name, *_ in SETTINGS}
+    found = {
+        (_qualname(fn), param)
+        for fn in _public_callables()
+        for param in inspect.signature(fn).parameters
+        if param in SETTING_NAMES
+    }
+    assert sorted(found - listed - set(EXEMPT)) == []
+    assert sorted(set(EXEMPT) - found) == []
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["bench", "rank", "--seeds", "0"], "--seeds must be an integer >= 1, got 0"),
+        (["slice", "grad", "--coord", "0", "--n", "1"], "--n must be an integer >= 2, got 1"),
+        (["slice", "grad", "--coord", "0", "--steps", "1"], "steps must be an integer >= 2, got 1"),
+        (
+            ["slice", "grad", "--coord", "0", "--lambda", "nan"],
+            "fisher_lambda must be a finite real number > 0, got nan",
+        ),
+        (
+            ["slice", "grad", "--coord", "0", "--lo=-inf"],
+            "lo must be a finite real number, got -inf",
+        ),
+        (
+            ["ablate", "lambda", "--lambdas", "1,nan"],
+            "--lambdas entry must be a finite real number > 0, got nan",
+        ),
+        (["check", "oracles", "--grids", "0"], "grids_per_size must be an integer >= 1, got 0"),
+    ],
+    ids=["seeds", "slice-n", "slice-steps", "slice-lambda", "slice-lo", "ablate-lambdas",
+         "oracles"],
+)
+def test_a_bad_cli_setting_exits_2_with_one_line(argv, message, capsys):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"

@@ -398,7 +398,7 @@ class TestExitCodes:
     def test_configs_checked_before_first_run(self, capsys):
         # the Newton modes after the baseline reject lambda 0 before it runs
         assert run_cli(QUICK_RANK + ["--lambda", "0"]) == 2
-        assert capsys.readouterr().err == "config error: Newton modes need lam > 0\n"
+        assert capsys.readouterr().err == "config error: lam must be a finite real number > 0, got 0.0\n"
 
     def test_baseline_reads_no_lambda(self, tmp_path, capsys):
         assert run_cli(QUICK_RANK + ["--mode", "baseline", "--lambda", "7"]) == 2

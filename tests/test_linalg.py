@@ -104,7 +104,7 @@ class TestSolveTikhonov:
     @pytest.mark.parametrize("lam", [np.nan, np.inf])
     def test_rejects_nonfinite_lambda_up_front(self, lam):
         # not a late NonFiniteResult from the solve, nor a SingularMatrix
-        with pytest.raises(ValueError, match="lambda must be finite"):
+        with pytest.raises(ValueError, match="lam must be a finite real number >= 0"):
             linalg.TikhonovSolver(np.eye(2), lam)
 
     def test_rejects_nonfinite(self):

@@ -244,7 +244,7 @@ class TestOptimizer:
     @pytest.mark.parametrize("lr", [np.nan, np.inf, -1.0, 0.0])
     def test_rejects_bad_learning_rates(self, kind, lr):
         model = make_model([2, 2], ["identity"])
-        with pytest.raises(ConfigError, match="learning rate must be finite and > 0"):
+        with pytest.raises(ConfigError, match="lr must be a finite real number > 0"):
             net.OptimizerState.create(kind, lr, model)
 
     def test_rejects_a_gradient_of_the_wrong_length(self):

@@ -364,9 +364,10 @@ class TestDijkstraGrids:
         with pytest.raises(ShapeMismatch):
             sp.dijkstra_grids(np.ones(shape))
 
-    def test_empty_stack_keeps_the_grid_shape(self):
-        got = sp.dijkstra_grids(np.ones((0, 3, 4)))
-        assert got.shape == (0, 3, 4) and got.dtype == np.float64
+    def test_an_empty_stack_is_refused(self):
+        message = r"^costs must be 3-D and nonempty, got shape \(0, 3, 4\)$"
+        with pytest.raises(ShapeMismatch, match=message):
+            sp.dijkstra_grids(np.ones((0, 3, 4)))
 
     def test_input_untouched_and_result_fresh(self):
         costs = np.random.default_rng(23).uniform(0.1, 2.0, (5, 4, 4))

@@ -265,9 +265,11 @@ def test_the_point_must_be_finite(estimate, bad):
         estimate(np.array([bad, 1.0]), cfg)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**128, 1.5, "0", None])
+@pytest.mark.parametrize("seed", [-1, 2**128, 1.5, "0", None, True])
 def test_seed_is_checked_when_the_config_is_built(seed):
-    with pytest.raises(ConfigError, match=r"^seed must be an integer in \[0, 2\*\*128\)"):
+    # checked_int's rule, then the Philox key range
+    rule = r"in \[0, 2\*\*128\)" if seed == 2**128 else ">= 0"
+    with pytest.raises(ConfigError, match=rf"^seed must be an integer {rule}, got "):
         SmoothingConfig(sigma=0.1, samples=5, seed=seed)
 
 
