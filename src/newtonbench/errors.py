@@ -1,6 +1,7 @@
 """Exception types shared across the package, and its one array, integer and real-number checks."""
 
 import math
+import reprlib
 
 import numpy as np
 
@@ -68,12 +69,20 @@ def _holds(value, types, least, strict):
         return False
 
 
+def _shown(value):
+    """value's repr cut to reprlib's length; an int too long for str(), its bit length."""
+    try:
+        return reprlib.repr(value)
+    except ValueError:
+        return f"an int of {value.bit_length()} bits"
+
+
 def checked_int(value, name, least):
     """value, once it is an integer >= least, Python's or numpy's (a bool is
     not, nor an int too large for a float); raises ConfigError naming the
-    setting."""
+    setting and showing value cut to a fixed length."""
     if not _holds(value, (int, np.integer), least, False):
-        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise ConfigError(f"{name} must be an integer >= {least}, got {_shown(value)}")
     return value
 
 
@@ -81,8 +90,9 @@ def checked_real(value, name, least=None, strict=False):
     """value, once it is a finite real number numpy computes with, >= least
     (> least when strict) if least is given: an int or a float, Python's or
     numpy's (a bool is not, nor a Fraction, which numpy keeps as an object,
-    nor an int too large for a float); raises ConfigError naming the setting."""
+    nor an int too large for a float); raises ConfigError naming the setting
+    and showing value cut to a fixed length."""
     if not _holds(value, (int, float, np.integer, np.floating), least, strict):
         bound = "" if least is None else f" {'>' if strict else '>='} {least}"
-        raise ConfigError(f"{name} must be a finite real number{bound}, got {value!r}")
+        raise ConfigError(f"{name} must be a finite real number{bound}, got {_shown(value)}")
     return value

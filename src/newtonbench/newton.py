@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ShapeMismatch, checked, checked_real
+from .errors import ConfigError, ShapeMismatch, checked, checked_real
 from . import linalg
 from . import net
 
@@ -61,7 +61,7 @@ class NewtonConfig:
 
     def __post_init__(self):
         if self.variant not in ("hessian", "fisher"):
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise ConfigError(f"unknown variant {self.variant!r}")
         checked_real(self.lam, "lam", 0)
 
 
@@ -126,7 +126,7 @@ def newton_target_fisher(y_bar, probe, lam, inversion="direct"):
     elif inversion == "woodbury":
         steps = linalg.woodbury_solve(grads, lam, grads)
     else:
-        raise ValueError(f"unknown inversion {inversion!r}")
+        raise ConfigError(f"unknown inversion {inversion!r}")
     return NewtonTarget(checked(y - steps, "z_star", y.shape))
 
 
@@ -211,6 +211,7 @@ def split_step_check_gd(model, batch, probe, eta):
     0.5 * ||z - y||^2 toward the frozen z.  The two parameter vectors agree
     up to rounding; returns {"max_param_deviation": ...}.
     """
+    checked_real(eta, "eta", 0, strict=True)
     direct = net.clone_model(model)
     y, tape = net.forward(direct, batch)
     grads = net.backward(direct, tape, probe.grad(y))
@@ -248,6 +249,7 @@ def split_step_check_newton(model, x, probe, eta, trainable="all"):
     otherwise).
     Returns {"max_param_deviation": ...}.
     """
+    checked_real(eta, "eta", 0, strict=True)
     inputs = np.asarray(x, dtype=np.float64)
     if inputs.ndim == 1:
         inputs = inputs[None, :]
@@ -256,7 +258,7 @@ def split_step_check_newton(model, x, probe, eta, trainable="all"):
     if model.sizes[-1] != 1:
         raise ShapeMismatch("newton split check wants scalar model output")
     if trainable not in ("all", "weights"):
-        raise ValueError(f"unknown trainable selector {trainable!r}")
+        raise ConfigError(f"unknown trainable selector {trainable!r}")
     mask = _trainable_mask(model, trainable)
     theta0 = model.flat[mask]
 

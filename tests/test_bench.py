@@ -114,10 +114,24 @@ class TestDrawRecords:
     def _record_if(keep, features):
         return (features.min(), features.sum()) if keep else None
 
+    @classmethod
+    def _keeping(cls, keep, calls):
+        """An accept that yields, row by row, the record of each draw whose
+        index among all candidates read so far satisfies keep, and counts
+        the candidates it reads in calls."""
+
+        def accept(block):
+            for features in block:
+                calls.append(1)
+                yield cls._record_if(keep(len(calls) - 1), features)
+
+        return accept
+
     def test_block_draws_match_one_at_a_time(self):
         # about 130 candidates, so the draws span several blocks
-        def accept(features):
-            return self._record_if(features[0, 0] > 0.5, features)
+        def accept(block):
+            for features in block:
+                yield self._record_if(features[0, 0] > 0.5, features)
 
         got, labels, hidden = datagen._draw_records(
             np.random.default_rng(5), 40, (3, 2), accept, "none"
@@ -137,21 +151,63 @@ class TestDrawRecords:
     def test_gives_up_after_max_draws_for_one_record(self, monkeypatch):
         monkeypatch.setattr(datagen, "_MAX_DRAWS_PER_RECORD", 5)
         calls = []
-
-        def every(k):
-            def accept(features):
-                calls.append(1)
-                return self._record_if(len(calls) % k == 0, features)
-
-            return accept
-
-        # four rejections, then an accept, per record: the limit resets for each
+        # four rejections, then an accept, per record: the limit resets for
+        # each, over 150 candidates and three blocks
         rng = np.random.default_rng(0)
-        assert all(len(a) == 30 for a in datagen._draw_records(rng, 30, (2,), every(5), "none"))
+        every5 = self._keeping(lambda i: i % 5 == 4, calls)
+        assert all(len(a) == 30 for a in datagen._draw_records(rng, 30, (2,), every5, "none"))
+        assert len(calls) == 150
         calls.clear()
+        every6 = self._keeping(lambda i: i % 6 == 5, calls)
         with pytest.raises(ConfigError, match="no separation"):
-            datagen._draw_records(rng, 30, (2,), every(6), "no separation")
+            datagen._draw_records(rng, 30, (2,), every6, "no separation")
         assert len(calls) == 5
+
+    def test_a_run_of_misses_crosses_a_block_boundary(self, monkeypatch):
+        limit = datagen._DRAW_BLOCK + 10
+        monkeypatch.setattr(datagen, "_MAX_DRAWS_PER_RECORD", limit)
+        calls = []
+        # limit - 1 misses between candidates 10 and 10 + limit: the second
+        # record is found in the second block
+        keep = self._keeping(lambda i: i in (10, 10 + limit), calls)
+        got, _, _ = datagen._draw_records(np.random.default_rng(3), 2, (2,), keep, "none")
+        draws = np.random.default_rng(3).normal(0.0, 1.0, size=(2 * datagen._DRAW_BLOCK, 2))
+        assert np.array_equal(got, draws[[10, 10 + limit]])
+        assert len(calls) == 11 + limit
+        # one miss more, and the run that began in the first block gives up
+        # in the second, after exactly limit misses
+        calls.clear()
+        keep = self._keeping(lambda i: i in (10, 11 + limit), calls)
+        with pytest.raises(ConfigError, match="no record"):
+            datagen._draw_records(np.random.default_rng(3), 2, (2,), keep, "no record")
+        assert len(calls) == 11 + limit
+
+    def test_grids_are_solved_only_up_to_the_last_record(self, monkeypatch):
+        seed, size, count = 0, 4, 24
+        readout = datagen._readout(seed, datagen.FEATURE_DIM, tag=2)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 12)))
+        kept = candidates = 0
+        while kept < count:  # the one-at-a-time draws and margin tests
+            features = rng.normal(0.0, 1.0, size=(size * size, datagen.FEATURE_DIM))
+            costs = datagen.costs_from_raw(readout(features)).reshape(size, size)
+            grid = shortest_path.GridInstance(height=size, width=size, node_costs=costs)
+            best, second, _ = shortest_path.two_best_costs(grid)
+            kept += second >= (1.0 + datagen.PATH_MARGIN) * best
+            candidates += 1
+        assert candidates % datagen._DRAW_BLOCK != 0  # the last block is cut short
+        calls = []
+        for name in ("two_best_costs", "dijkstra_grid"):
+            solve = getattr(shortest_path, name)
+            monkeypatch.setattr(
+                shortest_path, name,
+                lambda inst, name=name, solve=solve: calls.append(name) or solve(inst),
+            )
+        assert len(datagen.gen_grid_data(seed, size, count).labels) == count
+        assert calls == ["two_best_costs"] * candidates
+        # above MARGIN_CHECK_MAX_SIZE every draw is kept and solved once
+        calls.clear()
+        assert len(datagen.gen_grid_data(1, 6, 10).labels) == 10
+        assert calls == ["dijkstra_grid"] * 10
 
 
 class TestGridDatagen:

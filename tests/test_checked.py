@@ -7,6 +7,7 @@ and a bad value raises ConfigError naming it."""
 import inspect
 import math
 import re
+import reprlib
 import warnings
 from functools import partial
 
@@ -364,6 +365,7 @@ def test_an_overflowing_output_raises(call, message):
 
 G = np.ones((1, 2))
 MODEL = net.Mlp.init([2, 1], ["identity"], 0)
+LINE = net.Mlp.init([1, 1], ["identity"], 0)  # one weight: a full-rank Newton check
 SLICE = dict(grad_fn=lambda y: y, y_base=np.zeros(3), coord=0, lo=0.0, hi=1.0, steps=3)
 HUGE = 10**400  # an int no float holds
 
@@ -416,9 +418,47 @@ INT1 = "an integer >= 1"
     ],
 )
 def test_a_bad_setting_raises_config_error_naming_it(call, name, rule, value):
-    message = f"{name} must be {rule}, got {value!r}"
+    message = f"{name} must be {rule}, got {reprlib.repr(value)}"
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         call(value)
+
+
+@pytest.mark.parametrize(
+    "value,shown",
+    [
+        (HUGE, "1" + "0" * 17 + "..." + "0" * 19),
+        (10**5000, "an int of 16610 bits"),  # more digits than str() converts
+        ("0.1" * 100, "'0.10.10.10.1...10.10.10.10.1'"),
+    ],
+    ids=["huge", "past-str-limit", "long-str"],
+)
+def test_a_refused_value_is_shown_cut_short(value, shown):
+    for check in (errors.checked_int, errors.checked_real):
+        with pytest.raises(ConfigError) as info:
+            check(value, "lam", 0)
+        assert str(info.value).endswith(f", got {shown}")
+        assert len(str(info.value)) < 100
+
+
+# an unknown choice is a bad setting like any other
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: newton.NewtonConfig(variant="newton"), "unknown variant 'newton'"),
+        (
+            lambda: newton.newton_target_fisher(G, SHIFTED, 0.1, inversion="lu"),
+            "unknown inversion 'lu'",
+        ),
+        (
+            lambda: newton.split_step_check_newton(LINE, [1.0], SHIFTED, 0.5, trainable="bias"),
+            "unknown trainable selector 'bias'",
+        ),
+    ],
+    ids=["variant", "inversion", "trainable"],
+)
+def test_an_unknown_choice_raises_config_error(call, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_config_error_is_a_value_error():
@@ -468,6 +508,15 @@ SETTINGS = [
         "lam", 0, False, float,
     ),
     (partial(net.OptimizerState.create, kind="adam", model=MODEL), "lr", 0, True, float),
+    (
+        partial(newton.split_step_check_gd, model=MODEL, batch=np.ones((1, 2)), probe=SHIFTED),
+        "eta", 0, True, float,
+    ),
+    (
+        partial(newton.split_step_check_newton, model=LINE, x=[1.0], probe=SHIFTED,
+                trainable="weights"),
+        "eta", 0, True, float,
+    ),
     (partial(smoothing.SmoothingConfig, samples=2), "sigma", 0, True, float),
     (partial(smoothing.SmoothingConfig, sigma=0.1), "samples", 1, False, int),
     (partial(smoothing.SmoothingConfig, sigma=0.1, samples=2), "seed", 0, False, int),
@@ -536,7 +585,7 @@ def _message(name, least, strict, kind, value):
     else:
         bound = "" if least is None else f" {'>' if strict else '>='} {least}"
         rule = f"a finite real number{bound}"
-    return f"^{re.escape(f'{name} must be {rule}, got {value!r}')}$"
+    return f"^{re.escape(f'{name} must be {rule}, got {reprlib.repr(value)}')}$"
 
 
 @pytest.mark.parametrize(
@@ -572,7 +621,7 @@ EXEMPT = {
     ("bench.datagen.Dataset", "feature_dim"): "a record of what the generator or loader checked",
     ("bench.slices.slice_tsv", "coord"): "only names the first column of a finished table",
 }
-SETTING_NAMES = {"lam", "lr", "sigma", "tau", "beta", "seed", "samples", "steps", "count",
+SETTING_NAMES = {"lam", "lr", "eta", "sigma", "tau", "beta", "seed", "samples", "steps", "count",
                  "feature_dim", "fisher_lambda", "coord", "grids_per_size"}
 MODULES = (errors, linalg, net, newton, shortest_path, smoothing, diffsort,
            checks, cli, datagen, report, slices, trainers)

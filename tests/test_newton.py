@@ -311,7 +311,7 @@ class TestSplitStepGd:
     def test_rejects_a_non_finite_step(self, eta):
         model = net.Mlp.init([2, 3, 1], ["tanh", "identity"], seed=0)
         probe = newton.LossProbe(grad=lambda y: y)
-        with pytest.raises(ConfigError, match="lr must be a finite real number > 0"):
+        with pytest.raises(ConfigError, match="^eta must be a finite real number > 0"):
             newton.split_step_check_gd(model, np.ones((2, 2)), probe, eta=eta)
 
     def test_mse_probe(self):
