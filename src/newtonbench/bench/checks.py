@@ -107,15 +107,13 @@ def check_oracles(seed=0, grids_per_size=100, sizes=(3, 4, 5)):
     ambiguous = 0
     total = 0
     for size in sizes:
-        grids = [rng.uniform(0.1, 2.0, size=(size, size)) for _ in range(grids_per_size)]
-        for costs, stacked in zip(grids, shortest_path.dijkstra_grids(np.array(grids))):
-            inst = shortest_path.GridInstance(
-                height=size, width=size, node_costs=costs
-            )
+        grids = np.array([rng.uniform(0.1, 2.0, size=(size, size)) for _ in range(grids_per_size)])
+        dij_costs, _, masks = shortest_path.two_best_costs(grids)  # summed in path order
+        for costs, dij_cost, stacked in zip(grids, dij_costs.tolist(), masks):
+            inst = shortest_path.GridInstance(height=size, width=size, node_costs=costs)
             result = shortest_path.dijkstra_grid(inst)
             if not np.array_equal(stacked, result):
                 stack_mismatches += 1
-            dij_cost = shortest_path.two_best_costs(inst)[0]  # summed in path order
             best, mask, unique = shortest_path.brute_force_shortest(inst)
             max_rel = max(max_rel, abs(dij_cost - best) / best)
             if unique:

@@ -14,11 +14,8 @@ since a near-tie flips the supervision under infinitesimal cost changes.
 The grid margin is exact (shortest_path.two_best_costs); it is checked up
 to MARGIN_CHECK_MAX_SIZE, above which rejection rises too steeply.
 
-Candidates are scored a draw block at a time: the ranking generator reads
-out a whole block and gap-tests it with one sort, so gen_ranking_data(0, 10,
-384) takes 23 ms where one candidate at a time took 73 ms (2-vCPU host), and
-stepbench's rank-fisher setup_s fell from 0.43 to 0.33 s.  Grids are still
-solved one candidate at a time, none past the last record.
+Candidates are scored a draw block at a time: the ranking generator
+gap-tests a block with one sort, the grid generator solves it as one stack.
 
 Both kinds are one Dataset of stacked arrays, one per field (features, and
 labels: int64 orders or float64 masks), and share one JSON-lines format: a
@@ -28,10 +25,11 @@ field (kind, size key, feature_dim, count, seed) and every record.
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from ..errors import ConfigError, checked_int
+from ..errors import ConfigError, NewtonBenchError, checked, checked_int
 from .. import shortest_path
 from ..diffsort import hard_rank
 
@@ -98,8 +96,8 @@ def _draw_records(rng, count, shape, accept, failure):
     (label, hidden) rather than None.
 
     Candidates come in blocks of _DRAW_BLOCK draws, filled in the order of
-    single draws.  accept(block) yields one result per draw, in order, and
-    is read only as far as the records need; the search gives up after
+    single draws.  accept(block) returns an iterable of one result per draw,
+    in order, read only as far as the records need; the search gives up after
     _MAX_DRAWS_PER_RECORD misses in a row, which may span blocks.
     """
     features = np.empty((count, *shape))
@@ -147,14 +145,12 @@ def gen_grid_data(seed, size, count, feature_dim=FEATURE_DIM):
     rng = np.random.default_rng(np.random.SeedSequence((seed, 12)))
 
     def accept(block):
-        # a generator, so no grid past the last record is solved
-        for costs in costs_from_raw(readout(block)).reshape(-1, size, size):
-            grid = shortest_path.GridInstance(height=size, width=size, node_costs=costs)
-            if size > MARGIN_CHECK_MAX_SIZE:
-                yield shortest_path.dijkstra_grid(grid), costs
-                continue
-            best, second, mask = shortest_path.two_best_costs(grid)
-            yield None if second < (1.0 + PATH_MARGIN) * best else (mask, costs)
+        costs = costs_from_raw(readout(block)).reshape(-1, size, size)
+        if size > MARGIN_CHECK_MAX_SIZE:
+            return zip(shortest_path.dijkstra_grids(costs), costs)
+        best, second, masks = shortest_path.two_best_costs(costs)
+        near = second < (1.0 + PATH_MARGIN) * best
+        return (None if miss else (mask, grid) for miss, mask, grid in zip(near, masks, costs))
 
     arrays = _draw_records(
         rng, count, (size * size, feature_dim), accept,
@@ -199,21 +195,24 @@ def _json_object(path, lineno, line, fields):
     return obj
 
 
+def _lists_of(value, types):
+    """Whether a JSON value is a list of lists of entries of exactly these types."""
+    lists = type(value) is list and all(type(r) is list for r in value)
+    return lists and set(map(type, chain.from_iterable(value))) <= types
+
+
 def _record(kind, row, size, shape):
-    features = np.asarray(row["features"], dtype=np.float64)
-    if features.shape != shape:
-        raise ValueError(f"features have shape {features.shape}, expected {shape}")
-    if not np.all(np.isfinite(features)):
-        raise ValueError("features have non-finite entries")
+    if not _lists_of(row["features"], {int, float}):  # numpy would convert bools and strings
+        raise ValueError("features must be lists of JSON numbers")
+    features = checked(row["features"], "features", shape)
     if kind == "rank":
         ranking = tuple(row["ranking"])
         if not all(type(i) is int for i in ranking) or sorted(ranking) != list(range(size)):
             raise ValueError(f"ranking {list(ranking)} is not a permutation of 0..{size - 1}")
         return features, ranking
-    mask = np.asarray(row["mask"], dtype=np.float64)
-    if mask.shape != (size, size) or not shortest_path.path_mask_is_valid(mask):
-        raise ValueError(f"mask is not a 0/1 corner-to-corner path of a {size}x{size} grid")
-    return features, mask
+    if not _lists_of(row["mask"], {int}):  # 0/1 is checked with the path, one stack per file
+        raise ValueError("mask entries must be ints")
+    return features, checked(row["mask"], "mask", (size, size))
 
 
 def load_dataset(path):
@@ -237,21 +236,29 @@ def load_dataset(path):
             feature_dim = checked_int(meta["feature_dim"], f"{path} line 1: feature_dim", 1)
             seed = checked_int(meta["seed"], f"{path} line 1: seed", 0)
             feature_shape = (size if kind == "rank" else size * size, feature_dim)
-            records = []
-            for lineno, line in enumerate(fh, start=2):
-                row = _json_object(path, lineno, line, ("features", label_key))
-                try:
-                    records.append(_record(kind, row, size, feature_shape))
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"{path} line {lineno}: {exc}") from None
+            records, error = [], None
+            try:
+                for lineno, line in enumerate(fh, start=2):
+                    row = _json_object(path, lineno, line, ("features", label_key))
+                    try:
+                        records.append(_record(kind, row, size, feature_shape))
+                    except (TypeError, ValueError, OverflowError, NewtonBenchError) as exc:
+                        raise ConfigError(f"{path} line {lineno}: {exc}") from None
+            except ConfigError as exc:
+                error = exc
     except UnicodeDecodeError:
         raise ConfigError(f"{path} is not UTF-8 text") from None
+    label_shape, dtype = ((size,), np.int64) if kind == "rank" else ((size, size), np.float64)
+    labels = np.array([label for _, label in records], dtype=dtype).reshape(-1, *label_shape)
+    valid = kind == "rank" or shortest_path.path_mask_is_valid(labels)
+    if not np.all(valid):  # one stacked check, and a bad mask precedes any line that failed
+        error = ConfigError(f"{path} line {np.argmin(valid) + 2}: mask is not a 0/1 corner path")
+    if error:
+        raise error
     count = meta.get("count")
     if type(count) is not int or count != len(records):
         raise ConfigError(
             f"{path} line 1: count is {count!r}, the file holds {len(records)} records"
         )
-    label_shape, dtype = ((size,), np.int64) if kind == "rank" else ((size, size), np.float64)
     features = np.array([f for f, _ in records]).reshape(-1, *feature_shape)
-    labels = np.array([label for _, label in records], dtype=dtype).reshape(-1, *label_shape)
     return Dataset(kind, size, feature_dim, seed, features, labels)

@@ -2,16 +2,14 @@
 
 Instances are grids of positive node costs; feasible solutions are simple
 4-neighbor paths from the top-left to the bottom-right cell, paying the cost
-of every visited cell including both endpoints. dijkstra_grid is the exact
-solver (memoized on the grid's bytes, one mask per distinct path),
-two_best_costs the exact best and second-best costs and path_mask_is_valid the
-check of a path encoding, all on one Dijkstra loop over flat cell indices in
-plain Python lists (the same IEEE sums as numpy scalars, without their
-per-element cost) for the one-grid traffic of training probes and dataset
-checks; dijkstra_grids solves evaluation's stacks to the same masks (4x4 on
-one 2-vCPU host: 21 against 202 us for one grid, even near 12-15 grids, 2.8
-against 0.45 ms for 128).  brute_force_shortest is the enumeration oracle for
-small grids, and indicator_argmax exposes the solver as a score maximizer over
+of every visited cell including both endpoints.  dijkstra_grid solves one
+grid for training probes with a heap Dijkstra over plain Python lists (the
+same IEEE sums as numpy scalars, without their per-element cost), memoized on
+the grid's bytes.  dijkstra_grids (evaluation), two_best_costs (the dataset
+margin) and path_mask_is_valid (loaded masks) solve a (B, h, w) stack with
+one Bellman-Ford sweep to the same masks; the list core is faster below
+about 12-15 grids.  brute_force_shortest is the enumeration oracle for small
+grids, and indicator_argmax exposes the solver as a score maximizer over
 flattened path indicators for perturbed-argmax training.
 """
 
@@ -57,17 +55,18 @@ def _check_costs(costs):
         raise ValueError("grid costs must be positive")
 
 
-def path_mask_is_valid(mask):
-    """Check that a 0/1 matrix encodes one simple corner-to-corner path: its
-    cells must be the best path when each costs 1 and every other cell costs
-    more than all of them together (a shortest path takes no shortcut)."""
-    mask = np.asarray(mask)
-    if mask.ndim != 2 or not mask.size or not np.all((mask == 0) | (mask == 1)):
-        return False
-    h, w = mask.shape
-    on = mask.ravel() == 1
-    path = _best_path(np.where(on, 1.0, h * w + 1.0).tolist(), h, w)
-    return len(path) == np.count_nonzero(on) and bool(on[path].all())
+def path_mask_is_valid(masks):
+    """One bool per matrix of a (..., h, w) stack: whether it is the 0/1 mask
+    of a simple corner-to-corner path, the best path when its cells cost 1 and
+    every other cell more than all of them together (a shortest path takes no
+    shortcut).  Fewer than 2 axes or an empty side read False."""
+    masks = np.asarray(masks)
+    if masks.ndim < 2 or not masks.size:
+        return np.zeros(masks.shape[:-2], dtype=bool)[()]
+    h, w = masks.shape[-2:]
+    on = masks == 1
+    best = dijkstra_grids(np.where(on, 1.0, h * w + 1.0).reshape(-1, h, w)).reshape(on.shape)
+    return ((best == on) & (on | (masks == 0))).all(axis=(-2, -1))
 
 
 @functools.cache  # one immutable table per grid shape, shared by every solve of it
@@ -84,48 +83,31 @@ def _neighbours(h, w):
     )
 
 
-def _settle(cost, nbrs, dist, heap, done):
-    """Dijkstra over flat cells from the seeded heap of (dist, cell) entries,
-    which order as (dist, i, j) do; updates the dist list in place and returns
-    the cells in settling order.  Cells seeded as done are never entered,
-    which is how a caller blocks them."""
-    order = []
+def _best_path(cost, h, w):
+    """Flat cells of the best path: Dijkstra, whose heap entries (dist, cell)
+    order as (dist, i, j) do, then a backtrack with the up/left/down/right tie
+    rule that steps only to a neighbour settled before the current cell.
+    That changes nothing when every cost counts, since a predecessor is then
+    strictly cheaper; when a cost is absorbed by a far larger sum, two
+    neighbours pass the cost test for each other, and the settling order is
+    what keeps the walk from bouncing between them.  The neighbour that last
+    relaxed a cell always qualifies, so the walk ends."""
+    n, nbrs = h * w, _neighbours(h, w)
+    dist, rank = [np.inf] * n, [n] * n  # rank: settling order, n until settled
+    dist[0] = cost[0]
+    heap, settled = [(cost[0], 0)], 0
     pop, push = heapq.heappop, heapq.heappush
     while heap:
         d, k = pop(heap)
-        if done[k]:
+        if rank[k] < n:
             continue
-        done[k] = True
-        order.append(k)
-        for n in nbrs[k]:
-            if not done[n]:
-                nd = d + cost[n]
-                if nd < dist[n]:
-                    dist[n] = nd
-                    push(heap, (nd, n))
-    return order
-
-
-def _best_path(cost, h, w):
-    """Flat cells of the best path from the start to the goal, backtracked
-    from the goal with the up/left/down/right tie rule.
-
-    The backtrack steps only to a neighbour that settled before the current
-    cell.  That changes nothing when every cost counts, since a predecessor
-    is then strictly cheaper; when a cost is absorbed by a far larger sum,
-    two neighbours pass the cost test for each other, and the settling order
-    is what keeps the walk from bouncing between them.  The neighbour that
-    last relaxed a cell always qualifies, so the walk ends.
-    """
-    n, nbrs = h * w, _neighbours(h, w)
-    dist = [np.inf] * n
-    dist[0] = cost[0]
-    order = _settle(cost, nbrs, dist, [(cost[0], 0)], [False] * n)
+        rank[k], settled = settled, settled + 1
+        for m in nbrs[k]:
+            if rank[m] == n and d + cost[m] < dist[m]:
+                dist[m] = d + cost[m]
+                push(heap, (dist[m], m))
     if dist[-1] == np.inf:
         raise NonFiniteResult("shortest path cost overflows to inf")
-    rank = [n] * n
-    for r, k in enumerate(order):
-        rank[k] = r
     k = n - 1
     path = [k]
     while k:
@@ -166,24 +148,14 @@ def dijkstra_grid(inst):
     return _solved(inst.node_costs.tobytes(), inst.height, inst.width).copy()
 
 
-def dijkstra_grids(costs):
-    """dijkstra_grid's masks for a nonempty (B, h, w) cost stack, bit for bit,
-    as one fresh (B, h, w) float64 array; no grid enters the memo.
-
-    Laid out (h+2, w+2, B) with an inf border, each neighbour view runs over
-    B contiguously.  Bellman-Ford over the views reaches Dijkstra's
-    distances, the least left fold of costs over the walks to a cell.  The
-    backtrack steps to the first up/left/down/right neighbour that pays in
-    exactly, which is strictly cheaper, so settled earlier, unless the sum
-    absorbed a cost; only the settle order decides that, so _best_path does."""
-    costs = np.asarray(costs, dtype=np.float64)
-    _check_costs(costs)  # first, so a stack fails with its grids' messages
-    costs = checked(costs, "costs", (None, None, None))
-    b, h, w = costs.shape
-    cost = np.ascontiguousarray(np.moveaxis(costs, 0, -1))
+def _sweep(cost, dist):
+    """Bellman-Ford over an (h, w, B) cost stack from start distances to the
+    fixed point, and the last sweep's sums through each neighbour.  Laid out
+    (h+2, w+2, B) with an inf border, each view runs over B contiguously."""
+    h, w, b = cost.shape
     pad = np.full((h + 2, w + 2, b), np.inf)
+    pad[1:-1, 1:-1] = dist
     dist = pad[1:-1, 1:-1]
-    dist[0, 0] = cost[0, 0]
     views = [pad[1 + di : h + 1 + di, 1 + dj : w + 1 + dj] for di, dj in _PRED_ORDER]
     sums = np.empty((len(views), h, w, b))
     with np.errstate(over="ignore"):
@@ -192,55 +164,77 @@ def dijkstra_grids(costs):
             for v, s in zip(views, sums):
                 np.minimum(dist, np.add(v, cost, out=s), out=dist)
             if np.array_equal(dist, before):
-                break
-        if not np.isfinite(dist[-1, -1]).all():
-            raise NonFiniteResult("shortest path cost overflows to inf")
-        absorbed = (dist + cost == dist).any(axis=(0, 1))
+                return dist, sums
+
+
+def _solve(costs):
+    """A nonempty (B, h, w) cost stack's (h, w, B) costs and distances, a
+    (T, B) trail of each best path's cells from the goal, repeating the start
+    once there, and the (B, h, w) masks.  The backtrack steps to the first
+    up/left/down/right neighbour that pays in exactly, which settled earlier
+    unless the sum absorbed a cost: then _best_path's settle order decides."""
+    costs = np.asarray(costs, dtype=np.float64)
+    _check_costs(costs)  # first, so a stack fails with its grids' messages
+    costs = checked(costs, "costs", (None, None, None))
+    b, h, w = costs.shape
+    cost = np.ascontiguousarray(np.moveaxis(costs, 0, -1))
+    dist, sums = _sweep(cost, np.where(np.arange(h * w).reshape(h, w, 1) == 0, cost, np.inf))
+    if not np.isfinite(dist[-1, -1]).all():
+        raise NonFiniteResult("shortest path cost overflows to inf")
     step = np.zeros((h, w, b), dtype=np.intp)  # flat offset to each cell's predecessor
     for (di, dj), s in reversed(list(zip(_PRED_ORDER, sums))):  # the first direction wins
         step = np.where(s == dist, di * w + dj, step)
     step, cols = step.reshape(h * w, b), np.arange(b)
-    k = np.where(absorbed, 0, h * w - 1)  # an absorbing grid waits at the start
-    mask = np.zeros((b, h * w))
-    mask[cols, k] = 1
-    while k.any():  # each step lowers the distance until the start
-        k = k + step[k, cols]
-        mask[cols, k] = 1
+    with np.errstate(over="ignore"):
+        absorbed = (dist + cost == dist).any(axis=(0, 1))
     for g in np.flatnonzero(absorbed):
-        mask[g, _best_path(costs[g].ravel().tolist(), h, w)] = 1
-    return mask.reshape(b, h, w)
+        path = _best_path(costs[g].ravel().tolist(), h, w)
+        step[path[1:], g] = -np.diff(path)
+    trail = [np.full(b, h * w - 1)]
+    while trail[-1].any():  # each step lowers the distance until the start
+        trail.append(trail[-1] + step[trail[-1], cols])
+    trail = np.array(trail)
+    masks = np.zeros((b, h * w))
+    masks[cols, trail] = 1
+    return cost, dist, trail, masks.reshape(b, h, w)
 
 
-def two_best_costs(inst):
-    """(best cost, second-best cost, best mask) over simple paths; the
-    second cost is inf when the grid has a single path, and the mask is
-    dijkstra_grid's.
+def dijkstra_grids(costs):
+    """dijkstra_grid's masks for a nonempty (B, h, w) cost stack, bit for bit,
+    as one fresh (B, h, w) float64 array; no grid enters the memo."""
+    return _solve(costs)[3]
 
-    Yen's k=2 step: any other path leaves the best one at some cell for a
-    different free neighbour, so one Dijkstra run per cell of the best path,
-    with its prefix blocked, finds the runner-up.  Every candidate is a left
-    fold of cell costs in path order and float addition is monotone, so both
-    costs equal the two lowest of an exhaustive walk exactly.
-    """
-    h, w = inst.height, inst.width
-    cost = inst.node_costs.ravel().tolist()
-    nbrs, path = _neighbours(h, w), _best_path(cost, h, w)
-    blocked = [False] * (h * w)
-    best, second = cost[0], np.inf
-    for k, nxt in zip(path, path[1:]):
-        blocked[k] = True
-        dist, heap = [np.inf] * (h * w), []
-        for c in nbrs[k]:
-            if not blocked[c] and c != nxt:
-                dist[c] = best + cost[c]
-                heap.append((dist[c], c))
-        heapq.heapify(heap)
-        _settle(cost, nbrs, dist, heap, blocked.copy())
-        second = min(second, dist[-1])
-        best = best + cost[nxt]
-    mask = np.zeros(h * w)
-    mask[path] = 1
-    return best, second, mask.reshape(h, w)
+
+def two_best_costs(costs):
+    """(best, second, masks) of a nonempty (B, h, w) cost stack: each grid's
+    best and second-best simple-path cost, second inf where a grid has one
+    path, and dijkstra_grids' masks.  Yen's k=2 step: any other path leaves
+    the best one at some cell k for another free neighbour, so each step from
+    k poses a stage, its grid with the path up to k at infinite cost, seeded
+    at k's other neighbours with k's distance plus their cost; one sweep of
+    every stage gives each grid's second cost as its stages' least.  Both are
+    left folds in path order, exact as float addition is monotone."""
+    cost, dist, trail, masks = _solve(costs)
+    h, w, b = cost.shape
+    n, rows = h * w, np.arange(len(trail))[:, None]
+    depth = np.full((n, b), -1)  # each cell's steps back from the goal, -1 off the path
+    depth[trail, np.arange(b)] = rows  # the start's is at least its path's length
+    # one stage per step: the trail row of the cell it leaves, and its grid
+    row, owner = np.nonzero((rows > 0) & (rows <= np.count_nonzero(trail, axis=0)))
+    k, nxt, stages = trail[row, owner], trail[row - 1, owner], np.arange(len(row))
+    stage = np.where(depth[:, owner] >= row, np.inf, cost.reshape(n, b)[:, owner])
+    src = np.full((h + 2, w + 2, len(row)), np.inf)
+    src[1 + k // w, 1 + k % w, stages] = dist.reshape(n, b)[k, owner]
+    seed = np.full((n, len(row)), np.inf)
+    with np.errstate(over="ignore"):
+        for di, dj in _PRED_ORDER:  # k's neighbours are offered k's distance plus their cost
+            view = src[1 + di : h + 1 + di, 1 + dj : w + 1 + dj].reshape(n, -1)
+            np.minimum(seed, view + stage, out=seed)
+    seed[nxt, stages] = np.inf
+    far, _ = _sweep(stage.reshape(h, w, -1), seed.reshape(h, w, -1))
+    second = np.full(b, np.inf)
+    np.minimum.at(second, owner, far[-1, -1])
+    return dist[-1, -1].copy(), second, masks
 
 
 def brute_force_shortest(inst):

@@ -2,10 +2,12 @@
 
 These deliberately avoid the library's own code paths: plain Gauss-Jordan
 inversion, central finite differences, a comparator-at-a-time sorting
-network, exhaustive enumeration, Bellman-Ford relaxation, a
-degree-and-walk path check and a per-array optimizer, so a bug in the
-package cannot cancel out in the checks.
+network, exhaustive enumeration, Bellman-Ford relaxation, a heap Dijkstra
+with Yen's k=2 search, a degree-and-walk path check and a per-array
+optimizer, so a bug in the package cannot cancel out in the checks.
 """
+
+import heapq
 
 import numpy as np
 from scipy.special import expit
@@ -197,3 +199,79 @@ def path_mask_reference(mask):
                 seen.add(nxt)
                 frontier.append(nxt)
     return seen == cells
+
+
+def _grid_neighbours(h, w):
+    """Per flat cell k = i*w + j, its in-grid neighbours: up, left, down, right."""
+    steps = ((-1, 0), (0, -1), (1, 0), (0, 1))
+    return [
+        [(i + di) * w + j + dj for di, dj in steps if 0 <= i + di < h and 0 <= j + dj < w]
+        for i in range(h)
+        for j in range(w)
+    ]
+
+
+def _settle(cost, nbrs, dist, heap, done):
+    """Dijkstra over flat cells from the seeded heap of (dist, cell) entries;
+    updates dist in place and returns the cells in settling order.  Cells
+    seeded as done are never entered, which is how a caller blocks them."""
+    order = []
+    while heap:
+        d, k = heapq.heappop(heap)
+        if done[k]:
+            continue
+        done[k] = True
+        order.append(k)
+        for n in nbrs[k]:
+            if not done[n] and d + cost[n] < dist[n]:
+                dist[n] = d + cost[n]
+                heapq.heappush(heap, (dist[n], n))
+    return order
+
+
+def heap_best_path(cost, h, w):
+    """Flat cells of the best path of a flat cost list, backtracked from the
+    goal to the first up/left/down/right neighbour that settled earlier and
+    pays in exactly, or None when the best cost overflows."""
+    n, nbrs = h * w, _grid_neighbours(h, w)
+    dist = [np.inf] * n
+    dist[0] = cost[0]
+    order = _settle(cost, nbrs, dist, [(cost[0], 0)], [False] * n)
+    if dist[-1] == np.inf:
+        return None
+    rank = [n] * n
+    for r, k in enumerate(order):
+        rank[k] = r
+    k, path = n - 1, [n - 1]
+    while k:
+        k = next(p for p in nbrs[k] if rank[p] < rank[k] and dist[p] + cost[k] == dist[k])
+        path.append(k)
+    return path[::-1]
+
+
+def two_best_costs_reference(costs):
+    """(best, second, mask) of one cost grid by Yen's k=2 search, one heap
+    Dijkstra per cell of the best path with the path up to that cell
+    blocked, or None when the best cost overflows."""
+    costs = np.asarray(costs, dtype=np.float64)
+    h, w = costs.shape
+    cost = costs.ravel().tolist()
+    nbrs, path = _grid_neighbours(h, w), heap_best_path(cost, h, w)
+    if path is None:
+        return None
+    blocked = [False] * (h * w)
+    best, second = cost[0], np.inf
+    for k, nxt in zip(path, path[1:]):
+        blocked[k] = True
+        dist, heap = [np.inf] * (h * w), []
+        for c in nbrs[k]:
+            if not blocked[c] and c != nxt:
+                dist[c] = best + cost[c]
+                heap.append((dist[c], c))
+        heapq.heapify(heap)
+        _settle(cost, nbrs, dist, heap, blocked.copy())
+        second = min(second, dist[-1])
+        best = best + cost[nxt]
+    mask = np.zeros(h * w)
+    mask[path] = 1
+    return best, second, mask.reshape(h, w)

@@ -17,7 +17,7 @@ from newtonbench import diffsort, net, shortest_path, smoothing
 from newtonbench.bench import checks, cli, datagen, report, slices, trainers
 from newtonbench.errors import ConfigError, NonFiniteResult, ShapeMismatch
 
-from oracles import enumerate_paths
+from oracles import enumerate_paths, two_best_costs_reference
 
 
 def _quick_cfg(**over):
@@ -183,31 +183,35 @@ class TestDrawRecords:
         assert len(calls) == 11 + limit
 
     def test_grids_are_solved_only_up_to_the_last_record(self, monkeypatch):
-        seed, size, count = 0, 4, 24
+        seed, size, count = 0, 4, 48
         readout = datagen._readout(seed, datagen.FEATURE_DIM, tag=2)
         rng = np.random.default_rng(np.random.SeedSequence((seed, 12)))
         kept = candidates = 0
         while kept < count:  # the one-at-a-time draws and margin tests
             features = rng.normal(0.0, 1.0, size=(size * size, datagen.FEATURE_DIM))
             costs = datagen.costs_from_raw(readout(features)).reshape(size, size)
-            grid = shortest_path.GridInstance(height=size, width=size, node_costs=costs)
-            best, second, _ = shortest_path.two_best_costs(grid)
+            best, second, _ = two_best_costs_reference(costs)
             kept += second >= (1.0 + datagen.PATH_MARGIN) * best
             candidates += 1
-        assert candidates % datagen._DRAW_BLOCK != 0  # the last block is cut short
+        blocks = -(-candidates // datagen._DRAW_BLOCK)
+        assert blocks > 1 and candidates % datagen._DRAW_BLOCK != 0  # the last block is cut short
         calls = []
-        for name in ("two_best_costs", "dijkstra_grid"):
+        for name in ("two_best_costs", "dijkstra_grids", "dijkstra_grid"):
             solve = getattr(shortest_path, name)
             monkeypatch.setattr(
                 shortest_path, name,
-                lambda inst, name=name, solve=solve: calls.append(name) or solve(inst),
+                lambda grids, name=name, solve=solve: calls.append(name) or solve(grids),
             )
         assert len(datagen.gen_grid_data(seed, size, count).labels) == count
-        assert calls == ["two_best_costs"] * candidates
-        # above MARGIN_CHECK_MAX_SIZE every draw is kept and solved once
+        # one stacked solve per block read, none after the last record's
+        assert calls == ["two_best_costs"] * blocks
+        # above MARGIN_CHECK_MAX_SIZE every draw is kept: one stacked solve,
+        # and neither dijkstra_grid nor its memo sees a grid
         calls.clear()
+        shortest_path._solved.cache_clear()
         assert len(datagen.gen_grid_data(1, 6, 10).labels) == 10
-        assert calls == ["dijkstra_grid"] * 10
+        assert calls == ["dijkstra_grids"]
+        assert shortest_path._solved.cache_info().currsize == 0
 
 
 class TestGridDatagen:
@@ -290,6 +294,57 @@ class TestGridDatagen:
         with pytest.raises(ConfigError, match="line 2: mask is not"):
             datagen.load_dataset(path)
         assert calls == []
+
+    @staticmethod
+    def edited(path, edits):
+        """Rewrite a saved dataset with each {line number: (key, edit)} applied
+        to that record's value."""
+        lines = path.read_text().splitlines()
+        for lineno, (key, edit) in edits.items():
+            row = json.loads(lines[lineno - 1])
+            lines[lineno - 1] = json.dumps({**row, key: edit(row[key])})
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("features", "0.12"), ("features", True), ("features", None), ("features", 10**400),
+         ("mask", "1"), ("mask", True), ("mask", 1.0)],
+        ids=["string-feature", "bool-feature", "null-feature", "huge-int-feature",
+             "string-mask", "bool-mask", "float-mask"],
+    )
+    def test_wrong_typed_values_are_refused_by_line(self, key, value, tmp_path):
+        # features are JSON numbers and mask entries the ints 0 and 1, as
+        # save_dataset writes them; numpy would convert strings and bools
+        path = tmp_path / "grid.jsonl"
+        datagen.save_dataset(datagen.gen_grid_data(0, 3, 6), path)
+
+        def first_entry(rows):
+            return [[value, *rows[0][1:]], *rows[1:]]
+
+        with pytest.raises(ConfigError, match=f"line 4: ({key} |int too large)"):
+            datagen.load_dataset(self.edited(path, {4: (key, first_entry)}))
+
+    def test_wrong_typed_rank_features_are_refused(self, tmp_path):
+        path = tmp_path / "rank.jsonl"
+        datagen.save_dataset(datagen.gen_ranking_data(0, 3, 6), path)
+        edit = ("features", lambda rows: [[str(rows[0][0]), *rows[0][1:]], *rows[1:]])
+        with pytest.raises(ConfigError, match="line 3: features must be lists of JSON numbers"):
+            datagen.load_dataset(self.edited(path, {3: edit}))
+
+    @pytest.mark.parametrize("mask_line, feature_line", [(3, 5), (5, 3)])
+    def test_the_first_bad_line_is_named(self, mask_line, feature_line, tmp_path):
+        # the masks are checked as one stack after the per-record checks,
+        # and still before a later line's failure is raised
+        path = tmp_path / "grid.jsonl"
+        datagen.save_dataset(datagen.gen_grid_data(0, 3, 6), path)
+        shortcut = [[1, 1, 0], [1, 1, 0], [0, 1, 1]]
+        path = self.edited(path, {
+            mask_line: ("mask", lambda _: shortcut),
+            feature_line: ("features", lambda rows: [[np.nan] * len(rows[0]), *rows[1:]]),
+        })
+        with pytest.raises(ConfigError, match=f"line {min(mask_line, feature_line)}: "):
+            datagen.load_dataset(path)
 
 
 class TestDatasetLayout:
@@ -1120,11 +1175,19 @@ class TestChecks:
         assert out["grids"] == 60
         assert out["mask_mismatches"] == 0
         assert out["stack_mismatches"] == 0
-        # a stacked solve that disagrees with dijkstra_grid fails the check
-        stacked = shortest_path.dijkstra_grids
-        monkeypatch.setattr(shortest_path, "dijkstra_grids", lambda costs: 1 - stacked(costs))
+        # a stacked solve that disagrees with dijkstra_grid fails the check;
+        # each size's grids are solved as one stack
+        stacked, calls = shortest_path.two_best_costs, []
+
+        def flipped(costs):
+            calls.append(len(costs))
+            best, second, masks = stacked(costs)
+            return best, second, 1 - masks
+
+        monkeypatch.setattr(shortest_path, "two_best_costs", flipped)
         out = checks.check_oracles(grids_per_size=20)
         assert not out["ok"] and out["stack_mismatches"] == 60
+        assert calls == [20, 20, 20]
 
     def test_enumerator_against_independent_oracle(self):
         rng = np.random.default_rng(17)

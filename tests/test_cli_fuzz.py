@@ -36,7 +36,7 @@ COUNTS = ("--steps", "--batch", "--n", "--grid", "--samples", "--seeds", "--grid
 # --data choices, resolved to files by the datasets fixture
 DATA = (
     "rank", "path", "missing", "not-json", "bad-header", "no-ranking", "bad-mask",
-    "count-mismatch",
+    "count-mismatch", "string-features", "bool-mask",
 )
 
 
@@ -51,6 +51,13 @@ def datasets(tmp_path_factory):
     # a 3x3 path whose mask entries are doubled: the right shape, not 0/1
     grid_header = json.dumps({"kind": "path", "size": 3, "feature_dim": 6, "seed": 0})
     doubled = json.dumps({"features": [[0.0] * 6] * 9, "mask": [[2, 0, 0], [2, 0, 0], [2, 2, 2]]})
+    # the valid path set with its first record's features as JSON strings,
+    # or its first mask as booleans: loaded as they are, both would train
+    with open(files["path"]) as fh:
+        header_line, first, *rest = fh.read().splitlines(keepends=True)
+    record = json.loads(first)
+    strings = {**record, "features": [[str(v) for v in row] for row in record["features"]]}
+    booleans = {**record, "mask": [[v == 1 for v in row] for row in record["mask"]]}
     # the valid rank set under a header that claims one record more
     with open(files["rank"]) as fh:
         miscounted = fh.read().replace('"count": 30', '"count": 31', 1)
@@ -60,6 +67,8 @@ def datasets(tmp_path_factory):
         ("no-ranking", header + '\n{"features": [[0.0]]}\n'),
         ("bad-mask", grid_header + "\n" + doubled + "\n"),
         ("count-mismatch", miscounted),
+        ("string-features", "".join([header_line, json.dumps(strings) + "\n", *rest])),
+        ("bool-mask", "".join([header_line, json.dumps(booleans) + "\n", *rest])),
     ):
         with open(files[name], "w") as fh:
             fh.write(body)
@@ -167,6 +176,8 @@ def run(argv):
 @example(argv=["slice", "grad", "--coord=0", "--lambda=nan"])
 @example(argv=["slice", "grad", "--coord=0", "--tau=nan"])
 @example(argv=["bench", "rank", "--n=3", "--steps=1", "--data=not-json"])
+@example(argv=["bench", "path", "--grid=3", "--steps=1", "--data=string-features"])
+@example(argv=["bench", "path", "--grid=3", "--steps=1", "--data=bool-mask"])
 @example(argv=["check", "oracles", "--grids=0"])
 @example(argv=["slice", "grad", "--coord=0", "--lo=-inf"])
 @example(argv=["slice", "grad", "--coord=0", "--base=nan,1,2"])
@@ -199,3 +210,5 @@ def test_argv_grammar_exits_cleanly(datasets, argv):
         assert code == 2, (argv, code, err)
     if any(int(values.get(flag, 1)) < 1 for flag in COUNTS):
         assert code != 0, (argv, err)
+    if values.get("--data", "rank") not in ("rank", "path"):  # a missing or broken file
+        assert code == 2, (argv, code, err)

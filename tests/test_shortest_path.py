@@ -4,7 +4,9 @@ import pytest
 from newtonbench import shortest_path as sp
 from newtonbench.errors import NonFiniteResult, ShapeMismatch, TooLarge
 
-from oracles import enumerate_paths, mask_cost, path_mask_reference, tie_rule_mask
+from oracles import (
+    enumerate_paths, mask_cost, path_mask_reference, tie_rule_mask, two_best_costs_reference,
+)
 
 
 def random_grid(rng, h, w, low=0.1, high=2.0):
@@ -134,17 +136,38 @@ class TestDijkstra:
         checked = 0
         for h, w in shapes + [(4, 4)]:
             k = h * w
-            masks = (np.arange(2**k)[:, None] >> np.arange(k)) & 1
-            for mask in masks.reshape(-1, h, w):
-                assert sp.path_mask_is_valid(mask) == path_mask_reference(mask), mask
+            masks = ((np.arange(2**k)[:, None] >> np.arange(k)) & 1).reshape(-1, h, w)
+            valid = sp.path_mask_is_valid(masks)
+            assert valid.dtype == bool and valid.shape == (len(masks),)
+            for mask, ok in zip(masks, valid):
+                assert ok == path_mask_reference(mask), mask
             checked += len(masks)
         assert checked == 101_514
+
+    def test_stacked_mask_check_agrees_with_the_reference(self):
+        # random 0/1 stacks with a leading axis or two, each mask its own bool
+        rng = np.random.default_rng(24)
+        for h in range(1, 7):
+            for w in range(1, 7):
+                masks = rng.integers(0, 2, (2, 30, h, w))
+                masks[0, ::3] = [sp.dijkstra_grid(random_grid(rng, h, w)) for _ in range(10)]
+                valid = sp.path_mask_is_valid(masks)
+                assert valid.shape == (2, 30)
+                want = [[path_mask_reference(m) for m in stack] for stack in masks]
+                np.testing.assert_array_equal(valid, want)
+                assert sp.path_mask_is_valid(masks[1, 0]) == want[1][0]
 
     def test_mask_check_rejects_off_encodings(self):
         assert not sp.path_mask_is_valid(np.ones(3))
         assert not sp.path_mask_is_valid(np.zeros((0, 3)))
         assert not sp.path_mask_is_valid(np.array([[1, 0], [2, 1]]))
         assert sp.path_mask_is_valid(np.array([[True, False], [True, True]]))
+        # in a stack, an off encoding reads False beside valid masks, also
+        # when its cells with 1 form the path
+        stack = np.array([[[1, 0], [1, 1]], [[1, 2], [1, 1]], [[1, 1], [0, 1]]])
+        np.testing.assert_array_equal(sp.path_mask_is_valid(stack), [True, False, True])
+        assert sp.path_mask_is_valid(np.ones((0, 2, 2))).shape == (0,)
+        np.testing.assert_array_equal(sp.path_mask_is_valid(np.ones((2, 0, 3))), [False, False])
 
     def test_deterministic_tie_break(self):
         # uniform costs: many optimal paths; repeated solves must agree
@@ -253,7 +276,7 @@ class TestAbsorbedCosts:
         inst = sp.GridInstance(height=3, width=3, node_costs=costs)
         mask = sp.dijkstra_grid(inst)
         assert is_simple_corner_path(mask)
-        np.testing.assert_array_equal(sp.two_best_costs(inst)[2], mask)
+        np.testing.assert_array_equal(sp.two_best_costs(costs[None])[2][0], mask)
 
     def test_extreme_grids_end_on_a_simple_path_or_overflow(self):
         rng = np.random.default_rng(10)
@@ -266,14 +289,14 @@ class TestAbsorbedCosts:
             except NonFiniteResult:
                 continue
             assert is_simple_corner_path(mask), costs
-            np.testing.assert_array_equal(sp.two_best_costs(inst)[2], mask)
+            np.testing.assert_array_equal(sp.two_best_costs(costs[None])[2][0], mask)
 
     def test_overflowing_best_cost_raises(self):
         inst = sp.GridInstance(height=3, width=3, node_costs=np.full((3, 3), 1e308))
         with pytest.raises(NonFiniteResult):
             sp.dijkstra_grid(inst)
         with pytest.raises(NonFiniteResult):
-            sp.two_best_costs(inst)
+            sp.two_best_costs(inst.node_costs[None])
 
 
 class TestDijkstraGrids:
@@ -434,15 +457,52 @@ class TestTwoBestCosts:
         for draw in draws:
             for _ in range(15):
                 inst = sp.GridInstance(height=h, width=w, node_costs=draw())
-                best, second, mask = sp.two_best_costs(inst)
+                (best,), (second,), (mask,) = sp.two_best_costs(inst.node_costs[None])
                 assert (best, second) == self.oracle_two_best(inst, paths)
                 np.testing.assert_array_equal(mask, sp.dijkstra_grid(inst))
+
+    DRAWS = {
+        "uniform": lambda rng, shape: rng.uniform(0.1, 2.0, shape),
+        "tied": lambda rng, shape: rng.integers(1, 4, shape).astype(np.float64),
+        "few-valued": lambda rng, shape: rng.choice([0.1, 0.2, 0.3], shape),
+        "absorbing": lambda rng, shape: rng.choice([1e-300, 1e-9, 1.0, 1e8, 5e307, 1e308], shape),
+    }
+
+    @staticmethod
+    def assert_equals_the_heap_search(costs):
+        """The stack's grids whose best cost overflows raise alone; the rest,
+        as one stack, equal the heap Yen search exactly."""
+        refs = [two_best_costs_reference(grid) for grid in costs]
+        for grid, ref in zip(costs, refs):
+            if ref is None:
+                with pytest.raises(NonFiniteResult):
+                    sp.two_best_costs(grid[None])
+        kept = [g for g, ref in enumerate(refs) if ref is not None]
+        if not kept:
+            return
+        best, second, masks = sp.two_best_costs(costs[kept])
+        assert best.shape == second.shape == (len(kept),) and masks.shape == costs[kept].shape
+        for g, b, s, mask in zip(kept, best, second, masks):
+            assert (b, s) == refs[g][:2], costs[g]
+            np.testing.assert_array_equal(mask, refs[g][2])
+
+    @pytest.mark.parametrize("draw", DRAWS.values(), ids=DRAWS.keys())
+    def test_equals_the_heap_search_at_every_shape(self, draw):
+        rng = np.random.default_rng(25)
+        for h in range(1, 6):
+            for w in range(1, 6):
+                self.assert_equals_the_heap_search(draw(rng, (20, h, w)))
+
+    @pytest.mark.parametrize("side", [8, 12])
+    def test_equals_the_heap_search_on_a_64_grid_block(self, side):
+        rng = np.random.default_rng(26)
+        self.assert_equals_the_heap_search(rng.uniform(0.1, 2.0, (64, side, side)))
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 1)])
     def test_single_path_has_no_second(self, shape):
         rng = np.random.default_rng(8)
         inst = random_grid(rng, *shape)
-        best, second, mask = sp.two_best_costs(inst)
+        (best,), (second,), (mask,) = sp.two_best_costs(inst.node_costs[None])
         np.testing.assert_array_equal(mask, np.ones(shape, dtype=np.int64))
         assert best == self.oracle_two_best(inst, enumerate_paths(*shape))[0]
         assert second == np.inf
@@ -453,13 +513,13 @@ class TestPathCost:
 
     def test_near_zero_costs(self):
         inst = sp.GridInstance(height=1, width=4, node_costs=np.full((1, 4), 1e-9))
-        assert sp.two_best_costs(inst)[0] == pytest.approx(4e-9, rel=1e-12)
+        assert sp.two_best_costs(inst.node_costs[None])[0][0] == pytest.approx(4e-9, rel=1e-12)
 
     def test_hand_case(self):
         inst = sp.GridInstance(
             height=2, width=2, node_costs=np.array([[1.0, 10.0], [1.0, 1.0]])
         )
-        assert sp.two_best_costs(inst)[0] == 3.0
+        assert sp.two_best_costs(inst.node_costs[None])[0][0] == 3.0
 
 
 class TestArgmaxView:
