@@ -161,11 +161,9 @@ def _cmd_slice(args):
     else:
         n = 5 if args.n is None else checked_int(args.n, "--n", 2)
         base = np.linspace(2.0, -2.0, n)
-    grad_fn = slices.ranking_grad_fn(
-        args.method, base.size, tau=args.tau, beta=args.beta
-    )
     table = slices.gradient_slice(
-        grad_fn, base, args.coord, args.lo, args.hi, args.steps, fisher_lambda=args.lam
+        args.method, base, args.coord, args.lo, args.hi, args.steps,
+        tau=args.tau, beta=args.beta, fisher_lambda=args.lam,
     )
     _emit(slices.slice_tsv(table, args.coord), args.out)
     return 0

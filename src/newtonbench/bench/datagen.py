@@ -195,23 +195,28 @@ def _json_object(path, lineno, line, fields):
     return obj
 
 
-def _lists_of(value, types):
-    """Whether a JSON value is a list of lists of entries of exactly these types."""
-    lists = type(value) is list and all(type(r) is list for r in value)
+def _lists_of(value, shape, types):
+    """Whether a JSON value is shape[0] lists of shape[1] entries of exactly these types."""
+    rows, cols = shape
+    lists = type(value) is list and len(value) == rows
+    lists = lists and all(type(r) is list and len(r) == cols for r in value)
     return lists and set(map(type, chain.from_iterable(value))) <= types
 
 
 def _record(kind, row, size, shape):
-    if not _lists_of(row["features"], {int, float}):  # numpy would convert bools and strings
-        raise ValueError("features must be lists of JSON numbers")
+    # exact JSON types: numpy would convert bools and strings
+    if not _lists_of(row["features"], shape, {int, float}):
+        raise ValueError(f"features must be {shape[0]} lists of {shape[1]} JSON numbers")
     features = checked(row["features"], "features", shape)
     if kind == "rank":
-        ranking = tuple(row["ranking"])
+        ranking = row["ranking"]
+        if type(ranking) is not list or len(ranking) != size:
+            raise ValueError(f"ranking must be a list of {size} ints")
         if not all(type(i) is int for i in ranking) or sorted(ranking) != list(range(size)):
-            raise ValueError(f"ranking {list(ranking)} is not a permutation of 0..{size - 1}")
-        return features, ranking
-    if not _lists_of(row["mask"], {int}):  # 0/1 is checked with the path, one stack per file
-        raise ValueError("mask entries must be ints")
+            raise ValueError(f"ranking {ranking} is not a permutation of 0..{size - 1}")
+        return features, tuple(ranking)
+    if not _lists_of(row["mask"], (size, size), {int}):  # 0/1 is checked with the path
+        raise ValueError(f"mask must be {size} lists of {size} ints")
     return features, checked(row["mask"], "mask", (size, size))
 
 

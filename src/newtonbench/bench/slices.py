@@ -11,13 +11,15 @@ from ..errors import ConfigError, checked_int, checked_real
 from .report import fmt
 
 
-def gradient_slice(grad_fn, y_base, coord, lo, hi, steps, fisher_lambda=None):
-    """Rows of (swept coordinate value, gradient components).
+def gradient_slice(method, y_base, coord, lo, hi, steps, tau=None, beta=None,
+                   fisher_lambda=None):
+    """Rows of (swept coordinate value, gradient components) of method's
+    ranking loss, whose ground truth is descending order.
 
-    grad_fn maps a length-n vector to its length-n loss gradient. With
-    fisher_lambda set, each gradient g is recorded as g (g g^T + lam I)^-1
+    With fisher_lambda set, each gradient g is recorded as g (g g^T + lam I)^-1
     instead, the single-sample form of the batch Fisher transform.
     """
+    scfg = diffsort.SortConfig(method=method, tau=tau, beta=beta)
     y_base = np.asarray(y_base, dtype=np.float64).ravel()
     n = y_base.size
     if fisher_lambda is not None:
@@ -34,30 +36,18 @@ def gradient_slice(grad_fn, y_base, coord, lo, hi, steps, fisher_lambda=None):
     if not lo < hi:
         raise ConfigError(f"empty sweep range [{lo}, {hi}]")
 
+    truth = diffsort.truth_from_order(tuple(range(n)))
     grid = np.linspace(lo, hi, steps)
     table = np.empty((steps, n + 1))
     for k, t in enumerate(grid):
         y = y_base.copy()
         y[coord] = t
-        g = np.asarray(grad_fn(y), dtype=np.float64).ravel()
-        if g.size != n:
-            raise ConfigError(f"grad_fn returned {g.size} components, expected {n}")
+        g = diffsort.ranking_loss(y, truth, scfg)[1]
         if fisher_lambda is not None:
             g = newton.inject_fisher(g[None, :], fisher_lambda)[0]
         table[k, 0] = t
         table[k, 1:] = g
     return table
-
-
-def ranking_grad_fn(method, n, tau=None, beta=None):
-    """Gradient of a ranking loss whose ground truth is descending order."""
-    scfg = diffsort.SortConfig(method=method, tau=tau, beta=beta)
-    truth = diffsort.truth_from_order(tuple(range(n)))
-
-    def grad_fn(y):
-        return diffsort.ranking_loss(np.asarray(y, dtype=np.float64), truth, scfg)[1]
-
-    return grad_fn
 
 
 def slice_tsv(table, coord):

@@ -31,6 +31,7 @@ PATH_METHODS = tuple(_PATH_SEED_TAGS)
 # every run trains a feature_dim -> HIDDEN -> 1 tanh MLP by OPTIMIZER at step size LR
 HIDDEN, LR, OPTIMIZER = 32, 0.003, "adam"
 GEN_COUNT = 384  # records of a generated run; _train_count splits them 256/128
+ARGMAX_COST_FLOOR = 1e-9  # fy's floor on the costs its perturbed scores imply
 
 # Damping presets, keyed by (method, mode): one lambda, or a pair (n <= 7,
 # n > 7) where a rank method switches at longer rankings.  Chosen once from a
@@ -206,12 +207,21 @@ def _rank_grads(cfg, y, rankings, step):
 # ---------------------------------------------------------------- path task
 
 
-def _masks_of_raw(raw, size):
-    """The solver's flat masks for a (k, size*size) stack of raw outputs: one
-    GridInstance and one dijkstra_grid call, through the module attribute, per row."""
-    costs = datagen.costs_from_raw(raw).reshape(-1, size, size)
-    grids = [shortest_path.GridInstance(height=size, width=size, node_costs=c) for c in costs]
-    return np.array([shortest_path.dijkstra_grid(g) for g in grids]).reshape(len(costs), -1)
+def _masks_of(costs):
+    """The solver's flat masks for a (k, h, w) cost stack: one GridInstance and
+    one dijkstra_grid call, through the module attribute, per grid."""
+    k, h, w = costs.shape
+    grids = [shortest_path.GridInstance(height=h, width=w, node_costs=c) for c in costs]
+    return np.array([shortest_path.dijkstra_grid(g) for g in grids]).reshape(k, -1)
+
+
+def _floored_argmax(scores, size):
+    """fy's argmax box: the flat masks of a (k, size*size) score stack, its
+    scores negated back into costs and floored at ARGMAX_COST_FLOOR.  That is
+    the exact argmax while every implied cost stays positive, which
+    perturbations far below the cost scale ensure."""
+    costs = np.maximum(-checked(scores, "scores", (None, size * size)), ARGMAX_COST_FLOOR)
+    return _masks_of(costs.reshape(-1, size, size))
 
 
 def path_metrics(raw_rows, masks, size):
@@ -227,17 +237,19 @@ def _path_grads(cfg, y, masks, step):
 
     ss_loss smooths the Hamming loss of the solver's mask; ss_algorithm
     chains the square loss through the smoothed solver output; fy takes the
-    perturbed-argmax loss gradient and chains it through the cost map.
+    perturbed-argmax loss gradient, the smoothed argmax less the mask, and
+    chains it through the cost map.
     """
     n, m = y.shape
     size = cfg.grid
     rows = np.empty_like(y)
     hess = np.zeros((m, m)) if cfg.mode == "nl_hessian" else None
 
-    solver = smoothing.Stacked(lambda u: _masks_of_raw(u, size))
-    argmax = smoothing.Stacked(
-        lambda s: np.array([shortest_path.indicator_argmax(r, size, size) for r in s])
-    )
+    def solved(u):
+        return _masks_of(datagen.costs_from_raw(u).reshape(-1, size, size))
+
+    solver = smoothing.Stacked(solved)
+    argmax = smoothing.Stacked(lambda s: _floored_argmax(s, size))
 
     for j, mask in enumerate(masks.reshape(n, m)):
         scfg = smoothing.SmoothingConfig(
@@ -247,9 +259,7 @@ def _path_grads(cfg, y, masks, step):
         )
         if cfg.method == "ss_loss":
             # the sum of |solved - mask| over 0/1 masks, exactly, per point
-            hamming = smoothing.Stacked(
-                lambda u: np.count_nonzero(_masks_of_raw(u, size) != mask, axis=1)
-            )
+            hamming = smoothing.Stacked(lambda u: np.count_nonzero(solved(u) != mask, axis=1))
             rows[j] = smoothing.smooth_grad(hamming, y[j], scfg)
             if hess is not None:
                 hess += smoothing.smooth_hessian(hamming, y[j], scfg)
@@ -257,19 +267,16 @@ def _path_grads(cfg, y, masks, step):
             mean_mask, jac = smoothing.smooth_jacobian(solver, y[j], scfg)
             rows[j] = jac.T @ (mean_mask - mask)
         else:
-            scores = -datagen.costs_from_raw(y[j])
             sig = diffsort.expit(y[j])
             slope = -sig  # d scores / d raw
-            if hess is None:
-                rows[j] = smoothing.fy_loss_grad(scores, mask, argmax, scfg) * slope
-                continue
-            # the loss gradient and its curvature from one draw set
-            mean_mask, jac = smoothing.smooth_jacobian(argmax, scores, scfg)
+            # the loss gradient and, for nl_hessian, its curvature from one draw set
+            mean_mask, jac = smoothing.smooth_jacobian(argmax, -datagen.costs_from_raw(y[j]), scfg)
             g_scores = mean_mask - mask
             rows[j] = g_scores * slope
-            curv = sig * (1.0 - sig)  # d^2 scores / d raw^2
-            h_j = (slope[:, None] * jac) * slope[None, :] - np.diag(g_scores * curv)
-            hess += 0.5 * (h_j + h_j.T)
+            if hess is not None:
+                curv = sig * (1.0 - sig)  # d^2 scores / d raw^2
+                h_j = (slope[:, None] * jac) * slope[None, :] - np.diag(g_scores * curv)
+                hess += 0.5 * (h_j + h_j.T)
     if hess is not None:
         hess /= n
     return rows, hess

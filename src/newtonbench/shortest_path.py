@@ -1,4 +1,4 @@
-"""Grid shortest-path solver, path encodings, and the argmax-view adapter.
+"""Grid shortest-path solvers, the path-mask check, and the enumeration oracle.
 
 Instances are grids of positive node costs; feasible solutions are simple
 4-neighbor paths from the top-left to the bottom-right cell, paying the cost
@@ -9,8 +9,7 @@ the grid's bytes.  dijkstra_grids (evaluation), two_best_costs (the dataset
 margin) and path_mask_is_valid (loaded masks) solve a (B, h, w) stack with
 one Bellman-Ford sweep to the same masks; the list core is faster below
 about 12-15 grids.  brute_force_shortest is the enumeration oracle for small
-grids, and indicator_argmax exposes the solver as a score maximizer over
-flattened path indicators for perturbed-argmax training.
+grids.
 """
 
 import functools
@@ -25,7 +24,6 @@ from .errors import NonFiniteResult, ShapeMismatch, TooLarge, checked
 # neighbour order of every walk, and so the tie rule: up, left, down, right
 _PRED_ORDER = ((-1, 0), (0, -1), (1, 0), (0, 1))
 MAX_ENUM_CELLS = 25  # brute_force_shortest's cap: 5x5
-ARGMAX_COST_FLOOR = 1e-9  # indicator_argmax's floor on the costs its scores imply
 
 
 @dataclass
@@ -271,16 +269,3 @@ def brute_force_shortest(inst):
 
     walk(0, 0, 0.0)
     return state["best"], state["mask"], state["ties"] == 1
-
-
-def indicator_argmax(scores, height, width):
-    """Best path indicator for a flattened score vector.
-
-    Scores are negated back into costs and floored at ARGMAX_COST_FLOOR;
-    the result is the exact argmax whenever every implied cost stays
-    positive, which perturbations far smaller than the cost scale ensure.
-    """
-    scores = checked(scores, "scores", (height * width,))
-    costs = np.maximum(-scores.reshape(height, width), ARGMAX_COST_FLOOR)
-    return dijkstra_grid(GridInstance(height=height, width=width, node_costs=costs)).ravel()
-

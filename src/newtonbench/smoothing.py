@@ -9,8 +9,8 @@ evaluate the function itself:
     hess  ~ mean[(f(y+e) - b) * (e e^T / sigma^4 - I / sigma^2)]
 
 with e ~ N(0, sigma^2 I). The baseline b = f(y) cuts variance without
-changing the expectation. fy_loss_grad is the perturbed-argmax loss
-gradient mean[argmax(y+e)] - w_star, which never needs a loss value.
+changing the expectation.  smooth_jacobian's mean of an argmax, less the
+target w_star, is the perturbed Fenchel-Young loss gradient.
 
 Every estimator reduces one evaluation of f on a draw set. Draws come
 from a counter-based Philox stream keyed by cfg.seed, so estimates are
@@ -20,9 +20,8 @@ fresh without the cost of building one.  Configs are frozen, and estimators
 called with equal configs share one read-only draw block.  Means are
 np.add.reduce / n, the sum np.mean divides, without its Python wrapper.
 The black box sees the (samples + 1, m) stack [y + e; y], whose last row
-gives the baseline f(y); fy_loss_grad needs no baseline and probes the
-samples draws alone.  A per-point f is called once per row, a Stacked one
-once on the whole stack.
+gives the baseline f(y).  A per-point f is called once per row, a Stacked
+one once on the whole stack.
 The point, every black-box output and every estimate pass errors.checked,
 so a non-finite value raises NonFiniteResult instead of entering a result.
 """
@@ -98,14 +97,13 @@ def _eye(m):
     return eye
 
 
-def _probe(f, y, cfg, shape=(), base=True):
+def _probe(f, y, cfg, shape=()):
     """(eps, vals, fy): the draws, f at every y + eps[i] and f(y), from one
-    evaluation of f on the stack [y + eps; y]; without base the stack is
-    y + eps alone and fy is None.  The point must be a finite nonempty
-    vector, and every output finite and of the given shape."""
+    evaluation of f on the stack [y + eps; y].  The point must be a finite
+    nonempty vector, and every output finite and of the given shape."""
     y = checked(y, "y", (None,))
     eps = _draws(cfg, y.shape[0])
-    points = np.concatenate((y + eps, y[None])) if base else y + eps
+    points = np.concatenate((y + eps, y[None]))
     # the black box's own errors propagate
     outs = f.f(points) if isinstance(f, Stacked) else [f(p) for p in points]
     try:
@@ -113,7 +111,7 @@ def _probe(f, y, cfg, shape=(), base=True):
     except ValueError:
         raise ShapeMismatch("black-box output shape changed between probes") from None
     vals = checked(vals, "black-box probe", (len(points), *shape))
-    return eps, vals[: cfg.samples], vals[-1] if base else None
+    return eps, vals[: cfg.samples], vals[-1]
 
 
 def smooth_grad(f, y, cfg):
@@ -140,13 +138,3 @@ def smooth_jacobian(f, y, cfg):
     mean = checked(np.add.reduce(vals) / cfg.samples, "mean estimate", fy.shape)
     jac = (vals - fy).T @ eps / (cfg.samples * cfg.sigma**2)
     return mean, checked(jac, "jacobian estimate", jac.shape)
-
-
-def fy_loss_grad(y, w_star, argmax_solver, cfg):
-    """Gradient of the perturbed Fenchel-Young loss: E[argmax(y+e)] - w_star.
-
-    Only argmax calls are made; the loss value itself is never formed.
-    """
-    # a y that is not a nonempty vector fails the probe's point check first
-    vals = _probe(argmax_solver, y, cfg, np.shape(y), base=False)[1]
-    return np.add.reduce(vals) / cfg.samples - checked(w_star, "w_star", vals.shape[1:])

@@ -329,8 +329,35 @@ class TestGridDatagen:
         path = tmp_path / "rank.jsonl"
         datagen.save_dataset(datagen.gen_ranking_data(0, 3, 6), path)
         edit = ("features", lambda rows: [[str(rows[0][0]), *rows[0][1:]], *rows[1:]])
-        with pytest.raises(ConfigError, match="line 3: features must be lists of JSON numbers"):
+        with pytest.raises(ConfigError, match="line 3: features must be 3 lists of 6 JSON numbers"):
             datagen.load_dataset(self.edited(path, {3: edit}))
+
+    @pytest.mark.parametrize(
+        "kind, key, edit, message",
+        [
+            ("path", "mask", lambda rows: [rows[0][:-1], *rows[1:]],
+             "mask must be 3 lists of 3 ints"),
+            ("path", "mask", lambda rows: rows[:-1], "mask must be 3 lists of 3 ints"),
+            ("path", "mask", lambda rows: 1, "mask must be 3 lists of 3 ints"),
+            ("path", "features", lambda rows: [rows[0][:-1], *rows[1:]],
+             "features must be 9 lists of 6 JSON numbers"),
+            ("rank", "features", lambda rows: [*rows, rows[0]],
+             "features must be 3 lists of 6 JSON numbers"),
+            ("rank", "ranking", lambda order: 3, "ranking must be a list of 3 ints"),
+            ("rank", "ranking", lambda order: order[:-1], "ranking must be a list of 3 ints"),
+        ],
+        ids=["ragged-mask", "short-mask", "scalar-mask", "ragged-features", "long-features",
+             "scalar-ranking", "short-ranking"],
+    )
+    def test_a_misshapen_record_names_its_field_and_shape(self, kind, key, edit, message,
+                                                           tmp_path):
+        # numpy's own text for a ragged list named no field, and a scalar
+        # ranking raised "'int' object is not iterable"
+        path = tmp_path / f"{kind}.jsonl"
+        gen = datagen.gen_ranking_data if kind == "rank" else datagen.gen_grid_data
+        datagen.save_dataset(gen(0, 3, 6), path)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))} line 3: {message}$"):
+            datagen.load_dataset(self.edited(path, {3: (key, edit)}))
 
     @pytest.mark.parametrize("mask_line, feature_line", [(3, 5), (5, 3)])
     def test_the_first_bad_line_is_named(self, mask_line, feature_line, tmp_path):
@@ -434,7 +461,7 @@ class TestMetrics:
         raw = rng.normal(0.0, 1.0, (40, 9))
 
         def per_grid(r):
-            return trainers._masks_of_raw(r[None], 3).reshape(3, 3)
+            return trainers._masks_of(datagen.costs_from_raw(r).reshape(1, 3, 3)).reshape(3, 3)
 
         masks = np.stack([per_grid(r if j % 3 else -r) for j, r in enumerate(raw)])
         hits = sum(np.array_equal(per_grid(r), m) for r, m in zip(raw, masks))
@@ -644,8 +671,8 @@ class TestPathOutputGrads:
 
     @pytest.mark.parametrize(
         "method,mode",
-        [("ss_algorithm", "baseline"), ("ss_algorithm", "nl_fisher"), ("fy", "nl_hessian")]
-        + [("ss_loss", mode) for mode in trainers.MODES],
+        [(method, mode) for method in trainers.PATH_METHODS
+         for mode in trainers.method_modes(method)],
     )
     def test_one_solve_per_draw_and_one_at_the_row(self, method, mode, monkeypatch):
         # every solve goes through the module attribute with one GridInstance,
@@ -687,13 +714,14 @@ class TestPathOutputGrads:
             ("ss_loss", "nl_hessian", 40, 11),
             ("ss_algorithm", "baseline", 20, 11),
             ("fy", "nl_hessian", 20, 11),
-            ("fy", "baseline", 20, 10),
+            ("fy", "baseline", 20, 11),
         ],
     )
     def test_one_stacked_call_per_estimate(self, method, mode, estimates, rows, monkeypatch):
         # at stepbench's path-hessian shape (4x4, batch 20, 10 draws) each
         # estimate evaluates its black box once: the draws and, last, the
-        # point itself for the baseline, which fy's loss gradient never needs
+        # point itself for the baseline; fy takes its gradient from the
+        # smoothed argmax in every mode, so it probes the point too
         cfg, masks, y = self._setup(method, mode, 4, 20, 10)
         stacks = []
 
@@ -729,6 +757,71 @@ class TestPathOutputGrads:
         smoothing._draws.cache_clear()
         trainers.output_grads(cfg, y, masks, 1)
         assert len(keys) == len(set(keys)) == smoothing._draws.cache_info().misses == 20
+
+
+    def test_fy_rows_are_the_smoothed_argmax_less_the_mask_in_every_mode(self):
+        # one batch and step: the same bits in baseline, nl_fisher and
+        # nl_hessian, and those of the estimate built by hand from each row's
+        # draws, one dijkstra_grid solve per draw of the floored costs
+        cfg, masks, y = self._setup("fy", "baseline")
+        size, (n, m) = cfg.grid, y.shape
+        want = np.empty_like(y)
+        for j in range(n):
+            seed = trainers._sub_seed(cfg.seed, trainers._PATH_SEED_TAGS["fy"], 3, j)
+            scfg = smoothing.SmoothingConfig(sigma=cfg.sigma, samples=cfg.samples, seed=seed)
+            scores = -datagen.costs_from_raw(y[j]) + smoothing._draws(scfg, m)
+            costs = np.maximum(-scores, trainers.ARGMAX_COST_FLOOR).reshape(-1, size, size)
+            solved = [shortest_path.dijkstra_grid(shortest_path.GridInstance(size, size, c))
+                      for c in costs]
+            mean = np.add.reduce(np.array(solved).reshape(-1, m)) / cfg.samples
+            want[j] = (mean - masks[j].ravel()) * -diffsort.expit(y[j])
+        for mode in trainers.method_modes("fy"):
+            cfg, masks, y = self._setup("fy", mode)
+            assert trainers.output_grads(cfg, y, masks, 3)[0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_a_non_finite_perturbed_fy_score_is_a_numeric_failure(self, bad, monkeypatch, capsys):
+        # floored, a score of +inf would give a finite cost: it is named first
+        monkeypatch.setattr(smoothing, "_draws", lambda cfg, m: np.full((cfg.samples, m), bad))
+        cfg, masks, y = self._setup("fy", "baseline")
+        message = f"scores must be finite, got {bad}"
+        with pytest.raises(NonFiniteResult, match=f"^{message}$"):
+            trainers.output_grads(cfg, y, masks, 1)
+        argv = ["bench", "path", "--method", "fy", "--mode", "baseline", "--grid", "2",
+                "--steps", "1", "--batch", "2", "--samples", "2"]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == f"numeric failure: {message}\n"
+
+
+class TestFyArgmax:
+    """fy's argmax box: the flat best-path masks of a score stack, its scores
+    negated back into costs and floored at ARGMAX_COST_FLOOR."""
+
+    def test_uniform_costs_any_shortest_is_argmax(self):
+        (w,) = trainers._floored_argmax(np.full((1, 9), -0.7), 3)
+        assert w.sum() == 5  # a shortest path visits h + w - 1 cells
+        assert shortest_path.path_mask_is_valid(w.reshape(3, 3).astype(np.int64))
+
+    def test_hand_case_picks_cheap_path(self):
+        w = trainers._floored_argmax(-np.array([[1.0, 10.0, 1.0, 1.0]]), 2)
+        np.testing.assert_array_equal(w.reshape(2, 2), [[1, 0], [1, 1]])
+
+    def test_a_stack_gives_dijkstra_grid_masks(self):
+        costs = np.random.default_rng(6).uniform(0.1, 2.0, (30, 4, 4))
+        got = trainers._floored_argmax(-costs.reshape(30, 16), 4)
+        for w, c in zip(got, costs):
+            want = shortest_path.dijkstra_grid(shortest_path.GridInstance(4, 4, c))
+            assert w.tobytes() == want.ravel().tobytes()
+
+    def test_positive_scores_are_floored_costs(self):
+        # the implied cost -5 is floored to 1e-9, so the path takes that cell
+        assert trainers.ARGMAX_COST_FLOOR == 1e-9
+        w = trainers._floored_argmax(np.array([[-1.0, 5.0, -1.0, -1.0]]), 2)
+        np.testing.assert_array_equal(w.reshape(2, 2), [[1, 1], [0, 1]])
+
+    def test_a_non_finite_score_is_named(self):
+        with pytest.raises(NonFiniteResult, match="^scores must be finite, got nan$"):
+            trainers._floored_argmax(np.array([[-1.0, np.nan, -1.0, -1.0]]), 2)
 
 
 _SEED_PARTS = (0, 1, 2**32 - 1, 2**32, 2**64, 2**100)
@@ -1107,18 +1200,21 @@ class TestReportDocument:
 
 
 class TestGradientSlice:
-    def test_constant_stub_all_zero(self):
-        table = slices.gradient_slice(
-            lambda y: np.zeros_like(y), np.zeros(4), 1, -2, 2, 9
-        )
+    @staticmethod
+    def stub(monkeypatch, grad):
+        """Route the slice's ranking loss to a stub gradient of y."""
+        monkeypatch.setattr(diffsort, "ranking_loss", lambda y, truth, cfg: (0.0, grad(y)))
+
+    def test_constant_stub_all_zero(self, monkeypatch):
+        self.stub(monkeypatch, np.zeros_like)
+        table = slices.gradient_slice("neuralsort", np.zeros(4), 1, -2, 2, 9)
         assert table.shape == (9, 5)
         assert np.all(table[:, 1:] == 0.0)
 
-    def test_mse_stub_slope_one_through_target(self):
+    def test_mse_stub_slope_one_through_target(self, monkeypatch):
         target = np.array([0.3, -0.7, 1.1])
-        table = slices.gradient_slice(
-            lambda y: y - target, target.copy(), 1, -1.7, 0.3, 21
-        )
+        self.stub(monkeypatch, lambda y: y - target)
+        table = slices.gradient_slice("neuralsort", target.copy(), 1, -1.7, 0.3, 21)
         col = table[:, 2]
         np.testing.assert_allclose(
             np.diff(col) / np.diff(table[:, 0]), 1.0, atol=1e-12
@@ -1126,35 +1222,50 @@ class TestGradientSlice:
         assert col[10] == 0.0  # grid midpoint sits exactly at the target
         assert np.all(table[:, [1, 3]] == 0.0)
 
+    def test_rows_are_the_ranking_loss_gradient_toward_descending_order(self):
+        base = np.array([0.5, 2.0, -1.0])
+        table = slices.gradient_slice("softsort", base, 0, -1.0, 1.0, 3, tau=0.5)
+        scfg = diffsort.SortConfig(method="softsort", tau=0.5)
+        truth = diffsort.truth_from_order((0, 1, 2))
+        for t, row in zip((-1.0, 0.0, 1.0), table):
+            y = np.array([t, 2.0, -1.0])
+            want = [t, *diffsort.ranking_loss(y, truth, scfg)[1]]
+            assert row.tobytes() == np.array(want).tobytes()
+
     def test_fisher_injection_bounds_exploding_gradient(self):
         # sharp temperature makes the raw gradient spike along the sweep;
         # the single-sample Fisher transform must not spike higher
         base = np.array([8.0, 4.0, 0.0, -4.0, -8.0])
-        fn = slices.ranking_grad_fn("neuralsort", 5, tau=0.05)
-        raw = slices.gradient_slice(fn, base, 2, -40, 40, 161)
+        raw = slices.gradient_slice("neuralsort", base, 2, -40, 40, 161, tau=0.05)
         raw_max = np.max(np.abs(raw[:, 1:]))
         assert raw_max >= 2.0
         for lam in (1.0, 0.1, 0.01):
-            inj = slices.gradient_slice(fn, base, 2, -40, 40, 161, fisher_lambda=lam)
+            inj = slices.gradient_slice(
+                "neuralsort", base, 2, -40, 40, 161, tau=0.05, fisher_lambda=lam
+            )
             assert np.max(np.abs(inj[:, 1:])) <= raw_max
 
-    def test_slice_tsv_layout(self):
-        table = slices.gradient_slice(
-            lambda y: np.ones_like(y), np.zeros(2), 0, 0, 1, 3
-        )
+    def test_slice_tsv_layout(self, monkeypatch):
+        self.stub(monkeypatch, np.ones_like)
+        table = slices.gradient_slice("neuralsort", np.zeros(2), 0, 0, 1, 3)
         lines = slices.slice_tsv(table, 0).strip().split("\n")
         assert lines[0].split("\t") == ["y0", "g0", "g1"]
         assert lines[2].split("\t") == ["0.5", "1", "1"]
 
     def test_rejects_bad_sweeps(self):
         with pytest.raises(ConfigError):
-            slices.gradient_slice(lambda y: y, np.zeros(3), 3, 0, 1, 5)
+            slices.gradient_slice("neuralsort", np.zeros(3), 3, 0, 1, 5)
         with pytest.raises(ConfigError):
-            slices.gradient_slice(lambda y: y, np.zeros(3), 0, 1, 1, 5)
+            slices.gradient_slice("neuralsort", np.zeros(3), 0, 1, 1, 5)
         with pytest.raises(ConfigError):
-            slices.gradient_slice(lambda y: y, np.zeros(3), 0, 0, 1, 1)
+            slices.gradient_slice("neuralsort", np.zeros(3), 0, 0, 1, 1)
         with pytest.raises(ConfigError):
-            slices.gradient_slice(lambda y: y, np.zeros(3), 0, 0, 1, 5, fisher_lambda=0.0)
+            slices.gradient_slice("neuralsort", np.zeros(3), 0, 0, 1, 5, fisher_lambda=0.0)
+
+    def test_the_sort_setting_is_checked_before_the_sweep(self):
+        # a bad tau is reported even when the coordinate is out of range too
+        with pytest.raises(ConfigError, match="^tau must be"):
+            slices.gradient_slice("softsort", np.zeros(3), 3, 0, 1, 5, tau=-1.0)
 
 
 class TestChecks:

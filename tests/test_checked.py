@@ -266,13 +266,10 @@ def smooth_jacobian_stacked(a):
 
 
 @entry
-def fy_point(a):
-    return [(smoothing.fy_loss_grad(a, np.zeros(len(a)), _onehot, SMOOTH), (len(a),))]
-
-
-@entry
-def fy_target(a):
-    return [(smoothing.fy_loss_grad(np.ones(len(a)), a, _onehot, SMOOTH), (len(a),))]
+def smooth_jacobian_point(a):
+    # the smoothed argmax at a point: fy's loss gradient plus its target
+    estimates = smoothing.smooth_jacobian(_onehot, a, SMOOTH)
+    return list(zip(estimates, ((len(a),), _square(a))))
 
 
 def _model_step(a, kind):
@@ -301,8 +298,9 @@ def forward_batch(a):
 
 
 @entry
-def indicator_argmax(a):
-    return [(shortest_path.indicator_argmax(a, 1, len(a)), (len(a),))]
+def fy_argmax(a):
+    # fy's argmax box on a stack of 1 x 1 grids' scores
+    return [(trainers._floored_argmax(a, 1), (len(a), 1))]
 
 
 @entry
@@ -366,7 +364,7 @@ def test_an_overflowing_output_raises(call, message):
 G = np.ones((1, 2))
 MODEL = net.Mlp.init([2, 1], ["identity"], 0)
 LINE = net.Mlp.init([1, 1], ["identity"], 0)  # one weight: a full-rank Newton check
-SLICE = dict(grad_fn=lambda y: y, y_base=np.zeros(3), coord=0, lo=0.0, hi=1.0, steps=3)
+SLICE = dict(method="neuralsort", y_base=np.zeros(3), coord=0, lo=0.0, hi=1.0, steps=3)
 HUGE = 10**400  # an int no float holds
 
 
@@ -525,8 +523,8 @@ SETTINGS = [
     (partial(diffsort.softsort_perm, y=[1.0, 0.0]), "tau", 0, True, float),
     (partial(diffsort.neuralsort_perm, y=[1.0, 0.0]), "tau", 0, True, float),
     (partial(diffsort.dsn_perm, y=[1.0, 0.0], family="cauchy"), "beta", 0, True, float),
-    (partial(slices.ranking_grad_fn, method="softsort", n=3), "tau", 0, True, float),
-    (partial(slices.ranking_grad_fn, method="dsn_cauchy", n=3), "beta", 0, True, float),
+    (partial(slices.gradient_slice, **{**SLICE, "method": "softsort"}), "tau", 0, True, float),
+    (partial(slices.gradient_slice, **{**SLICE, "method": "dsn_cauchy"}), "beta", 0, True, float),
     (partial(slices.gradient_slice, **SLICE), "fisher_lambda", 0, True, float),
     (partial(slices.gradient_slice, **SLICE), "coord", 0, False, int),
     (partial(slices.gradient_slice, **SLICE), "steps", 2, False, int),

@@ -36,7 +36,8 @@ COUNTS = ("--steps", "--batch", "--n", "--grid", "--samples", "--seeds", "--grid
 # --data choices, resolved to files by the datasets fixture
 DATA = (
     "rank", "path", "missing", "not-json", "bad-header", "no-ranking", "bad-mask",
-    "count-mismatch", "string-features", "bool-mask",
+    "count-mismatch", "string-features", "bool-mask", "ragged-mask", "ragged-features",
+    "scalar-ranking",
 )
 
 
@@ -58,9 +59,15 @@ def datasets(tmp_path_factory):
     record = json.loads(first)
     strings = {**record, "features": [[str(v) for v in row] for row in record["features"]]}
     booleans = {**record, "mask": [[v == 1 for v in row] for row in record["mask"]]}
-    # the valid rank set under a header that claims one record more
+    # or with its first mask row or first features row one entry short
+    ragged_mask = {**record, "mask": [record["mask"][0][:-1], *record["mask"][1:]]}
+    ragged_features = {**record, "features": [record["features"][0][:-1], *record["features"][1:]]}
+    # the valid rank set under a header that claims one record more, or with
+    # its first ranking a bare int
     with open(files["rank"]) as fh:
-        miscounted = fh.read().replace('"count": 30', '"count": 31', 1)
+        rank_header, rank_first, *rank_rest = rank_lines = fh.read().splitlines(keepends=True)
+    miscounted = "".join(rank_lines).replace('"count": 30', '"count": 31', 1)
+    scalar = {**json.loads(rank_first), "ranking": 3}
     for name, body in (
         ("not-json", header + "\nnot json\n"),
         ("bad-header", "{kind: rank}\n"),
@@ -69,6 +76,9 @@ def datasets(tmp_path_factory):
         ("count-mismatch", miscounted),
         ("string-features", "".join([header_line, json.dumps(strings) + "\n", *rest])),
         ("bool-mask", "".join([header_line, json.dumps(booleans) + "\n", *rest])),
+        ("ragged-mask", "".join([header_line, json.dumps(ragged_mask) + "\n", *rest])),
+        ("ragged-features", "".join([header_line, json.dumps(ragged_features) + "\n", *rest])),
+        ("scalar-ranking", "".join([rank_header, json.dumps(scalar) + "\n", *rank_rest])),
     ):
         with open(files[name], "w") as fh:
             fh.write(body)
@@ -178,6 +188,9 @@ def run(argv):
 @example(argv=["bench", "rank", "--n=3", "--steps=1", "--data=not-json"])
 @example(argv=["bench", "path", "--grid=3", "--steps=1", "--data=string-features"])
 @example(argv=["bench", "path", "--grid=3", "--steps=1", "--data=bool-mask"])
+@example(argv=["bench", "path", "--grid=3", "--steps=1", "--data=ragged-mask"])
+@example(argv=["bench", "path", "--grid=3", "--steps=1", "--data=ragged-features"])
+@example(argv=["bench", "rank", "--n=3", "--steps=1", "--data=scalar-ranking"])
 @example(argv=["check", "oracles", "--grids=0"])
 @example(argv=["slice", "grad", "--coord=0", "--lo=-inf"])
 @example(argv=["slice", "grad", "--coord=0", "--base=nan,1,2"])
@@ -212,3 +225,21 @@ def test_argv_grammar_exits_cleanly(datasets, argv):
         assert code != 0, (argv, err)
     if values.get("--data", "rank") not in ("rank", "path"):  # a missing or broken file
         assert code == 2, (argv, code, err)
+
+
+@pytest.mark.parametrize(
+    "name,argv,message",
+    [
+        ("ragged-mask", ["bench", "path", "--grid=3"], "mask must be 3 lists of 3 ints"),
+        ("ragged-features", ["bench", "path", "--grid=3"],
+         "features must be 9 lists of 6 JSON numbers"),
+        ("scalar-ranking", ["bench", "rank", "--n=3"], "ranking must be a list of 3 ints"),
+    ],
+    ids=["ragged-mask", "ragged-features", "scalar-ranking"],
+)
+def test_a_misshapen_record_exits_2_naming_its_field(datasets, name, argv, message):
+    # numpy's text for a ragged list named no field; a bare int ranking
+    # raised "'int' object is not iterable"
+    code, err = run([*argv, "--steps=1", f"--data={datasets[name]}"])
+    assert code == 2
+    assert err == f"config error: {datasets[name]} line 2: {message}\n"

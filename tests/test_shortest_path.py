@@ -520,29 +520,3 @@ class TestPathCost:
             height=2, width=2, node_costs=np.array([[1.0, 10.0], [1.0, 1.0]])
         )
         assert sp.two_best_costs(inst.node_costs[None])[0][0] == 3.0
-
-
-class TestArgmaxView:
-    def test_uniform_costs_any_shortest_is_argmax(self):
-        inst = sp.GridInstance(height=2, width=3, node_costs=np.full((2, 3), 0.7))
-        w = sp.indicator_argmax(-inst.node_costs.ravel(), 2, 3)
-        assert w.sum() == 4  # minimum-length path visits h+w-1 cells
-        assert sp.path_mask_is_valid(w.reshape(2, 3).astype(np.int64))
-
-    def test_hand_case_picks_cheap_path(self):
-        inst = sp.GridInstance(
-            height=2, width=2, node_costs=np.array([[1.0, 10.0], [1.0, 1.0]])
-        )
-        w = sp.indicator_argmax(-inst.node_costs.ravel(), 2, 2)
-        np.testing.assert_array_equal(w.reshape(2, 2), [[1, 0], [1, 1]])
-
-    def test_equivalence_with_dijkstra_on_random_grids(self):
-        rng = np.random.default_rng(6)
-        for _ in range(30):
-            inst = random_grid(rng, 4, 4)
-            w = sp.indicator_argmax(-inst.node_costs.ravel(), 4, 4)
-            np.testing.assert_array_equal(w.reshape(4, 4), sp.dijkstra_grid(inst))
-
-    def test_a_non_finite_score_is_named(self):
-        with pytest.raises(NonFiniteResult, match="^scores must be finite, got nan$"):
-            sp.indicator_argmax(np.array([-1.0, np.nan, -1.0, -1.0]), 2, 2)

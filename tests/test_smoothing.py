@@ -184,12 +184,15 @@ class TestSmoothJacobian:
         np.testing.assert_allclose(j[0], g, rtol=0, atol=1e-15)
 
     def test_mean_is_the_fy_gradient_plus_target(self):
-        # one draw set: the smoothed argmax equals fy_loss_grad's bit for bit
+        # the smoothed argmax is the sum of the argmaxes of the draws over
+        # their count, bit for bit: the perturbed Fenchel-Young gradient
+        # E[argmax(y + e)] - w comes from it alone
         y = np.array([0.3, 0.1, -0.2, 0.25])
         w = np.array([0.0, 1.0, 0.0, 0.0])
         cfg = SmoothingConfig(sigma=0.2, samples=300, seed=18)
         mean, _ = smoothing.smooth_jacobian(onehot_argmax, y, cfg)
-        assert np.array_equal(mean - w, smoothing.fy_loss_grad(y, w, onehot_argmax, cfg))
+        draws = np.array([onehot_argmax(p) for p in y + smoothing._draws(cfg, 4)])
+        assert np.array_equal(mean - w, np.add.reduce(draws) / 300 - w)
 
     def test_output_shape_change_raises(self):
         cfg = SmoothingConfig(sigma=0.1, samples=10, seed=0)
@@ -235,9 +238,8 @@ def test_base_value_checked_like_the_draws(estimator, value, base, error):
         lambda y, cfg: smoothing.smooth_grad(np.sum, y, cfg),
         lambda y, cfg: smoothing.smooth_hessian(np.sum, y, cfg),
         lambda y, cfg: smoothing.smooth_jacobian(np.ravel, y, cfg),
-        lambda y, cfg: smoothing.fy_loss_grad(y, np.zeros_like(y), np.ravel, cfg),
     ],
-    ids=["grad", "hessian", "jacobian", "fy"],
+    ids=["grad", "hessian", "jacobian"],
 )
 def test_the_point_must_be_a_nonempty_vector(estimate, y):
     cfg = SmoothingConfig(sigma=0.1, samples=5, seed=0)
@@ -255,9 +257,8 @@ def test_the_point_must_be_a_nonempty_vector(estimate, y):
         lambda y, cfg: smoothing.smooth_grad(lambda u: 1.0, y, cfg),
         lambda y, cfg: smoothing.smooth_hessian(lambda u: 1.0, y, cfg),
         lambda y, cfg: smoothing.smooth_jacobian(lambda u: np.ones(2), y, cfg),
-        lambda y, cfg: smoothing.fy_loss_grad(y, np.zeros(2), lambda u: np.zeros(2), cfg),
     ],
-    ids=["grad", "hessian", "jacobian", "fy"],
+    ids=["grad", "hessian", "jacobian"],
 )
 def test_the_point_must_be_finite(estimate, bad):
     cfg = SmoothingConfig(sigma=0.1, samples=5, seed=0)
@@ -285,12 +286,18 @@ def onehot_argmax(y):
     return w
 
 
-class TestFyLossGrad:
+def fy_gradient(y, w_star, argmax, cfg):
+    """The perturbed Fenchel-Young loss gradient E[argmax(y + e)] - w_star,
+    as the path trainer takes it: smooth_jacobian's mean less the target."""
+    return smoothing.smooth_jacobian(argmax, y, cfg)[0] - w_star
+
+
+class TestFyGradient:
     def test_tiny_sigma_unique_maximizer(self):
         y = np.array([0.2, 1.0, -0.5])
         w_star = np.array([1.0, 0.0, 0.0])
         cfg = SmoothingConfig(sigma=1e-6, samples=50, seed=14)
-        g = smoothing.fy_loss_grad(y, w_star, onehot_argmax, cfg)
+        g = fy_gradient(y, w_star, onehot_argmax, cfg)
         assert np.array_equal(g, onehot_argmax(y) - w_star)
 
     def test_optimal_scores_with_margin_give_small_grad(self):
@@ -303,7 +310,7 @@ class TestFyLossGrad:
         y = np.array([0.0, 1.0, 0.0, 0.0])
         w_star = paths[0]
         cfg = SmoothingConfig(sigma=0.1, samples=1000, seed=15)
-        g = smoothing.fy_loss_grad(y, w_star, best_path, cfg)
+        g = fy_gradient(y, w_star, best_path, cfg)
         assert np.all(np.abs(g) <= 0.01)
 
     def test_symmetric_tie(self):
@@ -311,7 +318,7 @@ class TestFyLossGrad:
         w_star = np.array([1.0, 0.0])
         n = 1000
         cfg = SmoothingConfig(sigma=1.0, samples=n, seed=16)
-        g = smoothing.fy_loss_grad(y, w_star, onehot_argmax, cfg)
+        g = fy_gradient(y, w_star, onehot_argmax, cfg)
         se = 0.5 / np.sqrt(n)  # Bernoulli(1/2) mean
         np.testing.assert_allclose(g, [-0.5, 0.5], atol=3 * se)
 
@@ -324,7 +331,7 @@ class TestFyLossGrad:
         )
         w_bar = sample.mean(axis=0)
         cfg = SmoothingConfig(sigma=sigma, samples=n, seed=17)
-        g = smoothing.fy_loss_grad(y, w_bar, onehot_argmax, cfg)
+        g = fy_gradient(y, w_bar, onehot_argmax, cfg)
         se = np.sqrt(0.25 / n + 0.25 / 20_000)
         assert np.linalg.norm(g) <= 4 * se * np.sqrt(3)
 
@@ -341,29 +348,27 @@ def _quad_rows(p):
 
 
 # each estimator with a per-point f and a stacked f doing the same float
-# operations per point, and whether it probes y itself for the baseline f(y)
+# operations per point; fy smooths an argmax through smooth_jacobian
 STACKED_PAIRS = [
-    (smoothing.smooth_grad, _quad, _quad_rows, True),
-    (smoothing.smooth_hessian, _quad, _quad_rows, True),
+    (smoothing.smooth_grad, _quad, _quad_rows),
+    (smoothing.smooth_hessian, _quad, _quad_rows),
     (
         smoothing.smooth_jacobian,
         lambda u: np.array([u[0] ** 2, u[1] * u[2]]),
         lambda p: np.stack([p[:, 0] ** 2, p[:, 1] * p[:, 2]], axis=1),
-        True,
     ),
     (
-        lambda f, y, cfg: smoothing.fy_loss_grad(y, np.eye(3)[1], f, cfg),
+        lambda f, y, cfg: fy_gradient(y, np.eye(3)[1], f, cfg),
         onehot_argmax,
         lambda p: np.eye(p.shape[1])[np.argmax(p, axis=1)],
-        False,
     ),
 ]
 STACKED_IDS = ["grad", "hessian", "jacobian", "fy"]
 
 
-@pytest.mark.parametrize("estimate,per_point,rows,base", STACKED_PAIRS, ids=STACKED_IDS)
+@pytest.mark.parametrize("estimate,per_point,rows", STACKED_PAIRS, ids=STACKED_IDS)
 def test_a_stacked_black_box_gives_the_per_point_estimate_bit_for_bit(
-    estimate, per_point, rows, base
+    estimate, per_point, rows
 ):
     y = np.array([0.3, -0.2, 0.25])
     cfg = SmoothingConfig(sigma=0.2, samples=64, seed=21)
@@ -383,13 +388,12 @@ def test_a_stacked_black_box_gives_the_per_point_estimate_bit_for_bit(
     assert len(want) == len(got)
     for a, b in zip(want, got):
         assert np.array_equal(a, b)
-    # one evaluation: the draws y + eps, then y itself as the last row when
-    # the estimate needs the baseline f(y); a per-point f sees the same rows
+    # one evaluation: the draws y + eps, then y itself as the last row for
+    # the baseline f(y); a per-point f sees the same rows
     assert len(stacks) == 1
-    assert stacks[0].shape == (64 + base, 3)
+    assert stacks[0].shape == (65, 3)
     assert np.array_equal(stacks[0][:64], y + smoothing._draws(cfg, 3))
-    if base:
-        assert stacks[0][-1].tobytes() == y.tobytes()
+    assert stacks[0][-1].tobytes() == y.tobytes()
     assert np.array_equal(np.array(points), stacks[0])
 
 
@@ -452,13 +456,13 @@ def test_a_stacked_black_box_raises_its_own_value_error_unwrapped():
             r"^black-box probe must have shape \(6,\), got shape \(7,\)$",
         ),
         (
-            lambda f, y, cfg: smoothing.fy_loss_grad(y, np.zeros(2), f, cfg),
+            smoothing.smooth_jacobian,
             lambda p: np.ones((len(p) + 1, 2)),
             ShapeMismatch,
-            r"^black-box probe must have shape \(5, 2\), got shape \(6, 2\)$",
+            r"^black-box probe must have shape \(6, \*\), got shape \(7, 2\)$",
         ),
         (
-            lambda f, y, cfg: smoothing.fy_loss_grad(y, np.zeros(2), f, cfg),
+            smoothing.smooth_jacobian,
             lambda p: [[1.0] * (1 + i % 2) for i in range(len(p))],
             ShapeMismatch,
             "^black-box output shape changed between probes$",
@@ -473,8 +477,8 @@ def test_a_stacked_black_box_raises_its_own_value_error_unwrapped():
         "jacobian-base-nan",
         "grad-base-shape",
         "grad-extra-row",
-        "fy-extra-row",
-        "fy-ragged",
+        "jacobian-extra-row",
+        "jacobian-ragged",
     ],
 )
 def test_a_stacked_black_box_keeps_the_checks(estimate, rows, error, message):
