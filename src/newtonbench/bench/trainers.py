@@ -233,7 +233,8 @@ def path_metrics(raw_rows, masks, size):
 
 
 def _path_grads(cfg, y, masks, step):
-    """Smoothed gradient rows, plus averaged curvature for nl_hessian.
+    """Smoothed gradient rows, plus averaged curvature for nl_hessian; each
+    estimate probes the whole batch once, with one seeded config per row.
 
     ss_loss smooths the Hamming loss of the solver's mask; ss_algorithm
     chains the square loss through the smoothed solver output; fy takes the
@@ -241,44 +242,39 @@ def _path_grads(cfg, y, masks, step):
     chains it through the cost map.
     """
     n, m = y.shape
-    size = cfg.grid
-    rows = np.empty_like(y)
-    hess = np.zeros((m, m)) if cfg.mode == "nl_hessian" else None
+    size, masks, hess = cfg.grid, masks.reshape(n, m), None
+    seeds = [_sub_seed(cfg.seed, _PATH_SEED_TAGS[cfg.method], step, j) for j in range(n)]
+    scfgs = [smoothing.SmoothingConfig(cfg.sigma, cfg.samples, seed) for seed in seeds]
 
     def solved(u):
         return _masks_of(datagen.costs_from_raw(u).reshape(-1, size, size))
 
-    solver = smoothing.Stacked(solved)
-    argmax = smoothing.Stacked(lambda s: _floored_argmax(s, size))
-
-    for j, mask in enumerate(masks.reshape(n, m)):
-        scfg = smoothing.SmoothingConfig(
-            sigma=cfg.sigma,
-            samples=cfg.samples,
-            seed=_sub_seed(cfg.seed, _PATH_SEED_TAGS[cfg.method], step, j),
-        )
-        if cfg.method == "ss_loss":
-            # the sum of |solved - mask| over 0/1 masks, exactly, per point
-            hamming = smoothing.Stacked(lambda u: np.count_nonzero(solved(u) != mask, axis=1))
-            rows[j] = smoothing.smooth_grad(hamming, y[j], scfg)
-            if hess is not None:
-                hess += smoothing.smooth_hessian(hamming, y[j], scfg)
-        elif cfg.method == "ss_algorithm":
-            mean_mask, jac = smoothing.smooth_jacobian(solver, y[j], scfg)
-            rows[j] = jac.T @ (mean_mask - mask)
-        else:
-            sig = diffsort.expit(y[j])
-            slope = -sig  # d scores / d raw
-            # the loss gradient and, for nl_hessian, its curvature from one draw set
-            mean_mask, jac = smoothing.smooth_jacobian(argmax, -datagen.costs_from_raw(y[j]), scfg)
-            g_scores = mean_mask - mask
-            rows[j] = g_scores * slope
-            if hess is not None:
-                curv = sig * (1.0 - sig)  # d^2 scores / d raw^2
-                h_j = (slope[:, None] * jac) * slope[None, :] - np.diag(g_scores * curv)
-                hess += 0.5 * (h_j + h_j.T)
+    if cfg.method == "ss_loss":
+        # the sum of |solved - mask| over 0/1 masks, exactly, per point of a row's block
+        row_masks = np.repeat(masks, cfg.samples + 1, axis=0)
+        hamming = smoothing.Stacked(lambda u: np.count_nonzero(solved(u) != row_masks, axis=1))
+        rows = smoothing.smooth_grad(hamming, y, scfgs)
+        if cfg.mode == "nl_hessian":
+            hess = smoothing.smooth_hessian(hamming, y, scfgs)
+    elif cfg.method == "ss_algorithm":
+        mean_mask, jac = smoothing.smooth_jacobian(smoothing.Stacked(solved), y, scfgs)
+        rows = (jac.swapaxes(1, 2) @ (mean_mask - masks)[..., None])[..., 0]
+    else:
+        sig = diffsort.expit(y)
+        slope = -sig  # d scores / d raw
+        # the loss gradient and, for nl_hessian, its curvature from one draw set
+        argmax = smoothing.Stacked(lambda s: _floored_argmax(s, size))
+        mean_mask, jac = smoothing.smooth_jacobian(argmax, -datagen.costs_from_raw(y), scfgs)
+        g_scores = mean_mask - masks
+        rows = g_scores * slope
+        if cfg.mode == "nl_hessian":
+            curv = sig * (1.0 - sig)  # d^2 scores / d raw^2
+            h = (slope[:, :, None] * jac) * slope[:, None, :]
+            h[:, np.arange(m), np.arange(m)] -= g_scores * curv  # an off-diagonal -0.0 stays
+            hess = 0.5 * (h + h.swapaxes(1, 2))
     if hess is not None:
-        hess /= n
+        # summed in row order from +0.0, the sign of every zero included
+        hess = np.add.reduce(hess, axis=0, initial=0.0) / n
     return rows, hess
 
 

@@ -198,9 +198,9 @@ def inject_fisher(batch_grads, lam):
     """
     g = checked(batch_grads, "batch_grads", (None, None))
     checked_real(lam, "lam", 0, strict=True)
-    n = g.shape[0]
-    solver = linalg.TikhonovSolver(n * (g.T @ g), lam)
-    return solver.solve_mat(g.T).T
+    with np.errstate(over="ignore"):  # an overflow meets TikhonovSolver's finite check
+        moment = len(g) * (g.T @ g)
+    return linalg.TikhonovSolver(moment, lam).solve_mat(g.T).T
 
 
 def split_step_check_gd(model, batch, probe, eta):

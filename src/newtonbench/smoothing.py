@@ -12,16 +12,19 @@ with e ~ N(0, sigma^2 I). The baseline b = f(y) cuts variance without
 changing the expectation.  smooth_jacobian's mean of an argmax, less the
 target w_star, is the perturbed Fenchel-Young loss gradient.
 
-Every estimator reduces one evaluation of f on a draw set. Draws come
-from a counter-based Philox stream keyed by cfg.seed, so estimates are
+Every estimator takes a point y with its config, or an (N, m) batch with
+one config per row, all of one sigma and samples.  The black box sees one
+stack: each row's (samples + 1, m) block [y + e; y], whose last row gives
+the baseline f(y).  A per-point f is called once per point of it, a Stacked
+one once on the whole stack.  Row j of a batch's estimate is, bit for bit,
+the estimate at y[j] alone: means reduce the draws of all rows at once, and
+the Hessian and Jacobian take one matrix product per row.  Draws come from
+a counter-based Philox stream keyed by cfg.seed, so estimates are
 bit-reproducible: one module Philox generator is re-keyed per config, its
 counter back at 0, which gives the bytes of a Philox(key=cfg.seed) built
-fresh without the cost of building one.  Configs are frozen, and estimators
-called with equal configs share one read-only draw block.  Means are
-np.add.reduce / n, the sum np.mean divides, without its Python wrapper.
-The black box sees the (samples + 1, m) stack [y + e; y], whose last row
-gives the baseline f(y).  A per-point f is called once per row, a Stacked
-one once on the whole stack.
+fresh without the cost of building one.  Configs are frozen, and equal ones
+share one read-only draw block while it is among the last 256 drawn.  Means
+are np.add.reduce / n, the sum np.mean divides, without its Python wrapper.
 The point, every black-box output and every estimate pass errors.checked,
 so a non-finite value raises NonFiniteResult instead of entering a result.
 """
@@ -71,7 +74,7 @@ _RNG = np.random.Generator(_PHILOX)
 _RNG_LOCK = threading.Lock()  # a re-key and its draws must not interleave with another's
 
 
-@functools.lru_cache(maxsize=8)  # smooth_grad and smooth_hessian share a row's draws
+@functools.lru_cache(maxsize=256)  # smooth_grad and smooth_hessian share a batch's draws
 def _draws(cfg, m):
     """The read-only (samples, m) draw block of cfg: the first draws of
     Philox(key=cfg.seed), whose 128-bit key is two 64-bit words, low first."""
@@ -89,52 +92,52 @@ def _draws(cfg, m):
     return eps
 
 
-@functools.lru_cache(maxsize=8)
-def _eye(m):
-    """The read-only m x m identity."""
-    eye = np.eye(m)
-    eye.setflags(write=False)
-    return eye
-
-
 def _probe(f, y, cfg, shape=()):
-    """(eps, vals, fy): the draws, f at every y + eps[i] and f(y), from one
-    evaluation of f on the stack [y + eps; y].  The point must be a finite
-    nonempty vector, and every output finite and of the given shape."""
-    y = checked(y, "y", (None,))
-    eps = _draws(cfg, y.shape[0])
-    points = np.concatenate((y + eps, y[None]))
+    """(eps, vals, fy, cfg, at): an (N, m) batch's (N, samples, m) draws, f at
+    every y[j] + eps[j, i] and at every y[j], from one evaluation of f on the
+    stack of every row's [y[j] + eps[j]; y[j]], the shared config, and the
+    index that turns the batch's estimates back into a point's.  The rows
+    must be finite and nonempty, and every output finite and of the given shape."""
+    point = isinstance(cfg, SmoothingConfig)
+    cfgs = [cfg] if point else list(cfg)
+    y = checked(y, "y", (None,))[None] if point else checked(y, "y", (len(cfgs), None))
+    if len({(c.sigma, c.samples) for c in cfgs}) != 1:
+        raise ConfigError("a batch's configs must share one sigma and one samples")
+    n, m = y.shape
+    eps = np.stack([_draws(c, m) for c in cfgs])
+    points = np.concatenate((y[:, None] + eps, y[:, None]), axis=1).reshape(-1, m)
     # the black box's own errors propagate
     outs = f.f(points) if isinstance(f, Stacked) else [f(p) for p in points]
     try:
         vals = np.asarray(outs, dtype=np.float64)
     except ValueError:
         raise ShapeMismatch("black-box output shape changed between probes") from None
-    vals = checked(vals, "black-box probe", (len(points), *shape))
-    return eps, vals[: cfg.samples], vals[-1]
+    vals = checked(vals, "black-box probe", (len(points), *shape)).reshape(n, -1, *vals.shape[1:])
+    return eps, vals[:, :-1], vals[:, -1], cfgs[0], 0 if point else ...
 
 
 def smooth_grad(f, y, cfg):
     """Score-function gradient estimate of the Gaussian-smoothed f at y."""
-    eps, vals, fy = _probe(f, y, cfg)
-    g = np.add.reduce((vals - fy)[:, None] * eps) / cfg.samples / cfg.sigma**2
-    return checked(g, "gradient estimate", eps.shape[1:])
+    eps, vals, fy, c, at = _probe(f, y, cfg)
+    g = np.add.reduce((vals - fy[:, None])[..., None] * eps, axis=1) / c.samples / c.sigma**2
+    return checked(g, "gradient estimate", eps.shape[::2])[at]
 
 
 def smooth_hessian(f, y, cfg):
     """Estimate of the smoothed Hessian, symmetrized exactly."""
-    eps, vals, fy = _probe(f, y, cfg)
-    w = vals - fy
+    eps, vals, fy, c, at = _probe(f, y, cfg)
+    w = vals - fy[:, None]
     # mean_i w_i (e_i e_i^T / s^4 - I / s^2), accumulated as matrix products
-    outer = (eps * w[:, None]).T @ eps / (cfg.samples * cfg.sigma**4)
-    h = outer - np.add.reduce(w) / cfg.samples / cfg.sigma**2 * _eye(eps.shape[1])
-    return checked(0.5 * (h + h.T), "hessian estimate", h.shape)
+    outer = (eps * w[..., None]).swapaxes(1, 2) @ eps / (c.samples * c.sigma**4)
+    mean_w = np.add.reduce(w, axis=1) / c.samples / c.sigma**2
+    h = outer - mean_w[:, None, None] * np.eye(eps.shape[2])
+    return checked(0.5 * (h + h.swapaxes(1, 2)), "hessian estimate", h.shape)[at]
 
 
 def smooth_jacobian(f, y, cfg):
     """(mean, jac) of a vector function from one draw set: the smoothed
     output mean[f(y+e)] and its per-row smoothed gradients."""
-    eps, vals, fy = _probe(f, y, cfg, (None,))
-    mean = checked(np.add.reduce(vals) / cfg.samples, "mean estimate", fy.shape)
-    jac = (vals - fy).T @ eps / (cfg.samples * cfg.sigma**2)
-    return mean, checked(jac, "jacobian estimate", jac.shape)
+    eps, vals, fy, c, at = _probe(f, y, cfg, (None,))
+    mean = checked(np.add.reduce(vals, axis=1) / c.samples, "mean estimate", fy.shape)
+    jac = (vals - fy[:, None]).swapaxes(1, 2) @ eps / (c.samples * c.sigma**2)
+    return mean[at], checked(jac, "jacobian estimate", jac.shape)[at]

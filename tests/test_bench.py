@@ -709,19 +709,20 @@ class TestPathOutputGrads:
             assert inst.node_costs.shape == (cfg.grid, cfg.grid)
 
     @pytest.mark.parametrize(
-        "method,mode,estimates,rows",
+        "method,mode,estimates",
         [
-            ("ss_loss", "nl_hessian", 40, 11),
-            ("ss_algorithm", "baseline", 20, 11),
-            ("fy", "nl_hessian", 20, 11),
-            ("fy", "baseline", 20, 11),
+            ("ss_loss", "nl_hessian", 2),
+            ("ss_algorithm", "baseline", 1),
+            ("fy", "nl_hessian", 1),
+            ("fy", "baseline", 1),
         ],
     )
-    def test_one_stacked_call_per_estimate(self, method, mode, estimates, rows, monkeypatch):
+    def test_one_stacked_call_per_estimate(self, method, mode, estimates, monkeypatch):
         # at stepbench's path-hessian shape (4x4, batch 20, 10 draws) each
-        # estimate evaluates its black box once: the draws and, last, the
-        # point itself for the baseline; fy takes its gradient from the
-        # smoothed argmax in every mode, so it probes the point too
+        # estimate evaluates its black box once for the whole batch: every
+        # row's draws and, last in its block, the row itself for the
+        # baseline, 20 x 11 points; fy takes its gradient from the smoothed
+        # argmax in every mode, so it probes the point too
         cfg, masks, y = self._setup(method, mode, 4, 20, 10)
         stacks = []
 
@@ -731,7 +732,69 @@ class TestPathOutputGrads:
 
         monkeypatch.setattr(smoothing, "Stacked", Counted)
         trainers.output_grads(cfg, y, masks, 1)
-        assert stacks == [(rows, 16)] * estimates
+        assert stacks == [(220, 16)] * estimates
+
+    @staticmethod
+    def _per_row_reference(cfg, y, masks, step):
+        """output_grads built a row at a time from per-point estimates of
+        per-point black boxes, the curvature summed as hess += h_j, hess /= n."""
+        (n, m), size = y.shape, cfg.grid
+        rows, hess = np.empty_like(y), np.zeros((m, m))
+
+        def mask_of(costs):
+            grid = shortest_path.GridInstance(size, size, costs.reshape(size, size))
+            return shortest_path.dijkstra_grid(grid).ravel()
+
+        for j, mask in enumerate(masks.reshape(n, m)):
+            seed = trainers._sub_seed(cfg.seed, trainers._PATH_SEED_TAGS[cfg.method], step, j)
+            scfg = smoothing.SmoothingConfig(sigma=cfg.sigma, samples=cfg.samples, seed=seed)
+            if cfg.method == "ss_loss":
+                hamming = lambda u: np.count_nonzero(mask_of(datagen.costs_from_raw(u)) != mask)
+                rows[j] = smoothing.smooth_grad(hamming, y[j], scfg)
+                hess += smoothing.smooth_hessian(hamming, y[j], scfg)
+            elif cfg.method == "ss_algorithm":
+                solver = lambda u: mask_of(datagen.costs_from_raw(u))
+                mean, jac = smoothing.smooth_jacobian(solver, y[j], scfg)
+                rows[j] = jac.T @ (mean - mask)
+            else:
+                argmax = lambda s: mask_of(np.maximum(-s, trainers.ARGMAX_COST_FLOOR))
+                scores = -datagen.costs_from_raw(y[j])
+                mean, jac = smoothing.smooth_jacobian(argmax, scores, scfg)
+                sig = diffsort.expit(y[j])
+                slope, curv, g_scores = -sig, sig * (1.0 - sig), mean - mask
+                rows[j] = g_scores * slope
+                h_j = (slope[:, None] * jac) * slope[None, :] - np.diag(g_scores * curv)
+                hess += 0.5 * (h_j + h_j.T)
+        hess /= n
+        return rows, hess if cfg.mode == "nl_hessian" else None
+
+    @pytest.mark.parametrize(
+        "method,mode",
+        [(method, mode) for method in trainers.PATH_METHODS
+         for mode in trainers.method_modes(method)],
+    )
+    def test_the_batch_gives_the_per_row_estimates_bit_for_bit(self, method, mode):
+        # at stepbench's path-hessian shape: each row's gradient, and the
+        # batch Hessian with the sign of every zero, as the per-row loop gave
+        cfg, masks, y = self._setup(method, mode, 4, 20, 10)
+        for step in (1, 2):
+            rows, hess = trainers.output_grads(cfg, y, masks, step)
+            want_rows, want_hess = self._per_row_reference(cfg, y, masks, step)
+            assert rows.tobytes() == want_rows.tobytes()
+            if mode == "nl_hessian":
+                assert hess.tobytes() == want_hess.tobytes()
+            else:
+                assert hess is None is want_hess
+
+    def test_the_batch_hessian_is_summed_from_positive_zero(self, monkeypatch):
+        # hess += h_j from np.zeros gave +0.0 where every row's entry is -0.0
+        cfg, masks, y = self._setup("ss_loss", "nl_hessian")
+        m = y.shape[1]
+        monkeypatch.setattr(
+            smoothing, "smooth_hessian", lambda f, y, cfgs: np.full((len(y), m, m), -0.0)
+        )
+        hess = trainers.output_grads(cfg, y, masks, 1)[1]
+        assert hess.tobytes() == np.zeros((m, m)).tobytes()
 
     def test_one_draw_block_per_row(self, monkeypatch):
         # at stepbench's path-hessian shape the gradient and the Hessian

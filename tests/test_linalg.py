@@ -97,6 +97,13 @@ class TestSolveTikhonov:
         with pytest.raises(SingularMatrix):
             linalg.TikhonovSolver(M, 0.0).solve(np.array([1.0, 0.0]))
 
+    def test_the_pivot_threshold_is_one_part_in_1e12(self):
+        # eigenvalue ratios on either side of PIVOT_RTOL: 1e-10 solves, 1e-13 does not
+        x = linalg.TikhonovSolver(np.diag([1.0, 1e-10]), 0.0).solve(np.ones(2))
+        assert rel_err(x, np.array([1.0, 1e10])) <= 1e-12
+        with pytest.raises(SingularMatrix, match="^eigenvalue 1.000e-13 below 1e-12 "):
+            linalg.TikhonovSolver(np.diag([1.0, 1e-13]), 0.0)
+
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValueError):
             linalg.TikhonovSolver(np.eye(2), -0.5).solve(np.ones(2))

@@ -1,5 +1,7 @@
 """Target construction, the induced square loss, and the split-step checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,14 @@ class TestInjectFisher:
     def test_requires_positive_lambda(self):
         with pytest.raises(ValueError):
             newton.inject_fisher(np.ones((2, 2)), 0.0)
+
+    def test_an_overflowing_second_moment_is_a_numeric_failure(self):
+        # under warnings as errors too: numpy's overflow warning in the
+        # product does not pre-empt the package's own non-finite check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResult, match="^M must be finite, got inf$"):
+                newton.inject_fisher(np.full((3, 4), 1e200), 0.1)
 
     def test_sgd_equivalence_with_fisher_targets(self):
         # One SGD step on the fisher-target square loss must match one SGD

@@ -397,6 +397,96 @@ def test_a_stacked_black_box_gives_the_per_point_estimate_bit_for_bit(
     assert np.array_equal(np.array(points), stacks[0])
 
 
+# ------------------------------------------------ batches of points
+
+
+def _batch(n=4, samples=16, sigma=0.2):
+    y = np.random.default_rng(22).normal(scale=0.3, size=(n, 3))
+    return y, [SmoothingConfig(sigma=sigma, samples=samples, seed=30 + j) for j in range(n)]
+
+
+@pytest.mark.parametrize(
+    "estimate,rows", [(e, r) for e, _, r in STACKED_PAIRS], ids=STACKED_IDS
+)
+@pytest.mark.parametrize("stacked", [False, True], ids=["per-point-f", "stacked-f"])
+def test_a_batch_gives_each_rows_point_estimate_bit_for_bit(estimate, rows, stacked):
+    # the per-point f is the stacked one on a stack of one point, so that the
+    # two compute every output with the same array operations
+    y, cfgs = _batch()
+    per_point = lambda u: rows(u[None])[0]
+    f = smoothing.Stacked(rows) if stacked else per_point
+    got = estimate(f, y, cfgs)
+    got = got if isinstance(got, tuple) else (got,)  # jacobian: (mean, jac)
+    for j, (point, cfg) in enumerate(zip(y, cfgs)):
+        want = estimate(per_point, point, cfg)
+        want = want if isinstance(want, tuple) else (want,)
+        assert len(want) == len(got)
+        for a, b in zip(want, got):
+            assert b.shape == (len(y), *a.shape)
+            assert b[j].tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize(
+    "estimate,rows", [(e, r) for e, _, r in STACKED_PAIRS], ids=STACKED_IDS
+)
+def test_a_stacked_black_box_sees_one_stack_of_the_whole_batch(estimate, rows):
+    y, cfgs = _batch()
+    stacks = []
+
+    def counted(p):
+        stacks.append(p.copy())
+        return rows(p)
+
+    estimate(smoothing.Stacked(counted), y, cfgs)
+    assert len(stacks) == 1 and stacks[0].shape == (4 * 17, 3)
+    for j, block in enumerate(stacks[0].reshape(4, 17, 3)):
+        assert block[:16].tobytes() == (y[j] + smoothing._draws(cfgs[j], 3)).tobytes()
+        assert block[-1].tobytes() == y[j].tobytes()
+
+
+@pytest.mark.parametrize(
+    "other", [dict(sigma=0.3), dict(samples=17)], ids=["sigma", "samples"]
+)
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda y, cfgs: smoothing.smooth_grad(np.sum, y, cfgs),
+        lambda y, cfgs: smoothing.smooth_hessian(np.sum, y, cfgs),
+        lambda y, cfgs: smoothing.smooth_jacobian(np.ravel, y, cfgs),
+    ],
+    ids=["grad", "hessian", "jacobian"],
+)
+def test_a_batch_of_mixed_sigma_or_samples_is_refused(estimate, other):
+    y, cfgs = _batch()
+    cfgs[2] = dataclasses.replace(cfgs[2], **other)
+    with pytest.raises(ConfigError, match="^a batch's configs must share one sigma and one samples$"):
+        estimate(y, cfgs)
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_a_batch_needs_one_config_per_row(count):
+    y, cfgs = _batch()
+    message = rf"^y must have shape \({count}, \*\), got shape \(4, 3\)$"
+    with pytest.raises(ShapeMismatch, match=message):
+        smoothing.smooth_grad(np.sum, y, (cfgs * 2)[:count])
+
+
+def test_a_linear_gradient_is_the_hand_reduction_against_f_at_the_point():
+    # the baseline is f at the point itself, the last row of each block; a
+    # linear f tells it from f at any draw
+    def linear(u):
+        return 1.5 * u[..., 0] - 2.0 * u[..., 1] + 0.5 * u[..., 2]
+
+    y, cfgs = _batch()
+    got = smoothing.smooth_grad(smoothing.Stacked(linear), y, cfgs)
+    for j, cfg in enumerate(cfgs):
+        eps = smoothing._draws(cfg, 3)
+        w = linear(y[j] + eps) - linear(y[j])
+        want = np.add.reduce(w[:, None] * eps) / cfg.samples / cfg.sigma**2
+        assert got[j].tobytes() == want.tobytes()
+        assert smoothing.smooth_grad(linear, y[j], cfg).tobytes() == want.tobytes()
+
+
 def test_a_stacked_black_box_raises_its_own_value_error_unwrapped():
     def f(p):
         raise ValueError("my own failure")
