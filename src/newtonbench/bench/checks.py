@@ -37,7 +37,7 @@ def check_grad(seed=0, count=50, n=5):
         worst = 0.0
         for _ in range(count):
             y = rng.normal(0.0, 1.0, size=n)
-            truth = diffsort.truth_from_order(tuple(rng.permutation(n)))
+            truth = diffsort.GroundTruthRanking(rng.permutation(n))
             analytic = diffsort.ranking_loss(y, truth, scfg)[1]
             fd = _central_fd_grad(
                 lambda v: diffsort.ranking_loss(v, truth, scfg)[0], y, h
@@ -110,7 +110,7 @@ def check_oracles(seed=0, grids_per_size=100, sizes=(3, 4, 5)):
         grids = np.array([rng.uniform(0.1, 2.0, size=(size, size)) for _ in range(grids_per_size)])
         dij_costs, _, masks = shortest_path.two_best_costs(grids)  # summed in path order
         for costs, dij_cost, stacked in zip(grids, dij_costs.tolist(), masks):
-            inst = shortest_path.GridInstance(height=size, width=size, node_costs=costs)
+            inst = shortest_path.GridInstance(costs)
             result = shortest_path.dijkstra_grid(inst)
             if not np.array_equal(stacked, result):
                 stack_mismatches += 1

@@ -24,7 +24,7 @@ field (kind, size key, feature_dim, count, seed) and every record.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -44,12 +44,16 @@ _DRAW_BLOCK = 64  # candidate feature draws per accept call
 @dataclass
 class Dataset:
     kind: str         # "rank" or "path"
-    size: int         # ranking length n, or grid side
-    feature_dim: int
     seed: int
     features: np.ndarray  # (count, rows, feature_dim) float64; rows is n or size^2
     labels: np.ndarray    # rank: (count, n) int64 orders; path: (count, size, size) float64 masks
     hidden: np.ndarray = None  # latents or costs; diagnostic only, None after a load
+    size: int = field(init=False)         # ranking length n, or grid side
+    feature_dim: int = field(init=False)
+
+    def __post_init__(self):
+        self.size = self.labels.shape[1]
+        self.feature_dim = self.features.shape[-1]
 
 
 def _readout(seed, feature_dim, tag):
@@ -135,7 +139,7 @@ def gen_ranking_data(seed, n, count, feature_dim=FEATURE_DIM):
     arrays = _draw_records(
         rng, count, (n, feature_dim), accept, f"could not separate latents by {gap} for n={n}"
     )
-    return Dataset("rank", n, feature_dim, seed, *arrays)
+    return Dataset("rank", seed, *arrays)
 
 
 def gen_grid_data(seed, size, count, feature_dim=FEATURE_DIM):
@@ -156,7 +160,7 @@ def gen_grid_data(seed, size, count, feature_dim=FEATURE_DIM):
         rng, count, (size * size, feature_dim), accept,
         f"could not find a {PATH_MARGIN:.0%} path margin at size {size}",
     )
-    return Dataset("path", size, feature_dim, seed, *arrays)
+    return Dataset("path", seed, *arrays)
 
 
 # per dataset kind: the header's size key and the label key of one record
@@ -266,4 +270,4 @@ def load_dataset(path):
             f"{path} line 1: count is {count!r}, the file holds {len(records)} records"
         )
     features = np.array([f for f, _ in records]).reshape(-1, *feature_shape)
-    return Dataset(kind, size, feature_dim, seed, features, labels)
+    return Dataset(kind, seed, features, labels)

@@ -9,7 +9,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,8 +25,11 @@ class TrainReport:
     """One (mode, seed) training run; config echoes its settings, seed included."""
 
     config: dict
-    curve: list      # [{"step": int, "<metric>": percent, ...}, ...]
-    final: dict      # {"<metric>": percent}
+    curve: list      # [{"step": int, "<metric>": percent, ...}, ...], nonempty
+    final: dict = field(init=False)  # the last point's metrics, without its step
+
+    def __post_init__(self):
+        self.final = {k: v for k, v in self.curve[-1].items() if k != "step"}
 
 
 def config_hash(echo):

@@ -36,7 +36,7 @@ def gradient_slice(method, y_base, coord, lo, hi, steps, tau=None, beta=None,
     if not lo < hi:
         raise ConfigError(f"empty sweep range [{lo}, {hi}]")
 
-    truth = diffsort.truth_from_order(tuple(range(n)))
+    truth = diffsort.GroundTruthRanking(range(n))
     grid = np.linspace(lo, hi, steps)
     table = np.empty((steps, n + 1))
     for k, t in enumerate(grid):

@@ -190,7 +190,7 @@ def rank_metrics(score_rows, rankings):
 def _rank_grads(cfg, y, rankings, step):
     """Ranking-loss gradient rows; finite-difference curvature for nl_hessian."""
     scfg = diffsort.SortConfig(method=cfg.method, tau=cfg.tau, beta=cfg.beta)
-    truths = [diffsort.truth_from_order(r) for r in rankings]
+    truths = [diffsort.GroundTruthRanking(r) for r in rankings]
 
     def grads_of(v):
         # v stacks batches (..., N, n); row i of every batch pairs with truths[i]
@@ -210,9 +210,8 @@ def _rank_grads(cfg, y, rankings, step):
 def _masks_of(costs):
     """The solver's flat masks for a (k, h, w) cost stack: one GridInstance and
     one dijkstra_grid call, through the module attribute, per grid."""
-    k, h, w = costs.shape
-    grids = [shortest_path.GridInstance(height=h, width=w, node_costs=c) for c in costs]
-    return np.array([shortest_path.dijkstra_grid(g) for g in grids]).reshape(k, -1)
+    grids = [shortest_path.GridInstance(c) for c in costs]
+    return np.array([shortest_path.dijkstra_grid(g) for g in grids]).reshape(len(costs), -1)
 
 
 def _floored_argmax(scores, size):
@@ -341,9 +340,5 @@ def run_experiment(cfg):
         hidden=HIDDEN, lr=LR, optimizer=OPTIMIZER, eval_every=eval_every,
         feature_dim=ds.feature_dim, train_count=train, eval_count=len(held_labels),
     )
-    return TrainReport(
-        config=echo,
-        curve=curve,
-        final={k: v for k, v in curve[-1].items() if k != "step"},
-    )
+    return TrainReport(config=echo, curve=curve)
 

@@ -21,7 +21,7 @@ All gradients are analytic reverse-mode, no autodiff framework involved.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,15 +54,22 @@ class SortConfig:
 
 @dataclass
 class PermMatrix:
-    n: int
     entries: np.ndarray
 
 
 @dataclass
 class GroundTruthRanking:
-    n: int
     order: tuple      # order[i] = index of the i-th largest element
-    matrix: np.ndarray
+    n: int = field(init=False)
+    matrix: np.ndarray = field(init=False)  # one-hot: row i selects order[i]
+
+    def __post_init__(self):
+        order = self.order = tuple(int(i) for i in self.order)
+        n = self.n = len(order)
+        if sorted(order) != list(range(n)):
+            raise ShapeMismatch(f"order {order} is not a permutation of 0..{n - 1}")
+        self.matrix = np.zeros((n, n))
+        self.matrix[np.arange(n), order] = 1.0
 
     def matrix_ascending(self):
         # row i selects the i-th smallest element instead
@@ -127,20 +134,9 @@ def _softmax_rows_backward(p, g_p):
     return p * (g_p - _sum(g_p * p, axis=1, keepdims=True))
 
 
-def truth_from_order(order):
-    """GroundTruthRanking from a stored order tuple (largest first)."""
-    order = tuple(int(i) for i in order)
-    n = len(order)
-    if sorted(order) != list(range(n)):
-        raise ShapeMismatch(f"order {order} is not a permutation of 0..{n - 1}")
-    q = np.zeros((n, n))
-    q[np.arange(n), order] = 1.0
-    return GroundTruthRanking(n=n, order=order, matrix=q)
-
-
 def hard_rank(y):
     """Descending argsort with ties broken by lower index first."""
-    return truth_from_order(np.argsort(-checked(y, "y", (None,)), kind="stable"))
+    return GroundTruthRanking(np.argsort(-checked(y, "y", (None,)), kind="stable"))
 
 
 # Each relaxation's forward returns P and its pullback: g_P -> g_y.
@@ -272,7 +268,7 @@ def _perm(y, cfg):
     p, _ = _perm_forward(y, cfg)
     if not np.all(np.isfinite(p)):
         raise NonFiniteResult(f"{cfg.method} produced non-finite probabilities")
-    return PermMatrix(n=y.shape[0], entries=p)
+    return PermMatrix(p)
 
 
 def softsort_perm(y, tau):

@@ -28,16 +28,12 @@ MAX_ENUM_CELLS = 25  # brute_force_shortest's cap: 5x5
 
 @dataclass
 class GridInstance:
-    height: int
-    width: int
-    node_costs: np.ndarray
+    node_costs: np.ndarray  # (h, w); its shape is the grid's
 
     def __post_init__(self):
         costs = self.node_costs = np.asarray(self.node_costs, dtype=np.float64)
-        if costs.shape != (self.height, self.width) or not costs.size:
-            raise ShapeMismatch(
-                f"costs shape {costs.shape} must be ({self.height}, {self.width}), no side empty"
-            )
+        if costs.ndim != 2 or not costs.size:
+            raise ShapeMismatch(f"costs shape {costs.shape} must be 2-D, no side empty")
         # positive cells with a finite sum are all finite; any other grid,
         # a finite one whose sum overflows too, gets the full check
         cells = costs.ravel().tolist()
@@ -143,7 +139,7 @@ def dijkstra_grid(inst):
     bytes, are answered from a memo, which holds one read-only mask per
     distinct path; every call returns a fresh array.
     """
-    return _solved(inst.node_costs.tobytes(), inst.height, inst.width).copy()
+    return _solved(inst.node_costs.tobytes(), *inst.node_costs.shape).copy()
 
 
 def _sweep(cost, dist):
@@ -242,10 +238,10 @@ def brute_force_shortest(inst):
     Prefixes strictly above the incumbent are pruned; a tying path survives
     because its prefix before the goal is strictly cheaper.
     """
-    h, w = inst.height, inst.width
+    costs = inst.node_costs
+    h, w = costs.shape
     if h * w > MAX_ENUM_CELLS:
         raise TooLarge(f"{h}x{w} grid exceeds the {MAX_ENUM_CELLS}-cell enumeration cap")
-    costs = inst.node_costs
     goal = (h - 1, w - 1)
     on_path = np.zeros((h, w), dtype=bool)
     state = {"best": np.inf, "mask": None, "ties": 0}

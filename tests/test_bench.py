@@ -59,6 +59,15 @@ class TestRankDatagen:
             for latents in ds.hidden:
                 assert np.min(np.diff(np.sort(latents))) >= gap
 
+    def test_dataset_derives_its_sizes_from_its_arrays(self):
+        for ds, size in ((datagen.gen_ranking_data(2, 3, 5, feature_dim=4), 3),
+                         (datagen.gen_grid_data(1, 3, 4, feature_dim=4), 3)):
+            assert (ds.size, ds.feature_dim) == (size, 4)
+            back = datagen.Dataset(ds.kind, ds.seed, ds.features, ds.labels)
+            assert (back.size, back.feature_dim) == (size, 4)
+        with pytest.raises(TypeError):
+            datagen.Dataset("rank", 0, ds.features, ds.labels, size=3)
+
     def test_roundtrip_drops_diagnostics(self, tmp_path):
         path = tmp_path / "rank.jsonl"
         ds = datagen.gen_ranking_data(2, 3, 5, feature_dim=4)
@@ -225,7 +234,7 @@ class TestGridDatagen:
     def test_mask_is_dijkstra_of_hidden_costs(self):
         ds = datagen.gen_grid_data(4, 4, 15)
         for costs, mask in zip(ds.hidden, ds.labels, strict=True):
-            inst = shortest_path.GridInstance(height=4, width=4, node_costs=costs)
+            inst = shortest_path.GridInstance(costs)
             np.testing.assert_array_equal(shortest_path.dijkstra_grid(inst), mask)
 
     def test_cost_oracle_matches_perfectly(self):
@@ -436,7 +445,7 @@ class TestMetrics:
     def test_path_metrics_counts_by_hand(self):
         cheap = np.full((2, 2), 0.2)
         cheap[0, 1] = 5.0
-        inst = shortest_path.GridInstance(height=2, width=2, node_costs=cheap)
+        inst = shortest_path.GridInstance(cheap)
         mask = shortest_path.dijkstra_grid(inst).astype(np.float64)
         raw = np.log(np.expm1(cheap.ravel() - datagen.COST_FLOOR))
         m = trainers.path_metrics(np.stack([raw, raw]), np.stack([mask, 1 - mask]), 2)
@@ -742,7 +751,7 @@ class TestPathOutputGrads:
         rows, hess = np.empty_like(y), np.zeros((m, m))
 
         def mask_of(costs):
-            grid = shortest_path.GridInstance(size, size, costs.reshape(size, size))
+            grid = shortest_path.GridInstance(costs.reshape(size, size))
             return shortest_path.dijkstra_grid(grid).ravel()
 
         for j, mask in enumerate(masks.reshape(n, m)):
@@ -834,7 +843,7 @@ class TestPathOutputGrads:
             scfg = smoothing.SmoothingConfig(sigma=cfg.sigma, samples=cfg.samples, seed=seed)
             scores = -datagen.costs_from_raw(y[j]) + smoothing._draws(scfg, m)
             costs = np.maximum(-scores, trainers.ARGMAX_COST_FLOOR).reshape(-1, size, size)
-            solved = [shortest_path.dijkstra_grid(shortest_path.GridInstance(size, size, c))
+            solved = [shortest_path.dijkstra_grid(shortest_path.GridInstance(c))
                       for c in costs]
             mean = np.add.reduce(np.array(solved).reshape(-1, m)) / cfg.samples
             want[j] = (mean - masks[j].ravel()) * -diffsort.expit(y[j])
@@ -873,7 +882,7 @@ class TestFyArgmax:
         costs = np.random.default_rng(6).uniform(0.1, 2.0, (30, 4, 4))
         got = trainers._floored_argmax(-costs.reshape(30, 16), 4)
         for w, c in zip(got, costs):
-            want = shortest_path.dijkstra_grid(shortest_path.GridInstance(4, 4, c))
+            want = shortest_path.dijkstra_grid(shortest_path.GridInstance(c))
             assert w.tobytes() == want.ravel().tobytes()
 
     def test_positive_scores_are_floored_costs(self):
@@ -1219,10 +1228,16 @@ class TestReportDocument:
         cfg = _quick_cfg(seed=4, steps=20)
         assert trainers.run_experiment(cfg) == trainers.run_experiment(cfg)
 
+    def test_final_is_the_last_curve_point_without_its_step(self):
+        curve = [{"step": 0, "m": 1.0, "k": 2.0}, {"step": 9, "m": 3.0, "k": 4.0}]
+        assert report.TrainReport(config={}, curve=curve).final == {"m": 3.0, "k": 4.0}
+        with pytest.raises(TypeError):
+            report.TrainReport(config={}, curve=curve, final={"m": 3.0})
+
     def test_aggregate_mean_and_std(self):
         runs = [
-            report.TrainReport(config={"seed": 0}, curve=[], final={"m": 10.0}),
-            report.TrainReport(config={"seed": 1}, curve=[], final={"m": 20.0}),
+            report.TrainReport(config={"seed": 0}, curve=[{"step": 5, "m": 10.0}]),
+            report.TrainReport(config={"seed": 1}, curve=[{"step": 5, "m": 20.0}]),
         ]
         mean, std = runs and report.aggregate_finals(runs)
         assert mean["m"] == 15.0
@@ -1289,7 +1304,7 @@ class TestGradientSlice:
         base = np.array([0.5, 2.0, -1.0])
         table = slices.gradient_slice("softsort", base, 0, -1.0, 1.0, 3, tau=0.5)
         scfg = diffsort.SortConfig(method="softsort", tau=0.5)
-        truth = diffsort.truth_from_order((0, 1, 2))
+        truth = diffsort.GroundTruthRanking((0, 1, 2))
         for t, row in zip((-1.0, 0.0, 1.0), table):
             y = np.array([t, 2.0, -1.0])
             want = [t, *diffsort.ranking_loss(y, truth, scfg)[1]]
@@ -1368,7 +1383,7 @@ class TestChecks:
         paths = enumerate_paths(4, 4)
         grids = [rng.uniform(0.1, 2.0, size=(4, 4)) for _ in range(25)]
         for costs in grids + [np.ones((4, 4))]:
-            inst = shortest_path.GridInstance(height=4, width=4, node_costs=costs)
+            inst = shortest_path.GridInstance(costs)
             best, mask, unique = shortest_path.brute_force_shortest(inst)
             path_costs = [sum(costs[c] for c in path) for path in paths]
             first = paths[path_costs.index(min(path_costs))]

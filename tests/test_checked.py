@@ -220,7 +220,7 @@ def dsn(a):
 
 @entry
 def ranking_loss(a):
-    truth = diffsort.truth_from_order(range(len(a)))
+    truth = diffsort.GroundTruthRanking(range(len(a)))
     parts = diffsort.ranking_loss(a, truth, diffsort.SortConfig("softsort"))
     return list(zip(parts, ((), (len(a),))))
 
@@ -616,7 +616,6 @@ EXEMPT = {
     ("net.Mlp.init", "seed"): "a SeedSequence or an int, handed to numpy's default_rng",
     ("net.OptimizerState", "lr"): "the optimizer's running state; OptimizerState.create checks lr",
     ("bench.datagen.Dataset", "seed"): "a record of what the generator or loader checked",
-    ("bench.datagen.Dataset", "feature_dim"): "a record of what the generator or loader checked",
     ("bench.slices.slice_tsv", "coord"): "only names the first column of a finished table",
 }
 SETTING_NAMES = {"lam", "lr", "eta", "sigma", "tau", "beta", "seed", "samples", "steps", "count",

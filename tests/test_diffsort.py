@@ -8,7 +8,7 @@ from scipy.special import expit as scipy_expit
 
 from newtonbench import diffsort
 from newtonbench.diffsort import GroundTruthRanking, SortConfig
-from newtonbench.errors import ConfigError
+from newtonbench.errors import ConfigError, ShapeMismatch
 
 from oracles import central_diff_grad, rel_err, sorting_network_reference
 
@@ -159,6 +159,24 @@ class TestExpit:
         assert diffsort.expit(np.empty(0)).dtype == np.float64
 
 
+class TestGroundTruthRanking:
+    def test_derives_size_and_matrix_from_the_order(self):
+        truth = GroundTruthRanking(np.array([2, 0, 1]))
+        assert truth.order == (2, 0, 1) and all(type(i) is int for i in truth.order)
+        assert truth.n == 3
+        np.testing.assert_array_equal(truth.matrix, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+        np.testing.assert_array_equal(truth.matrix_ascending(), truth.matrix[::-1])
+
+    @pytest.mark.parametrize("order", [(0, 0, 1), (1, 2), (0, 1, 3)])
+    def test_refuses_an_order_that_is_not_a_permutation(self, order):
+        with pytest.raises(ShapeMismatch, match=r"is not a permutation of 0\.\."):
+            GroundTruthRanking(order)
+
+    def test_takes_only_the_order(self):
+        with pytest.raises(TypeError):
+            GroundTruthRanking((0, 1), n=2)
+
+
 class TestHardRank:
     def test_basic_order(self):
         truth = diffsort.hard_rank(np.array([3.0, 1.0, 2.0]))
@@ -249,7 +267,7 @@ class TestRankingLoss:
                     for param in (0.1, 1.0, 10.0):
                         cfg = SortConfig(method=method, **{key: param})
                         y = rng.standard_normal(n) * scale
-                        truth = diffsort.truth_from_order(rng.permutation(n))
+                        truth = GroundTruthRanking(rng.permutation(n))
                         for v in (y, np.round(y / scale) * scale):  # the second has ties
                             value, grad = diffsort.ranking_loss(v, truth, cfg)
                             h.update(np.float64(value).tobytes() + grad.tobytes())

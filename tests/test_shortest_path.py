@@ -10,7 +10,7 @@ from oracles import (
 
 
 def random_grid(rng, h, w, low=0.1, high=2.0):
-    return sp.GridInstance(height=h, width=w, node_costs=rng.uniform(low, high, (h, w)))
+    return sp.GridInstance(rng.uniform(low, high, (h, w)))
 
 
 def is_simple_corner_path(mask):
@@ -38,7 +38,7 @@ class TestGridInstance:
     @pytest.mark.parametrize("h,w", [(0, 3), (3, 0), (0, 0)])
     def test_empty_side_raises_as_the_stacked_solver_does(self, h, w):
         with pytest.raises(ShapeMismatch, match="no side empty$"):
-            sp.GridInstance(height=h, width=w, node_costs=np.zeros((h, w)))
+            sp.GridInstance(np.zeros((h, w)))
         with pytest.raises(ShapeMismatch):
             sp.dijkstra_grids(np.zeros((1, h, w)))
 
@@ -46,7 +46,7 @@ class TestGridInstance:
     def grid(bad):
         costs = np.ones((2, 3))
         costs[1, 2] = bad
-        return sp.GridInstance(height=2, width=3, node_costs=costs)
+        return sp.GridInstance(costs)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_cost_raises(self, bad):
@@ -62,16 +62,25 @@ class TestGridInstance:
         costs = np.ones((2, 3))
         costs[0, 1], costs[1, 0] = -2.0, np.nan
         with pytest.raises(NonFiniteResult, match="^grid costs must be finite$"):
-            sp.GridInstance(height=2, width=3, node_costs=costs)
+            sp.GridInstance(costs)
 
-    def test_wrong_shape_raises(self):
-        with pytest.raises(ShapeMismatch):
-            sp.GridInstance(height=2, width=3, node_costs=np.ones((3, 2)))
+    @pytest.mark.parametrize("shape", [(), (4,), (1, 2, 2)], ids=["0-D", "1-D", "3-D"])
+    def test_non_2d_costs_raise(self, shape):
+        with pytest.raises(ShapeMismatch, match=r"must be 2-D, no side empty$"):
+            sp.GridInstance(np.ones(shape))
+
+    def test_shape_is_the_grid_s(self):
+        # a solve and the oracle read the grid's size from its costs alone
+        costs = np.array([[1.0, 9.0, 1.0], [1.0, 1.0, 1.0]])
+        wide, tall = sp.GridInstance(costs), sp.GridInstance(costs.T)
+        np.testing.assert_array_equal(sp.dijkstra_grid(wide), [[1, 0, 0], [1, 1, 1]])
+        np.testing.assert_array_equal(sp.dijkstra_grid(tall), [[1, 1], [0, 1], [0, 1]])
+        assert sp.brute_force_shortest(wide)[0] == sp.brute_force_shortest(tall)[0] == 4.0
 
     def test_finite_costs_whose_sum_overflows_are_accepted(self):
         costs = np.full((4, 4), 1e308)
         with np.errstate(over="raise"):
-            inst = sp.GridInstance(height=4, width=4, node_costs=costs)
+            inst = sp.GridInstance(costs)
         assert np.array_equal(inst.node_costs, costs)
 
     # the quick accept and the full check agree on every pair of edge values,
@@ -87,27 +96,25 @@ class TestGridInstance:
             sp._check_costs(costs)
         except (NonFiniteResult, ValueError) as exc:
             with pytest.raises(type(exc), match=f"^{exc}$"):
-                sp.GridInstance(height=2, width=2, node_costs=costs)
+                sp.GridInstance(costs)
         else:
-            sp.GridInstance(height=2, width=2, node_costs=costs)
+            sp.GridInstance(costs)
 
     def test_accepts_positive_costs_as_float64(self):
-        inst = sp.GridInstance(height=1, width=2, node_costs=[[1, 5e-324]])
+        inst = sp.GridInstance([[1, 5e-324]])
         assert inst.node_costs.dtype == np.float64
         np.testing.assert_array_equal(inst.node_costs, [[1.0, 5e-324]])
 
 
 class TestDijkstra:
     def test_single_cell(self):
-        inst = sp.GridInstance(height=1, width=1, node_costs=np.array([[4.2]]))
+        inst = sp.GridInstance(np.array([[4.2]]))
         out = sp.dijkstra_grid(inst)
         np.testing.assert_array_equal(out, [[1]])
         assert mask_cost(inst.node_costs, out) == 4.2
 
     def test_two_by_two_hand_case(self):
-        inst = sp.GridInstance(
-            height=2, width=2, node_costs=np.array([[1.0, 10.0], [1.0, 1.0]])
-        )
+        inst = sp.GridInstance(np.array([[1.0, 10.0], [1.0, 1.0]]))
         out = sp.dijkstra_grid(inst)
         np.testing.assert_array_equal(out, [[1, 0], [1, 1]])
         assert mask_cost(inst.node_costs, out) == 3.0
@@ -171,7 +178,7 @@ class TestDijkstra:
 
     def test_deterministic_tie_break(self):
         # uniform costs: many optimal paths; repeated solves must agree
-        inst = sp.GridInstance(height=3, width=3, node_costs=np.ones((3, 3)))
+        inst = sp.GridInstance(np.ones((3, 3)))
         a = sp.dijkstra_grid(inst)
         b = sp.dijkstra_grid(inst)
         np.testing.assert_array_equal(a, b)
@@ -190,7 +197,7 @@ class TestDijkstra:
             for w in range(1, 7):
                 for _ in range(4):
                     costs = draw(rng, (h, w))
-                    mask = sp.dijkstra_grid(sp.GridInstance(height=h, width=w, node_costs=costs))
+                    mask = sp.dijkstra_grid(sp.GridInstance(costs))
                     np.testing.assert_array_equal(mask, tie_rule_mask(costs))
 
     def test_monotonicity_in_costs(self):
@@ -202,7 +209,7 @@ class TestDijkstra:
             i, j = int(rng.integers(4)), int(rng.integers(4))
             bumped = inst.node_costs.copy()
             bumped[i, j] += 1.0
-            new_inst = sp.GridInstance(height=4, width=4, node_costs=bumped)
+            new_inst = sp.GridInstance(bumped)
             new_cost = mask_cost(new_inst.node_costs, sp.dijkstra_grid(new_inst))
             if base_mask[i, j]:
                 assert new_cost >= base_cost
@@ -216,7 +223,7 @@ class TestSolveMemo:
 
     def test_mutating_a_result_leaves_the_next_solve(self):
         costs = np.array([[1.0, 10.0], [1.0, 1.0]])
-        inst = sp.GridInstance(height=2, width=2, node_costs=costs)
+        inst = sp.GridInstance(costs)
         first = sp.dijkstra_grid(inst)
         first[:] = 7.0
         second = sp.dijkstra_grid(inst)
@@ -227,7 +234,7 @@ class TestSolveMemo:
         sp._solved.cache_clear()
         cheap = np.array([[1.0, 9.0, 9.0], [1.0, 9.0, 9.0], [1.0, 1.0, 1.0]])
         grids = [cheap, cheap * 2.0, cheap + np.eye(3) * 0.5]
-        masks = [sp.dijkstra_grid(sp.GridInstance(3, 3, g)) for g in grids]
+        masks = [sp.dijkstra_grid(sp.GridInstance(g)) for g in grids]
         want = [[1, 0, 0], [1, 0, 0], [1, 1, 1]]
         for mask in masks:
             np.testing.assert_array_equal(mask, want)
@@ -236,11 +243,11 @@ class TestSolveMemo:
         np.testing.assert_array_equal(masks[1], want)
         np.testing.assert_array_equal(masks[2], want)
         for g in grids:  # repeats, from the memo, and a grid not seen before
-            np.testing.assert_array_equal(sp.dijkstra_grid(sp.GridInstance(3, 3, g)), want)
-        np.testing.assert_array_equal(sp.dijkstra_grid(sp.GridInstance(3, 3, cheap * 3.0)), want)
+            np.testing.assert_array_equal(sp.dijkstra_grid(sp.GridInstance(g)), want)
+        np.testing.assert_array_equal(sp.dijkstra_grid(sp.GridInstance(cheap * 3.0)), want)
 
     def test_in_place_cost_change_is_a_new_grid(self):
-        inst = sp.GridInstance(height=2, width=2, node_costs=np.array([[1.0, 10.0], [1.0, 1.0]]))
+        inst = sp.GridInstance(np.array([[1.0, 10.0], [1.0, 1.0]]))
         np.testing.assert_array_equal(sp.dijkstra_grid(inst), [[1, 0], [1, 1]])
         inst.node_costs[0, 1], inst.node_costs[1, 0] = 1.0, 10.0
         np.testing.assert_array_equal(sp.dijkstra_grid(inst), [[1, 1], [0, 1]])
@@ -249,7 +256,7 @@ class TestSolveMemo:
         costs = np.random.default_rng(11).uniform(0.1, 2.0, 16)
         for h, w in ((4, 4), (2, 8), (1, 16)):
             grid = costs.reshape(h, w)
-            mask = sp.dijkstra_grid(sp.GridInstance(height=h, width=w, node_costs=grid))
+            mask = sp.dijkstra_grid(sp.GridInstance(grid))
             assert mask.shape == (h, w)
             np.testing.assert_array_equal(mask, tie_rule_mask(grid))
 
@@ -259,7 +266,7 @@ class TestSolveMemo:
         for _ in range(2000):
             h, w = (int(v) for v in rng.integers(2, 7, 2))
             costs = rng.integers(1, 4, (h, w)).astype(np.float64)
-            inst = sp.GridInstance(height=h, width=w, node_costs=costs)
+            inst = sp.GridInstance(costs)
             want = tie_rule_mask(costs)
             for _ in range(2):
                 mask = sp.dijkstra_grid(inst)
@@ -273,7 +280,7 @@ class TestAbsorbedCosts:
 
     def test_minimal_absorbing_grid_ends_on_a_simple_path(self):
         costs = np.array([[5e307, 1e308, 1e-300], [1e-300, 1, 1], [5e307, 1e-300, 1]])
-        inst = sp.GridInstance(height=3, width=3, node_costs=costs)
+        inst = sp.GridInstance(costs)
         mask = sp.dijkstra_grid(inst)
         assert is_simple_corner_path(mask)
         np.testing.assert_array_equal(sp.two_best_costs(costs[None])[2][0], mask)
@@ -283,7 +290,7 @@ class TestAbsorbedCosts:
         for _ in range(300):
             h, w = int(rng.integers(1, 6)), int(rng.integers(1, 6))
             costs = rng.choice([1e-300, 1e-9, 1.0, 1e8, 5e307, 1e308], (h, w))
-            inst = sp.GridInstance(height=h, width=w, node_costs=costs)
+            inst = sp.GridInstance(costs)
             try:
                 mask = sp.dijkstra_grid(inst)
             except NonFiniteResult:
@@ -292,7 +299,7 @@ class TestAbsorbedCosts:
             np.testing.assert_array_equal(sp.two_best_costs(costs[None])[2][0], mask)
 
     def test_overflowing_best_cost_raises(self):
-        inst = sp.GridInstance(height=3, width=3, node_costs=np.full((3, 3), 1e308))
+        inst = sp.GridInstance(np.full((3, 3), 1e308))
         with pytest.raises(NonFiniteResult):
             sp.dijkstra_grid(inst)
         with pytest.raises(NonFiniteResult):
@@ -315,7 +322,7 @@ class TestDijkstraGrids:
         masks, overflows = [], []
         for g, grid in enumerate(costs):
             try:
-                masks.append(sp.dijkstra_grid(sp.GridInstance(*grid.shape, grid)))
+                masks.append(sp.dijkstra_grid(sp.GridInstance(grid)))
             except NonFiniteResult:
                 overflows.append(g)
         return masks, overflows
@@ -377,7 +384,7 @@ class TestDijkstraGrids:
     def test_errors_carry_the_per_grid_messages(self, cells, error):
         costs = self.stack_with(*cells)
         with pytest.raises(error) as per_grid:
-            sp.dijkstra_grid(sp.GridInstance(2, 3, costs[1]))
+            sp.dijkstra_grid(sp.GridInstance(costs[1]))
         with pytest.raises(error) as stacked:
             sp.dijkstra_grids(costs)
         assert str(stacked.value) == str(per_grid.value)
@@ -406,13 +413,13 @@ class TestDijkstraGrids:
 
 class TestBruteForce:
     def test_single_cell(self):
-        inst = sp.GridInstance(height=1, width=1, node_costs=np.array([[0.5]]))
+        inst = sp.GridInstance(np.array([[0.5]]))
         best, mask, unique = sp.brute_force_shortest(inst)
         assert (best, unique) == (0.5, True)
         np.testing.assert_array_equal(mask, [[1]])
 
     def test_uniform_two_by_two_matches_dijkstra_cost(self):
-        inst = sp.GridInstance(height=2, width=2, node_costs=np.ones((2, 2)))
+        inst = sp.GridInstance(np.ones((2, 2)))
         _, bf, _ = sp.brute_force_shortest(inst)
         dj = sp.dijkstra_grid(inst)
         assert mask_cost(inst.node_costs, bf) == mask_cost(inst.node_costs, dj) == 3.0
@@ -456,7 +463,7 @@ class TestTwoBestCosts:
         ]
         for draw in draws:
             for _ in range(15):
-                inst = sp.GridInstance(height=h, width=w, node_costs=draw())
+                inst = sp.GridInstance(draw())
                 (best,), (second,), (mask,) = sp.two_best_costs(inst.node_costs[None])
                 assert (best, second) == self.oracle_two_best(inst, paths)
                 np.testing.assert_array_equal(mask, sp.dijkstra_grid(inst))
@@ -512,11 +519,9 @@ class TestPathCost:
     """The best cost two_best_costs reports, a left fold in path order."""
 
     def test_near_zero_costs(self):
-        inst = sp.GridInstance(height=1, width=4, node_costs=np.full((1, 4), 1e-9))
+        inst = sp.GridInstance(np.full((1, 4), 1e-9))
         assert sp.two_best_costs(inst.node_costs[None])[0][0] == pytest.approx(4e-9, rel=1e-12)
 
     def test_hand_case(self):
-        inst = sp.GridInstance(
-            height=2, width=2, node_costs=np.array([[1.0, 10.0], [1.0, 1.0]])
-        )
+        inst = sp.GridInstance(np.array([[1.0, 10.0], [1.0, 1.0]]))
         assert sp.two_best_costs(inst.node_costs[None])[0][0] == 3.0
