@@ -21,6 +21,7 @@ class TikhonovSolver:
     serves a whole batch of gradient solves as V diag(1/(w+lambda)) V^T B.
     M is symmetrized as (M + M^T)/2 on entry; near-symmetric inputs such as
     finite-difference Hessians are accepted rather than rejected. Raises
+    NonFiniteResult when an eigenvalue is not finite (sym(M) overflows) and
     SingularMatrix when min|w+lambda| <= PIVOT_RTOL * max|w+lambda|.
     """
 
@@ -30,8 +31,10 @@ class TikhonovSolver:
         if M.shape[1] != m:
             checked(M, "M", (m, m))  # raises, in checked's form
         checked_real(lam, "lam", 0)
-        w, self._V = np.linalg.eigh(0.5 * (M + M.T))
-        self._w = w + lam
+        with np.errstate(over="ignore"):  # an overflow is named by the eigenvalue check
+            sym = 0.5 * (M + M.T)
+        w, self._V = np.linalg.eigh(sym)
+        self._w = checked(w, "eigenvalues of sym(M)", (m,)) + lam
         mag = np.abs(self._w)
         if mag.min() <= PIVOT_RTOL * mag.max():
             raise SingularMatrix(

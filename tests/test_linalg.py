@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,16 @@ class TestSolveTikhonov:
         message = rf"^B must have shape \(2, \*\), got shape {re.escape(str(rhs.shape))}$"
         with pytest.raises(ShapeMismatch, match=message):
             linalg.TikhonovSolver(np.eye(2), 1.0).solve_mat(rhs)
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["default", "warnings-as-errors"])
+    def test_an_overflowing_matrix_fails_at_construction(self, strict):
+        # sym(M) overflows to inf, whose eigenvalues come back NaN; the solver
+        # used to be built and fail only at solve
+        with warnings.catch_warnings():
+            if strict:
+                warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResult, match=r"^eigenvalues of sym\(M\) must be finite"):
+                linalg.TikhonovSolver(np.full((2, 2), 1e308), 0.1)
 
     def test_zero_matrix_unit_lambda_is_identity(self):
         x = linalg.TikhonovSolver(np.zeros((2, 2)), 1.0).solve(np.array([3.0, 4.0]))

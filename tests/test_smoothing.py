@@ -340,22 +340,24 @@ class TestFyGradient:
 
 
 def _quad(u):
-    return u[0] * u[1] + u[2] ** 2
+    return u[0] * u[1] + u[2] * u[2]
 
 
 def _quad_rows(p):
-    return p[:, 0] * p[:, 1] + p[:, 2] ** 2
+    return p[:, 0] * p[:, 1] + p[:, 2] * p[:, 2]
 
 
 # each estimator with a per-point f and a stacked f doing the same float
-# operations per point; fy smooths an argmax through smooth_jacobian
+# operations per point; fy smooths an argmax through smooth_jacobian.  Both
+# sides square as x * x: an array's `** 2` is x * x, but a numpy scalar's can
+# differ from it by one ulp
 STACKED_PAIRS = [
     (smoothing.smooth_grad, _quad, _quad_rows),
     (smoothing.smooth_hessian, _quad, _quad_rows),
     (
         smoothing.smooth_jacobian,
-        lambda u: np.array([u[0] ** 2, u[1] * u[2]]),
-        lambda p: np.stack([p[:, 0] ** 2, p[:, 1] * p[:, 2]], axis=1),
+        lambda u: np.array([u[0] * u[0], u[1] * u[2]]),
+        lambda p: np.stack([p[:, 0] * p[:, 0], p[:, 1] * p[:, 2]], axis=1),
     ),
     (
         lambda f, y, cfg: fy_gradient(y, np.eye(3)[1], f, cfg),
@@ -366,12 +368,15 @@ STACKED_PAIRS = [
 STACKED_IDS = ["grad", "hessian", "jacobian", "fy"]
 
 
+# any seed holds now; with `** 2` on each side, seed 72 failed (jacobian):
+# one probed point's square differed by an ulp that reached the mean
+@pytest.mark.parametrize("seed", [21, 30, 31, 32, 33, 72])
 @pytest.mark.parametrize("estimate,per_point,rows", STACKED_PAIRS, ids=STACKED_IDS)
 def test_a_stacked_black_box_gives_the_per_point_estimate_bit_for_bit(
-    estimate, per_point, rows
+    estimate, per_point, rows, seed
 ):
     y = np.array([0.3, -0.2, 0.25])
-    cfg = SmoothingConfig(sigma=0.2, samples=64, seed=21)
+    cfg = SmoothingConfig(sigma=0.2, samples=64, seed=seed)
     points, stacks = [], []
 
     def one(u):
