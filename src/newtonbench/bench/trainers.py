@@ -19,10 +19,12 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from ..errors import ConfigError, checked, checked_int, checked_real
+from ..errors import (
+    ConfigError, NonFiniteResult, SingularMatrix, checked, checked_int, checked_real
+)
 from .. import diffsort, net, newton, shortest_path, smoothing
 from . import datagen
-from .report import MODES, TrainReport
+from .report import MODES, TrainReport, fmt
 
 # seed-stream tag of each path method's smoothing draws
 _PATH_SEED_TAGS = {"ss_loss": 301, "ss_algorithm": 302, "fy": 303}
@@ -301,8 +303,21 @@ def output_rows(cfg, y, grad_rows, curvature):
 
 def run_experiment(cfg):
     """Train the per-element scorer (rank) or per-cell cost predictor (path)
-    under cfg, evaluating the held-out metrics along the way."""
-    ds, train = _load_data(cfg)
+    under cfg, evaluating the held-out metrics along the way.
+
+    A NonFiniteResult or SingularMatrix leaves as the same class with the
+    run's mode, lambda (Newton modes), seed, step and phase in front, as in
+    "nl_hessian lam 1 seed 0 step 487, damped solve: eigenvalue ..."."""
+
+    def at(step, phase, fn, *args):
+        try:
+            return fn(*args)
+        except (NonFiniteResult, SingularMatrix) as exc:
+            lam = "" if cfg.mode == "baseline" else f" lam {fmt(cfg.lam)}"
+            where = f"{cfg.mode}{lam} seed {cfg.seed} step {step}, {phase}"
+            raise type(exc)(f"{where}: {exc}") from exc
+
+    ds, train = at(0, "data", _load_data, cfg)
     held_features, held_labels = ds.features[train:], ds.labels[train:]
     eval_every = max(1, cfg.steps // 20)
     model = net.Mlp.init(
@@ -323,15 +338,16 @@ def run_experiment(cfg):
             metrics = path_metrics(out_rows, held_labels, cfg.grid)
         curve.append({"step": step, **metrics})
 
-    evaluate(0)
+    at(0, "eval", evaluate, 0)
     for step in range(1, cfg.steps + 1):
         idx = batch_rng.choice(train, size=cfg.batch, replace=False)
-        y, tape = _forward(model, ds.features[idx])
-        rows = output_rows(cfg, y, *output_grads(cfg, y, ds.labels[idx], step))
-        grads = net.backward(model, tape, rows.reshape(-1, 1))
-        net.optimizer_step(opt, model, grads)
+        y, tape = at(step, "forward", _forward, model, ds.features[idx])
+        estimates = at(step, "loss+gradient", output_grads, cfg, y, ds.labels[idx], step)
+        rows = at(step, "damped solve", output_rows, cfg, y, *estimates)
+        grads = at(step, "backward", net.backward, model, tape, rows.reshape(-1, 1))
+        at(step, "optimizer", net.optimizer_step, opt, model, grads)
         if step % eval_every == 0 or step == cfg.steps:
-            evaluate(step)
+            at(step, "eval", evaluate, step)
 
     # the settings, the fixed model and optimizer, and the data the run used
     # a data_path of "" generates, as None does (_load_data)

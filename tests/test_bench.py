@@ -862,7 +862,8 @@ class TestPathOutputGrads:
         argv = ["bench", "path", "--method", "fy", "--mode", "baseline", "--grid", "2",
                 "--steps", "1", "--batch", "2", "--samples", "2"]
         assert cli.main(argv) == 3
-        assert capsys.readouterr().err == f"numeric failure: {message}\n"
+        where = "baseline seed 0 step 1, loss+gradient"
+        assert capsys.readouterr().err == f"numeric failure: {where}: {message}\n"
 
 
 class TestFyArgmax:

@@ -235,6 +235,81 @@ class TestAblateCli:
             assert re.fullmatch(line_format, line)
 
 
+class TestFailureLocation:
+    """A numeric failure's one line names the run's mode, lambda (Newton
+    modes), seed, step and phase; run_experiment raises the same class."""
+
+    def test_a_singular_damped_solve_names_seed_step_and_phase(self, capsys):
+        argv = ["bench", "path", "--method", "ss_loss", "--mode", "nl_hessian",
+                "--lambda", "1", "--seeds", "3"]
+        assert run_cli(argv) == 3
+        line = (r"numeric failure: nl_hessian lam 1 seed 0 step 487, damped solve: "
+                r"eigenvalue \S+ below 1e-12 \* max\|eigenvalue\| = \S+\n")
+        assert re.fullmatch(line, capsys.readouterr().err)
+
+    # (module, attribute, the call that raises, phase, step); call 1 of
+    # _forward and rank_metrics is the step-0 evaluation
+    PHASES = [
+        (trainers, "_load_data", 1, "data", 0),
+        (trainers, "_forward", 2, "forward", 1),
+        (trainers, "output_grads", 2, "loss+gradient", 2),
+        (trainers, "output_rows", 1, "damped solve", 1),
+        (trainers.net, "backward", 3, "backward", 3),
+        (trainers.net, "optimizer_step", 1, "optimizer", 1),
+        (trainers, "rank_metrics", 1, "eval", 0),
+        (trainers, "rank_metrics", 3, "eval", 2),
+    ]
+
+    @staticmethod
+    def fail_on(monkeypatch, owner, name, call, exc):
+        real, calls = getattr(owner, name), []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == call:
+                raise exc("boom")
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, failing)
+
+    @pytest.mark.parametrize("exc", [errors.NonFiniteResult, errors.SingularMatrix])
+    @pytest.mark.parametrize(
+        "owner,name,call,phase,step", PHASES,
+        ids=[f"{phase}-step{step}" for *_, phase, step in PHASES],
+    )
+    def test_each_phase_is_named(self, owner, name, call, phase, step, exc, monkeypatch,
+                                 capsys):
+        argv = QUICK_RANK[:4] + ["--mode", "nl_fisher", "--lambda", "0.5", "--steps", "4",
+                                 "--batch", "6", "--n", "3"]
+        where = f"nl_fisher lam 0.5 seed 0 step {step}, {phase}"
+        self.fail_on(monkeypatch, owner, name, call, exc)
+        with pytest.raises(exc, match=f"^{re.escape(where)}: boom$"):
+            trainers.run_experiment(trainers.ExperimentConfig(
+                "rank", "neuralsort", "nl_fisher", lam=0.5, steps=4, batch=6, n=3))
+        self.fail_on(monkeypatch, owner, name, call, exc)
+        assert run_cli(argv) == 3
+        assert capsys.readouterr().err == f"numeric failure: {where}: boom\n"
+
+    def test_the_baseline_names_no_lambda_and_ablate_names_each(self, monkeypatch, capsys):
+        self.fail_on(monkeypatch, trainers, "output_grads", 1, errors.NonFiniteResult)
+        assert run_cli(QUICK_RANK + ["--mode", "baseline", "--seed", "2"]) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: baseline seed 2 step 1, loss+gradient: boom\n"
+        )
+        # ablate runs the baseline, then nl_hessian at each lambda: 4 steps each
+        self.fail_on(monkeypatch, trainers, "output_rows", 12, errors.SingularMatrix)
+        argv = ["ablate", "lambda", "--lambdas", "0.5,3", "--steps", "4", "--batch", "6",
+                "--n", "3"]
+        assert run_cli(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "numeric failure: nl_hessian lam 3 seed 0 step 4, damped solve: boom"
+
+    def test_a_config_error_keeps_its_message(self, monkeypatch, capsys):
+        self.fail_on(monkeypatch, trainers, "output_rows", 1, errors.ConfigError)
+        assert run_cli(QUICK_RANK) == 2
+        assert capsys.readouterr().err == "config error: boom\n"
+
+
 class TestCheckCli:
     def test_all_checks_pass(self, capsys):
         assert run_cli(["check", "grad"]) == 0

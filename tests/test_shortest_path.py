@@ -69,14 +69,6 @@ class TestGridInstance:
         with pytest.raises(ShapeMismatch, match=r"must be 2-D, no side empty$"):
             sp.GridInstance(np.ones(shape))
 
-    def test_shape_is_the_grid_s(self):
-        # a solve and the oracle read the grid's size from its costs alone
-        costs = np.array([[1.0, 9.0, 1.0], [1.0, 1.0, 1.0]])
-        wide, tall = sp.GridInstance(costs), sp.GridInstance(costs.T)
-        np.testing.assert_array_equal(sp.dijkstra_grid(wide), [[1, 0, 0], [1, 1, 1]])
-        np.testing.assert_array_equal(sp.dijkstra_grid(tall), [[1, 1], [0, 1], [0, 1]])
-        assert sp.brute_force_shortest(wide)[0] == sp.brute_force_shortest(tall)[0] == 4.0
-
     def test_finite_costs_whose_sum_overflows_are_accepted(self):
         costs = np.full((4, 4), 1e308)
         with np.errstate(over="raise"):
