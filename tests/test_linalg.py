@@ -45,8 +45,8 @@ class TestSolveTikhonov:
 
     @pytest.mark.parametrize("strict", [False, True], ids=["default", "warnings-as-errors"])
     def test_an_overflowing_matrix_fails_at_construction(self, strict):
-        # sym(M) overflows to inf, whose eigenvalues come back NaN; the solver
-        # used to be built and fail only at solve
+        # sym(M) overflows to inf, whose eigenvalues come back NaN: named when
+        # the solver is built, not at its first solve
         with warnings.catch_warnings():
             if strict:
                 warnings.simplefilter("error")

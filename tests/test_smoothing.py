@@ -368,8 +368,8 @@ STACKED_PAIRS = [
 STACKED_IDS = ["grad", "hessian", "jacobian", "fy"]
 
 
-# any seed holds now; with `** 2` on each side, seed 72 failed (jacobian):
-# one probed point's square differed by an ulp that reached the mean
+# at seed 72 a probed point's scalar `** 2` differs from x * x by an ulp
+# that reaches the jacobian pair's mean
 @pytest.mark.parametrize("seed", [21, 30, 31, 32, 33, 72])
 @pytest.mark.parametrize("estimate,per_point,rows", STACKED_PAIRS, ids=STACKED_IDS)
 def test_a_stacked_black_box_gives_the_per_point_estimate_bit_for_bit(
