@@ -4,10 +4,12 @@ The goldens and stepbench's digests hash reports, whose metric percentages
 over 128 held-out records rarely see a small change in arithmetic.  These
 locks hash what the training loop hands on at each step instead: the loss
 gradient rows of `trainers.output_grads`, its curvature where there is one,
-and the rows `trainers.output_rows` sends into the backward pass.  Both
-functions are wrapped around a 3-step `run_experiment` at seed 0, for every
-(task, method, mode) cell: rank at n=5 and n=10 (4 methods x 3 modes) and
-path at 4x4 (ss_loss x3, ss_algorithm x2, fy x3), 32 cells.
+and the rows `trainers.output_rows` sends into the backward pass (DIGESTS);
+and, in a second table, the parameter gradient vector `net.backward` makes
+of those rows (BACKWARD_DIGESTS).  The functions are wrapped around a
+3-step `run_experiment` at seed 0, for every (task, method, mode) cell:
+rank at n=5 and n=10 (4 methods x 3 modes) and path at 4x4 (ss_loss x3,
+ss_algorithm x2, fy x3), 32 cells.
 
 Like `test_diffsort.py::TestRankingLoss::test_bytes_locked`, the digests
 record this host's kernels as well as the code: the BLAS kernel (the small
@@ -23,6 +25,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from newtonbench import net
 from newtonbench.bench import trainers
 
 STEPS = 3
@@ -95,6 +98,74 @@ DIGESTS = {
         "ff61e934119b24e225a810e054db807f6a386ea8bacb86a4d3fee5e34f782709",
 }
 
+# sha256 over steps 1-3 of each cell: the vector net.backward returns
+BACKWARD_DIGESTS = {
+    "path-fy-4x4-baseline":
+        "9f8e6efbcac8ba067f643925240a77569aa7a0c0de6ea2850060021cc866668a",
+    "path-fy-4x4-nl_fisher":
+        "f35effeb73cb15d9ecd582bb442c8baa684eb60fddc7021ed1962e690af56225",
+    "path-fy-4x4-nl_hessian":
+        "0d0543bac3faf934f72209d6ce273255c4d899d9993f4adafd6b89ff73ada930",
+    "path-ss_algorithm-4x4-baseline":
+        "de638bb4d78d207a7892696ea0646fc0effa3e2d7b9857419b36b3758869baec",
+    "path-ss_algorithm-4x4-nl_fisher":
+        "1d0752b9801fbfe5550a96653111d184ab6cfbdb0d42b53c2345a3d5a0ac0aea",
+    "path-ss_loss-4x4-baseline":
+        "f7e3acd019ec6246dd2cf9c3232492c6f072ba4086d9b03f85f4b6ef0757295e",
+    "path-ss_loss-4x4-nl_fisher":
+        "2ba8711ff7b4552c25649ed6723e2e232bd4862c4d70a8e31e34ca1c65d58c41",
+    "path-ss_loss-4x4-nl_hessian":
+        "8dba14fea368a5a5c351058e4bd617c833c01f5ae2eaba7341a263a3605cd147",
+    "rank-dsn_cauchy-n10-baseline":
+        "5cc5912c8a3410e666e95a91139fdf18461d77186f1a43da953d33afb6c1d66c",
+    "rank-dsn_cauchy-n10-nl_fisher":
+        "8f307207221844ae812e327da83f8ea179e4b86fc5ad9ac01a32214d276ba62b",
+    "rank-dsn_cauchy-n10-nl_hessian":
+        "9261e9157723a39d08b1dd4880182ecd3611c6fba74661345b24d3c8c032ed53",
+    "rank-dsn_cauchy-n5-baseline":
+        "31206560440c169af21d4d8d87d56c436c28cee05b09d3e72e7c826b31006200",
+    "rank-dsn_cauchy-n5-nl_fisher":
+        "1ce692690f831807a93e15195d4288aed97de32780921244352d76c36716a2a3",
+    "rank-dsn_cauchy-n5-nl_hessian":
+        "aba6b8c947329e45e650d822a1c449aa18235f27707e75625faa5af359af4090",
+    "rank-dsn_logistic-n10-baseline":
+        "aede0988dd4ca30fff0f147bd27b274bc872060d02d15b30bea5b80d55595cab",
+    "rank-dsn_logistic-n10-nl_fisher":
+        "3eef5d1a1bba052b7fb12339a96d9039532a75ffe68cf9d2e4d51bc0a16b4162",
+    "rank-dsn_logistic-n10-nl_hessian":
+        "700c78dd45da7cf278d0f4e91162b9dd9a56fba8b8f8046fa1b5f4b033499eae",
+    "rank-dsn_logistic-n5-baseline":
+        "6433d827725bda9b29d066170e936dd53f24776653225c0c75fcc4bf4fe6a084",
+    "rank-dsn_logistic-n5-nl_fisher":
+        "efa9b624384c987d8c9ce06a42891647b89c66c1c460ffafc0b20aba0cb7ba3b",
+    "rank-dsn_logistic-n5-nl_hessian":
+        "b9d6aec06983f237ccb04fb20a31147bf0fdb759385e7a0bdf596dd8aeeed116",
+    "rank-neuralsort-n10-baseline":
+        "5c46163d2bdbd543b7b6ad7751aba78be8604e2f21b0acdda36812d664af24fb",
+    "rank-neuralsort-n10-nl_fisher":
+        "5fe160b13f6d11f22e206aea7e64fd9da1a51cf77339ed72eb2acf1f1fcccf0c",
+    "rank-neuralsort-n10-nl_hessian":
+        "d92aab55bee8070160a9c1352306739de0992241a935187fc9d8a09c6ec078f8",
+    "rank-neuralsort-n5-baseline":
+        "8d9d8971c14fe1ea526d77df30c18ed5ffee2c059e0fc8d5dfcb44b58be4bacc",
+    "rank-neuralsort-n5-nl_fisher":
+        "fa67f8df4c0b32dbe7ee15ac3b2d30a199e8a314c2234c0f8dd8e9876cc277c8",
+    "rank-neuralsort-n5-nl_hessian":
+        "7be4e1f041de1d5c32e65ad32986efe11e5d0acc5711e1e095e5bdb9cf4871ad",
+    "rank-softsort-n10-baseline":
+        "353763307ff02e243c83e26368312b2bf39e4e8dd352b01abe718b0ca0407eff",
+    "rank-softsort-n10-nl_fisher":
+        "13acff952c647af1181d73d9702955518833a33d9172e3f53bc0aa616da5c331",
+    "rank-softsort-n10-nl_hessian":
+        "5d731bbf7e3acb2629958c4964316ab7cf6d31c81813f8c3976f83728b4bb2ea",
+    "rank-softsort-n5-baseline":
+        "a0eed9f64a33eb08f6a20fc6ea09a63783ecae4f41cea6324cc3e5c5d67431a8",
+    "rank-softsort-n5-nl_fisher":
+        "a989a8704d59f1b2b236560d33f36c7f247d17c93e3b2e1f14c396e00c21ad25",
+    "rank-softsort-n5-nl_hessian":
+        "e96913fda704db867487a4f409953880c644baca80808eb38ad717daa1c8169e",
+}
+
 
 def _cells():
     for n in (5, 10):
@@ -132,11 +203,31 @@ def step_digest(monkeypatch, settings):
     return digest.hexdigest()
 
 
+def backward_digest(monkeypatch, settings):
+    """sha256 of the raw bytes of the gradient vector net.backward returns at steps 1-3."""
+    digest = hashlib.sha256()
+    backward = net.backward
+
+    def wrapped(model, tape, output_grads):
+        grad = backward(model, tape, output_grads)
+        digest.update(grad.tobytes())
+        return grad
+
+    monkeypatch.setattr(net, "backward", wrapped)
+    trainers.run_experiment(trainers.ExperimentConfig(**settings, seed=0, steps=STEPS))
+    return digest.hexdigest()
+
+
 def test_every_cell_is_locked():
     assert len(CELLS) == 32
-    assert sorted(DIGESTS) == sorted(CELLS)
+    assert sorted(DIGESTS) == sorted(BACKWARD_DIGESTS) == sorted(CELLS)
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_step_bytes_locked(cell, monkeypatch):
     assert step_digest(monkeypatch, CELLS[cell]) == DIGESTS[cell]
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_backward_bytes_locked(cell, monkeypatch):
+    assert backward_digest(monkeypatch, CELLS[cell]) == BACKWARD_DIGESTS[cell]
