@@ -1,7 +1,10 @@
 """Minimal feed-forward network with manual backprop and SGD/Adam.
 
-The model is a plain MLP on feature vectors. Forward records a tape of
-per-layer inputs and pre-activations; backward consumes it to produce
+The model is a plain MLP on feature vectors. Forward returns its output
+and a tape, the list [batch, a_1, ..., a_L] of the batch and each layer's
+activation. Backward reads each layer's input and, from its output, the
+activation's derivative (relu a > 0, tanh 1 - a^2, identity 1), so no
+pre-activation is kept and tanh is not recomputed. It returns the
 batch-averaged parameter gradients of the linearized loss
 (1/N) sum_i <output_grads[i], y[i]> as one vector laid out like the
 model's flat parameters, so SGD and Adam are each one vector update.
@@ -14,31 +17,14 @@ import numpy as np
 
 from .errors import ConfigError, NonFiniteResult, ShapeMismatch, checked, checked_real
 
-ACTIVATIONS = ("relu", "tanh", "identity")
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and floor
 
-
-def _act(name, z):
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "tanh":
-        return np.tanh(z)
-    return z
-
-
-def _act_deriv(name, z):
-    if name == "relu":
-        return (z > 0.0).astype(np.float64)
-    if name == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    return np.ones_like(z)
-
-
-@dataclass
-class ActivationTape:
-    inputs: list       # a_{l-1} per layer, inputs[0] is the batch
-    preacts: list      # z_l per layer
+# name -> (the activation, applied in place; its derivative from its output)
+_ACTIVATIONS = {
+    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda a: a > 0.0),
+    "tanh": (lambda z: np.tanh(z, out=z), lambda a: 1.0 - a * a),
+    "identity": (lambda z: z, np.ones_like),
+}
 
 
 class Mlp:
@@ -55,7 +41,7 @@ class Mlp:
             raise ShapeMismatch("layer lists must have equal, nonzero length")
         parts, self._shapes = [], []
         for idx, (W, b, act) in enumerate(zip(weights, biases, activations)):
-            if act not in ACTIVATIONS:
+            if act not in _ACTIVATIONS:
                 raise ConfigError(f"unknown activation {act!r}")
             # each layer takes the width the previous one emits
             W = checked(W, f"weights[{idx}]", (None, self._shapes[-1][0] if idx else None))
@@ -102,28 +88,27 @@ def clone_model(model):
 
 
 def forward(model, batch):
-    """Run the batch through the model, returning outputs and a tape."""
-    a = checked(batch, "batch", (None, model.weights[0].shape[1]))
-    inputs, preacts = [], []
+    """Run the batch through the model, returning outputs and the tape
+    [batch, a_1, ..., a_L]; the outputs are a_L, which backward reads."""
+    tape = [checked(batch, "batch", (None, model.weights[0].shape[1]))]
     for W, b, act in zip(model.weights, model.biases, model.activations):
-        inputs.append(a)
-        z = a @ W.T + b
-        preacts.append(z)
-        a = _act(act, z)
-    if not np.all(np.isfinite(a)):
+        z = tape[-1] @ W.T
+        z += b  # the bias and the activation write into the fresh product
+        tape.append(_ACTIVATIONS[act][0](z))
+    if not np.all(np.isfinite(tape[-1])):
         raise NonFiniteResult("forward pass produced non-finite outputs")
-    return a, ActivationTape(inputs=inputs, preacts=preacts)
+    return tape[-1], tape
 
 
 def backward(model, tape, output_grads):
     """Parameter gradients of (1/N) sum_i <output_grads[i], y[i]>."""
-    n = tape.inputs[0].shape[0]
+    n = tape[0].shape[0]
     delta = checked(output_grads, "output_grads", (n, model.weights[-1].shape[0])) / n
     grad = np.empty_like(model.flat)
     grads_w, grads_b = model.layer_views(grad)
     for l in range(len(model.weights) - 1, -1, -1):
-        delta = delta * _act_deriv(model.activations[l], tape.preacts[l])
-        grads_w[l][...] = delta.T @ tape.inputs[l]
+        delta = delta * _ACTIVATIONS[model.activations[l]][1](tape[l + 1])
+        grads_w[l][...] = delta.T @ tape[l]
         grads_b[l][...] = delta.sum(axis=0)
         if l > 0:
             delta = delta @ model.weights[l]
