@@ -184,6 +184,72 @@ class TestBackward:
             assert abs(analytic[j] - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
+
+# each activation and its derivative, written from the pre-activation z
+ACTIVATION_OF = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh, "identity": lambda z: z}
+DERIVATIVE_OF = {"relu": lambda z: z > 0, "tanh": lambda z: 1 - np.tanh(z) ** 2, "identity": np.ones_like}
+
+
+def backward_from_preacts(model, x, preacts, g):
+    """backward's vector, by the textbook rule that keeps every pre-activation."""
+    inputs = [x] + [ACTIVATION_OF[act](z) for act, z in zip(model.activations, preacts)]
+    delta = g / len(x)
+    gw, gb = [None] * len(preacts), [None] * len(preacts)
+    for l in range(len(preacts) - 1, -1, -1):
+        delta = delta * DERIVATIVE_OF[model.activations[l]](preacts[l])
+        gw[l], gb[l] = delta.T @ inputs[l], delta.sum(axis=0)
+        if l > 0:
+            delta = delta @ model.weights[l]
+    return layout(gw, gb)
+
+
+@pytest.mark.parametrize("act", sorted(ACTIVATION_OF))
+class TestDerivativeFromOutputs:
+    """backward reads each layer's derivative from the layer's output; these
+    compare its vector, byte for byte, with the rule on pre-activations."""
+
+    def model(self, act):
+        W0 = [[1.0, 0.5, -0.25], [-1.0, 2.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.5, 0.5]]
+        W1 = [[0.5, -1.0, 0.25, 2.0], [0.0, 0.0, 0.0, 0.0]]
+        return net.Mlp([W0, W1], [np.zeros(4), [0.1, 0.0]], [act, act])
+
+    def test_forward_tape_at_zero_signed_and_saturated_preacts(self, act):
+        model = self.model(act)
+        x = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.5], [30.0, 10.0, -40.0], [-1.0, 0.5, 2.0]])
+        g = np.random.default_rng(4).standard_normal((4, 2))
+        z1 = x @ model.weights[0].T + model.biases[0]
+        z2 = ACTIVATION_OF[act](z1) @ model.weights[1].T + model.biases[1]
+        # +0.0, both signs and |z| > 20 (tanh is exactly +-1 there) in the hidden layer
+        assert (z1 == 0).any() and (z1 < 0).any() and (z1 > 0).any() and (abs(z1) > 20).any()
+        assert (z2 == 0).any()
+        y, tape = net.forward(model, x)
+        assert [a.tobytes() for a in tape] == [
+            a.tobytes() for a in (x, ACTIVATION_OF[act](z1), ACTIVATION_OF[act](z2))
+        ]
+        assert y is tape[-1]
+        expected = backward_from_preacts(model, x, [z1, z2], g)
+        assert net.backward(model, tape, g).tobytes() == expected.tobytes()
+
+    def test_a_tape_holding_negative_zero_preacts(self, act):
+        # forward makes -0.0 only where x @ W.T and the bias are both -0.0,
+        # which BLAS's zeroed accumulators do not give, so the tape is built here
+        model = self.model(act)
+        x = np.random.default_rng(5).standard_normal((3, 3))
+        z1 = np.array([[-0.0, 0.0, -1.5, 25.0], [0.0, -0.0, 2.0, -25.0], [-0.0, -3.0, 0.5, 0.0]])
+        z2 = np.array([[-0.0, 0.0], [0.0, -0.0], [-21.0, 0.75]])
+        tape = [x, ACTIVATION_OF[act](z1), ACTIVATION_OF[act](z2)]
+        g = np.random.default_rng(6).standard_normal((3, 2))
+        expected = backward_from_preacts(model, x, [z1, z2], g)
+        assert net.backward(model, tape, g).tobytes() == expected.tobytes()
+
+    def test_forward_leaves_the_batch_and_the_parameters_untouched(self, act):
+        for model in (self.model(act), net.Mlp([np.eye(3)], [np.zeros(3)], [act])):
+            x = np.array([[0.5, -2.0, 3.0], [-0.0, 25.0, -25.0]])
+            x_bytes, flat_bytes = x.tobytes(), model.flat.tobytes()
+            _, tape = net.forward(model, x)
+            net.backward(model, tape, np.ones((2, model.sizes[-1])))
+            assert x.tobytes() == x_bytes and model.flat.tobytes() == flat_bytes
+
 class TestOptimizer:
     def test_sgd_basic_step(self):
         model = net.Mlp([np.array([[1.0]])], [np.zeros(1)], ["identity"])

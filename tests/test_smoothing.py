@@ -142,6 +142,19 @@ class TestSmoothHessian:
         h = smoothing.smooth_hessian(f, np.array([0.1, 0.2, 0.3]), cfg)
         assert np.array_equal(h, h.T)
 
+    def test_symmetrized_where_the_draw_product_is_not(self):
+        # the black box above happens to give a symmetric sum of w_i e_i e_i^T;
+        # this one's differs from its transpose in the last bits
+        f = lambda y: float(np.exp(y[0]) * np.cos(y[1]) + y[2] * y[0])
+        cfg = SmoothingConfig(sigma=0.3, samples=64, seed=8)
+        y = np.array([0.4, -0.7, 1.1])
+        eps = smoothing._draws(cfg, 3)
+        w = np.array([f(p) for p in y + eps]) - f(y)
+        raw = (eps * w[:, None]).T @ eps
+        assert not np.array_equal(raw, raw.T)
+        h = smoothing.smooth_hessian(f, y, cfg)
+        assert np.array_equal(h, h.T)
+
 
 class TestSmoothJacobian:
     def test_constant_vector_exact_zero(self):
