@@ -23,82 +23,73 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PKG = "src/newtonbench/"
+# each module's test file, then the step locks and the goldens
 LOCKS = ("tests/test_step_locks.py", "tests/test_golden.py")
+NET, DIFFSORT, NEWTON, LINALG, SMOOTHING, SHORTEST_PATH, BENCH = (
+    (f"tests/test_{name}.py", *LOCKS)
+    for name in ("net", "diffsort", "newton", "linalg", "smoothing", "shortest_path", "bench")
+)
 
 MUTANTS = [
     # net: the derivative read from the output, the tape, the optimizer
-    (PKG + "net.py", "lambda a: a > 0.0", "lambda a: a >= 0.0", ("tests/test_net.py", *LOCKS)),
-    (PKG + "net.py", "lambda a: 1.0 - a * a", "lambda a: 1.0 - a", ("tests/test_net.py", *LOCKS)),
-    (PKG + "net.py", "(lambda z: z, np.ones_like)", "(lambda z: z, np.zeros_like)",
-     ("tests/test_net.py", *LOCKS)),
-    (PKG + "net.py", "z += b  #", "z -= b  #", ("tests/test_net.py", *LOCKS)),
-    (PKG + "net.py", "(tape[l + 1])", "(tape[l])", ("tests/test_net.py", *LOCKS)),
+    (PKG + "net.py", "lambda a: a > 0.0", "lambda a: a >= 0.0", NET),
+    (PKG + "net.py", "lambda a: 1.0 - a * a", "lambda a: 1.0 - a", NET),
+    (PKG + "net.py", "(lambda z: z, np.ones_like)", "(lambda z: z, np.zeros_like)", NET),
+    (PKG + "net.py", "z += b  #", "z -= b  #", NET),
+    (PKG + "net.py", "(tape[l + 1])", "(tape[l])", NET),
     (PKG + "net.py", "grads_b[l][...] = delta.sum(axis=0)", "grads_b[l][...] = delta.mean(axis=0)",
-     ("tests/test_net.py", *LOCKS)),
-    (PKG + "net.py", "bc2 = 1.0 - ADAM_BETA2 ** t", "bc2 = 1.0 - ADAM_BETA2 ** (t + 1)",
-     ("tests/test_net.py", *LOCKS)),
+     NET),
+    (PKG + "net.py", "bc2 = 1.0 - ADAM_BETA2 ** t", "bc2 = 1.0 - ADAM_BETA2 ** (t + 1)", NET),
     # diffsort
-    (PKG + "diffsort.py", "PROB_CLAMP = 1e-12", "PROB_CLAMP = 1e-10", ("tests/test_diffsort.py", *LOCKS)),
-    (PKG + "diffsort.py", "    ordered.sort(axis=1)\n", "", ("tests/test_diffsort.py", *LOCKS)),
-    (PKG + "diffsort.py", "g_v[j] -= pull", "g_v[j] += pull", ("tests/test_diffsort.py", *LOCKS)),
-    (PKG + "diffsort.py", "return s, c, s * c", "return s, c, s", ("tests/test_diffsort.py", *LOCKS)),
-    (PKG + "diffsort.py", "at = np.arctan(x) / np.pi", "at = np.arctan(x) / (2 * np.pi)",
-     ("tests/test_diffsort.py", *LOCKS)),
+    (PKG + "diffsort.py", "PROB_CLAMP = 1e-12", "PROB_CLAMP = 1e-10", DIFFSORT),
+    (PKG + "diffsort.py", "    ordered.sort(axis=1)\n", "", DIFFSORT),
+    (PKG + "diffsort.py", "g_v[j] -= pull", "g_v[j] += pull", DIFFSORT),
+    (PKG + "diffsort.py", "return s, c, s * c", "return s, c, s", DIFFSORT),
+    (PKG + "diffsort.py", "at = np.arctan(x) / np.pi", "at = np.arctan(x) / (2 * np.pi)", DIFFSORT),
     (PKG + "diffsort.py", 'q = truth.matrix[::-1] if cfg.method.startswith("dsn")',
-     'q = truth.matrix if cfg.method.startswith("dsn")', ("tests/test_diffsort.py", *LOCKS)),
+     'q = truth.matrix if cfg.method.startswith("dsn")', DIFFSORT),
     # newton
-    (PKG + "newton.py", "FD_STEP = np.cbrt(", "FD_STEP = np.sqrt(", ("tests/test_newton.py", *LOCKS)),
-    (PKG + "newton.py", "return grads, 0.5 * (h + h.T)", "return grads, h",
-     ("tests/test_newton.py", *LOCKS)),
+    (PKG + "newton.py", "FD_STEP = np.cbrt(", "FD_STEP = np.sqrt(", NEWTON),
+    (PKG + "newton.py", "return grads, 0.5 * (h + h.T)", "return grads, h", NEWTON),
     (PKG + "newton.py", "cols = (g[1 : m + 1] - g[m + 1 :]) / (2.0 * step)",
-     "cols = (g[1 : m + 1] - g[m + 1 :]) / step", ("tests/test_newton.py", *LOCKS)),
-    (PKG + "newton.py", "moment = len(g) * (g.T @ g)", "moment = g.T @ g",
-     ("tests/test_newton.py", *LOCKS)),
-    (PKG + "newton.py", "    diff = y - z\n", "    diff = z - y\n", ("tests/test_newton.py", *LOCKS)),
+     "cols = (g[1 : m + 1] - g[m + 1 :]) / step", NEWTON),
+    (PKG + "newton.py", "moment = len(g) * (g.T @ g)", "moment = g.T @ g", NEWTON),
+    (PKG + "newton.py", "    diff = y - z\n", "    diff = z - y\n", NEWTON),
     # linalg
-    (PKG + "linalg.py", "PIVOT_RTOL = 1e-12", "PIVOT_RTOL = 1e-9", ("tests/test_linalg.py", *LOCKS)),
-    (PKG + "linalg.py", "sym = 0.5 * (M + M.T)", "sym = M", ("tests/test_linalg.py", *LOCKS)),
-    (PKG + "linalg.py", "if mag.min() <= PIVOT_RTOL", "if mag.min() < PIVOT_RTOL",
-     ("tests/test_linalg.py", *LOCKS)),
-    (PKG + "linalg.py", "(G.T @ W).T / (n * lam * lam)", "(G.T @ W).T / (n * lam)",
-     ("tests/test_linalg.py", *LOCKS)),
+    (PKG + "linalg.py", "PIVOT_RTOL = 1e-12", "PIVOT_RTOL = 1e-9", LINALG),
+    (PKG + "linalg.py", "sym = 0.5 * (M + M.T)", "sym = M", LINALG),
+    (PKG + "linalg.py", "if mag.min() <= PIVOT_RTOL", "if mag.min() < PIVOT_RTOL", LINALG),
+    (PKG + "linalg.py", "(G.T @ W).T / (n * lam * lam)", "(G.T @ W).T / (n * lam)", LINALG),
     # smoothing
     (PKG + "smoothing.py", "axis=1) / c.samples / c.sigma**2\n    return",
-     "axis=1) / c.samples / c.sigma\n    return", ("tests/test_smoothing.py", *LOCKS)),
-    (PKG + "smoothing.py", "h = outer - mean_w", "h = outer + mean_w", ("tests/test_smoothing.py", *LOCKS)),
-    (PKG + "smoothing.py", "checked(0.5 * (h + h.swapaxes(1, 2)), ", "checked(h, ",
-     ("tests/test_smoothing.py", *LOCKS)),
+     "axis=1) / c.samples / c.sigma\n    return", SMOOTHING),
+    (PKG + "smoothing.py", "h = outer - mean_w", "h = outer + mean_w", SMOOTHING),
+    (PKG + "smoothing.py", "checked(0.5 * (h + h.swapaxes(1, 2)), ", "checked(h, ", SMOOTHING),
     (PKG + "smoothing.py", "mean = checked(np.add.reduce(vals, axis=1) / c.samples,",
-     "mean = checked(np.add.reduce(vals, axis=1) / (c.samples + 1),", ("tests/test_smoothing.py", *LOCKS)),
+     "mean = checked(np.add.reduce(vals, axis=1) / (c.samples + 1),", SMOOTHING),
     (PKG + "smoothing.py", "(y[:, None] + eps, y[:, None])", "(y[:, None] - eps, y[:, None])",
-     ("tests/test_smoothing.py", *LOCKS)),
+     SMOOTHING),
     # shortest_path
     (PKG + "shortest_path.py", "_PRED_ORDER = ((-1, 0), (0, -1),", "_PRED_ORDER = ((0, -1), (-1, 0),",
-     ("tests/test_shortest_path.py", *LOCKS)),
-    (PKG + "shortest_path.py", "d + cost[m] < dist[m]", "d + cost[m] <= dist[m]",
-     ("tests/test_shortest_path.py", *LOCKS)),
-    (PKG + "shortest_path.py", "MAX_ENUM_CELLS = 25", "MAX_ENUM_CELLS = 36",
-     ("tests/test_shortest_path.py", *LOCKS)),
+     SHORTEST_PATH),
+    (PKG + "shortest_path.py", "d + cost[m] < dist[m]", "d + cost[m] <= dist[m]", SHORTEST_PATH),
+    (PKG + "shortest_path.py", "MAX_ENUM_CELLS = 25", "MAX_ENUM_CELLS = 36", SHORTEST_PATH),
     (PKG + "shortest_path.py", "np.minimum.at(second, owner, far[-1, -1])",
-     "np.minimum.at(second, owner, far[-2, -1])", ("tests/test_shortest_path.py", *LOCKS)),
+     "np.minimum.at(second, owner, far[-2, -1])", SHORTEST_PATH),
     # trainers
     (PKG + "bench/trainers.py", "hess = np.add.reduce(hess, axis=0, initial=0.0) / n",
-     "hess = np.add.reduce(hess, axis=0, initial=0.0) / (n - 1)", ("tests/test_bench.py", *LOCKS)),
+     "hess = np.add.reduce(hess, axis=0, initial=0.0) / (n - 1)", BENCH),
     (PKG + "bench/trainers.py", "return n * newton.inject_fisher(", "return newton.inject_fisher(",
-     ("tests/test_bench.py", *LOCKS)),
-    (PKG + "bench/trainers.py", "curv = sig * (1.0 - sig)", "curv = sig * sig", ("tests/test_bench.py", *LOCKS)),
-    (PKG + "bench/trainers.py", "] -= g_scores * curv", "] += g_scores * curv",
-     ("tests/test_bench.py", *LOCKS)),
-    (PKG + "bench/trainers.py", "train = count - min(128,", "train = count - min(127,",
-     ("tests/test_bench.py", *LOCKS)),
+     BENCH),
+    (PKG + "bench/trainers.py", "curv = sig * (1.0 - sig)", "curv = sig * sig", BENCH),
+    (PKG + "bench/trainers.py", "] -= g_scores * curv", "] += g_scores * curv", BENCH),
+    (PKG + "bench/trainers.py", "train = count - min(128,", "train = count - min(127,", BENCH),
     # datagen
-    (PKG + "bench/datagen.py", "PATH_MARGIN = 0.05", "PATH_MARGIN = 0.04", ("tests/test_bench.py", *LOCKS)),
-    (PKG + "bench/datagen.py", "return 1.0 / max(1, n - 1)", "return 1.0 / max(1, n)",
-     ("tests/test_bench.py", *LOCKS)),
+    (PKG + "bench/datagen.py", "PATH_MARGIN = 0.05", "PATH_MARGIN = 0.04", BENCH),
+    (PKG + "bench/datagen.py", "return 1.0 / max(1, n - 1)", "return 1.0 / max(1, n)", BENCH),
     (PKG + "bench/datagen.py", "return np.logaddexp(0.0, raw) + COST_FLOOR", "return np.logaddexp(0.0, raw)",
-     ("tests/test_bench.py", *LOCKS)),
-    (PKG + "bench/datagen.py", "None if row_gap < gap else", "None if row_gap <= gap else",
-     ("tests/test_bench.py", *LOCKS)),
+     BENCH),
+    (PKG + "bench/datagen.py", "None if row_gap < gap else", "None if row_gap <= gap else", BENCH),
 ]
 
 EQUIVALENT = {
@@ -116,8 +107,8 @@ def run(file, old, new, tests):
     carrying the mutant."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = pathlib.Path(tmp, "repo")
-        junk = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".stepbench")
-        shutil.copytree(ROOT, copy, ignore=junk)
+        junk = (".git", "__pycache__", ".pytest_cache", ".hypothesis", ".stepbench")
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(*junk))
         target = copy / file
         target.write_text(target.read_text().replace(old, new))
         cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
@@ -139,10 +130,12 @@ def main(suffixes):
         if verdict == "survived" and why:
             verdict = "equivalent"
         failed += verdict not in ("killed", "equivalent")
-        print(f"{verdict:10} {file.removeprefix(PKG)}: {old.strip()!r} -> {new.strip()!r}", flush=True)
+        mutant = f"{file.removeprefix(PKG)}: {old.strip()!r} -> {new.strip()!r}"
+        print(f"{verdict:10} {mutant}", flush=True)
         if verdict == "equivalent":
             print(f"{'':10} {why}")
     return 1 if failed else 0
+
 
 if __name__ == "__main__":
     sys.exit(main(sys.argv[1:]))
