@@ -30,7 +30,8 @@ DEFAULT_LAMBDAS = "0.001,0.003,0.01,0.03,0.1,0.3,1,3,10,30,100,300,1000"
 
 def _emit(text, out):
     if out:
-        report.write_text(out, text)
+        with open(out, "w") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -130,8 +131,9 @@ def _cmd_ablate(args):
     ]
     finals = [rep.final["element_rank"] for rep in _run_all(cfgs, "lam")]
     k = len(lams)
-    columns = dict(baseline=finals[:1] * k, nl_hessian=finals[1 : k + 1], nl_fisher=finals[k + 1 :])
-    _emit(report.ablation_tsv(lams, columns), args.out)
+    # columns in name order: baseline's one final, then nl_fisher's, then nl_hessian's
+    rows = zip(lams, finals[:1] * k, finals[k + 1 :], finals[1 : k + 1])
+    _emit(report.tsv(["lambda", "baseline", "nl_fisher", "nl_hessian"], rows), args.out)
     return 0
 
 
@@ -165,7 +167,8 @@ def _cmd_slice(args):
         args.method, base, args.coord, args.lo, args.hi, args.steps,
         tau=args.tau, beta=args.beta, fisher_lambda=args.lam,
     )
-    _emit(slices.slice_tsv(table, args.coord), args.out)
+    header = [f"y{args.coord}"] + [f"g{j}" for j in range(base.size)]
+    _emit(report.tsv(header, table), args.out)
     return 0
 
 

@@ -87,33 +87,29 @@ def fmt(x):
     return format(x, FLOAT_FMT)
 
 
+def tsv(header, rows):
+    """A tab-separated table: the header, then one line per row.  A float cell
+    (np.float64 included) prints in FLOAT_FMT and any other cell with str, so
+    integers such as seeds and steps print every digit."""
+    return "".join(
+        "\t".join(fmt(v) if isinstance(v, float) else str(v) for v in line) + "\n"
+        for line in [header, *rows]
+    )
+
+
 def render_tsv(doc):
     """Flat plot-ready table: one row per (mode, seed, eval step)."""
-    metric_names = set()
-    for entry in doc["modes"].values():
-        for run in entry["seeds"]:
-            for point in run["curve"]:
-                metric_names.update(k for k in point if k != "step")
-    metrics = sorted(metric_names)
-    lines = ["\t".join(["mode", "seed", "step"] + metrics)]
-    for mode in sorted(doc["modes"]):
-        entry = doc["modes"][mode]
-        for run in entry["seeds"]:
-            for point in run["curve"]:
-                row = [mode, str(run["seed"]), str(point["step"])]
-                row += [fmt(point[m]) for m in metrics]
-                lines.append("\t".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def ablation_tsv(lambdas, columns):
-    """Combined ablation table: lambda plus one final-metric column per mode,
-    each column a list aligned with lambdas."""
-    names = sorted(columns)
-    lines = ["\t".join(["lambda"] + names)]
-    for row in zip(lambdas, *(columns[name] for name in names), strict=True):
-        lines.append("\t".join(fmt(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    points = [
+        (mode, run["seed"], point)
+        for mode in sorted(doc["modes"])
+        for run in doc["modes"][mode]["seeds"]
+        for point in run["curve"]
+    ]
+    metrics = sorted({k for *_, point in points for k in point if k != "step"})
+    rows = [
+        [mode, seed, point["step"], *(point[m] for m in metrics)] for mode, seed, point in points
+    ]
+    return tsv(["mode", "seed", "step", *metrics], rows)
 
 
 def _check(ok, rule):
@@ -165,8 +161,3 @@ def validate_report(doc):
             _check(_is_numbers(run["final"], 1), "final needs 1+ numbers in [0, 100]")
         _check(_is_numbers(entry["final_mean"], 1), "final_mean needs 1+ numbers in [0, 100]")
         _check(_is_numbers(entry["final_std"], 0, math.inf), "final_std needs numbers >= 0")
-
-
-def write_text(path, text):
-    with open(path, "w") as fh:
-        fh.write(text)

@@ -8,7 +8,6 @@ import numpy as np
 
 from .. import diffsort, newton
 from ..errors import ConfigError, checked_int, checked_real
-from .report import fmt
 
 
 def gradient_slice(method, y_base, coord, lo, hi, steps, tau=None, beta=None,
@@ -48,13 +47,3 @@ def gradient_slice(method, y_base, coord, lo, hi, steps, tau=None, beta=None,
         table[k, 0] = t
         table[k, 1:] = g
     return table
-
-
-def slice_tsv(table, coord):
-    """Plot-ready TSV with the swept coordinate first."""
-    n = table.shape[1] - 1
-    header = [f"y{coord}"] + [f"g{j}" for j in range(n)]
-    lines = ["\t".join(header)]
-    for row in table:
-        lines.append("\t".join(fmt(float(v)) for v in row))
-    return "\n".join(lines) + "\n"

@@ -1258,11 +1258,20 @@ class TestReportDocument:
             assert row[0] == "baseline"
             float(row[3]), float(row[4])  # parse with '.' decimals
 
+    def test_tsv_cells(self):
+        # a float, np.float64 among them, prints in FLOAT_FMT and any other
+        # cell with str, so a seed of 2**40 keeps every digit
+        rows = [[2**40, 0.1 + 0.2, np.float64(1 / 3)], ["a b", 1.0, 5]]
+        text = report.tsv(["seed", "x", "y"], rows)
+        assert text == "seed\tx\ty\n1099511627776\t0.3\t0.333333333333\na b\t1\t5\n"
+        assert all(line.endswith("\n") for line in text.splitlines(keepends=True))
+        assert report.tsv(["only"], iter([])) == "only\n"
+
     def test_ablation_tsv_lambda_column_verbatim(self):
         lambdas = [0.001, 0.1, 10.0, 1000.0]
-        text = report.ablation_tsv(
-            lambdas,
-            {"baseline": [80.0] * 4, "nl_hessian": [81.0, 82.0, 83.0, 80.5]},
+        text = report.tsv(
+            ["lambda", "baseline", "nl_hessian"],
+            zip(lambdas, [80.0] * 4, [81.0, 82.0, 83.0, 80.5]),
         )
         lines = text.strip().split("\n")
         assert lines[0].split("\t") == ["lambda", "baseline", "nl_hessian"]
@@ -1324,11 +1333,13 @@ class TestGradientSlice:
             )
             assert np.max(np.abs(inj[:, 1:])) <= raw_max
 
-    def test_slice_tsv_layout(self, monkeypatch):
+    def test_slice_tsv_layout(self, monkeypatch, capsys):
         self.stub(monkeypatch, np.ones_like)
-        table = slices.gradient_slice("neuralsort", np.zeros(2), 0, 0, 1, 3)
-        lines = slices.slice_tsv(table, 0).strip().split("\n")
-        assert lines[0].split("\t") == ["y0", "g0", "g1"]
+        argv = ["slice", "grad", "--coord", "1", "--base", "0,0", "--lo", "0", "--hi", "1",
+                "--steps", "3"]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0].split("\t") == ["y1", "g0", "g1"]
         assert lines[2].split("\t") == ["0.5", "1", "1"]
 
     def test_rejects_bad_sweeps(self):

@@ -616,7 +616,6 @@ EXEMPT = {
     ("net.Mlp.init", "seed"): "a SeedSequence or an int, handed to numpy's default_rng",
     ("net.OptimizerState", "lr"): "the optimizer's running state; OptimizerState.create checks lr",
     ("bench.datagen.Dataset", "seed"): "a record of what the generator or loader checked",
-    ("bench.slices.slice_tsv", "coord"): "only names the first column of a finished table",
 }
 SETTING_NAMES = {"lam", "lr", "eta", "sigma", "tau", "beta", "seed", "samples", "steps", "count",
                  "feature_dim", "fisher_lambda", "coord", "grids_per_size"}
