@@ -85,7 +85,13 @@ def _best_path(cost, h, w):
     strictly cheaper; when a cost is absorbed by a far larger sum, two
     neighbours pass the cost test for each other, and the settling order is
     what keeps the walk from bouncing between them.  The neighbour that last
-    relaxed a cell always qualifies, so the walk ends."""
+    relaxed a cell always qualifies, so the walk ends.
+
+    Each cell is pushed and settled once.  Costs are positive, so every push
+    is at least the distance just popped and pops come out in nondecreasing
+    order; a cell's first relaxation comes from its earliest-settled
+    neighbour, and since IEEE addition is monotone no later neighbour, and no
+    relaxation of a settled cell, passes the strict test."""
     n, nbrs = h * w, _neighbours(h, w)
     dist, rank = [np.inf] * n, [n] * n  # rank: settling order, n until settled
     dist[0] = cost[0]
@@ -93,11 +99,9 @@ def _best_path(cost, h, w):
     pop, push = heapq.heappop, heapq.heappush
     while heap:
         d, k = pop(heap)
-        if rank[k] < n:
-            continue
         rank[k], settled = settled, settled + 1
         for m in nbrs[k]:
-            if rank[m] == n and d + cost[m] < dist[m]:
+            if d + cost[m] < dist[m]:
                 dist[m] = d + cost[m]
                 push(heap, (dist[m], m))
     if dist[-1] == np.inf:
