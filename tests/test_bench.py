@@ -501,6 +501,10 @@ class TestConfigValidation:
                 cfg = trainers.ExperimentConfig(task="path", method=method, mode=mode)
                 assert cfg.lam >= 0.0
 
+    def test_rejects_an_unknown_mode(self):
+        with pytest.raises(ConfigError, match="^unknown mode 'newton'$"):
+            trainers.ExperimentConfig(task="rank", method="neuralsort", mode="newton")
+
     def test_rejects_task_method_mismatch(self):
         with pytest.raises(ConfigError):
             trainers.ExperimentConfig(task="rank", method="ss_loss")
@@ -1245,6 +1249,10 @@ class TestReportDocument:
         assert std["m"] == pytest.approx(np.std([10.0, 20.0], ddof=1))
         mean1, std1 = report.aggregate_finals(runs[:1])
         assert (mean1["m"], std1["m"]) == (10.0, 0.0)
+
+    def test_aggregate_refuses_no_runs(self):
+        with pytest.raises(ConfigError, match="^cannot aggregate an empty run list$"):
+            report.aggregate_finals([])
 
     def test_tsv_layout(self):
         echo, runs = self._runs()

@@ -200,6 +200,12 @@ class TestAblateCli:
         assert lines[0].split("\t") == ["lambda", "baseline", "nl_fisher", "nl_hessian"]
         assert [float(ln.split("\t")[0]) for ln in lines[1:]] == [0.5, 2.0, 8.0]
 
+    def test_rejects_a_grid_that_is_not_numbers(self, capsys):
+        assert run_cli(["ablate", "lambda", "--lambdas", "0.5,abc"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: expected a comma-separated float list, got '0.5,abc'\n"
+        )
+
     def test_rejects_descending_grid(self):
         code = run_cli(
             ["ablate", "lambda", "--lambdas", "3,1", "--steps", "5",
@@ -417,6 +423,12 @@ class TestExitCodes:
         monkeypatch.setattr(cli.checks, "check_grad", fail)
         assert run_cli(["check", "grad"]) == code
         assert capsys.readouterr().err.strip().endswith("boom")
+
+    def test_unknown_dataset_kind_is_2(self, tmp_path, capsys):
+        ds = tmp_path / "graph.jsonl"
+        ds.write_text(json.dumps({"kind": "graph", "n": 3, "feature_dim": 6, "seed": 0}) + "\n")
+        assert run_cli(QUICK_RANK + ["--data", str(ds)]) == 2
+        assert capsys.readouterr().err == f"config error: unrecognized dataset header in {ds}\n"
 
     def test_malformed_dataset_is_2(self, tmp_path, capsys):
         # rankings of length 2 in a file that declares n=3

@@ -8,7 +8,7 @@ from scipy.special import expit as scipy_expit
 
 from newtonbench import diffsort
 from newtonbench.diffsort import GroundTruthRanking, SortConfig
-from newtonbench.errors import ConfigError, ShapeMismatch
+from newtonbench.errors import ConfigError, NonFiniteResult, ShapeMismatch
 
 from oracles import central_diff_grad, rel_err, sorting_network_reference
 
@@ -321,3 +321,16 @@ class TestStochasticityInvariants:
             for family in ("logistic", "cauchy"):
                 p = diffsort.dsn_perm(y, beta=1e4, family=family).entries
                 assert np.max(np.abs(p - truth.matrix_ascending())) <= 1e-3
+
+
+class TestRefusals:
+    def test_truth_shorter_than_the_scores(self):
+        truth, cfg = GroundTruthRanking([0, 1]), SortConfig(method="neuralsort")
+        with pytest.raises(ShapeMismatch, match="^ranking over 2 elements, input has 3$"):
+            diffsort.ranking_loss(np.zeros(3), truth, cfg)
+
+    def test_neuralsort_overflow_is_non_finite(self):
+        with np.errstate(all="ignore"), pytest.raises(
+            NonFiniteResult, match="^neuralsort produced non-finite probabilities$"
+        ):
+            diffsort.neuralsort_perm([1e308, -1e308, 0.0], 1.0)

@@ -228,3 +228,18 @@ class TestFiniteDiffHessian:
     def test_wrong_shape_probe_raises(self):
         with pytest.raises(ShapeMismatch):
             one_row_hessian(lambda y: np.zeros(3), np.zeros(2))
+
+
+class TestRefusals:
+    def test_degenerate_inner_woodbury_system(self):
+        # three equal rows: G G^T has rank one, so the inner system is singular
+        want = r"^degenerate inner Woodbury system: eigenvalue \S+ below 1e-12 \* max\|eigenvalue\|"
+        with pytest.raises(SingularMatrix, match=want):
+            linalg.woodbury_solve(np.full((3, 2), 1e8), 1e-3, np.ones((1, 2)))
+
+    def test_overflowing_solve_is_non_finite(self):
+        solver = linalg.TikhonovSolver(1e-300 * np.eye(2), 0.0)
+        with np.errstate(all="ignore"), pytest.raises(
+            NonFiniteResult, match="^solve produced non-finite values$"
+        ):
+            solver.solve_mat(np.full((2, 1), 1e10))

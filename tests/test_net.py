@@ -326,3 +326,24 @@ class TestDeterminismAndCheckpoint:
         b = make_model([5, 8, 3], ["tanh", "identity"], seed=123)
         np.testing.assert_array_equal(net.get_flat_params(a), net.get_flat_params(b))
 
+
+class TestRefusals:
+    def test_unknown_activation(self):
+        with pytest.raises(ConfigError, match="^unknown activation 'sigmoid'$"):
+            net.Mlp([np.eye(2)], [np.zeros(2)], ["sigmoid"])
+
+    def test_one_activation_too_few(self):
+        with pytest.raises(ConfigError, match="^need one activation per layer$"):
+            net.Mlp.init([2, 3, 1], ["tanh"], 0)
+
+    def test_unknown_optimizer(self):
+        model = net.Mlp.init([2, 1], ["identity"], 0)
+        with pytest.raises(ConfigError, match="^unknown optimizer 'rmsprop'$"):
+            net.OptimizerState.create("rmsprop", 0.1, model)
+
+    def test_overflowing_forward_is_non_finite(self):
+        model = net.Mlp([np.full((1, 2), 1e308)], [np.zeros(1)], ["identity"])
+        with np.errstate(all="ignore"), pytest.raises(
+            NonFiniteResult, match="^forward pass produced non-finite outputs$"
+        ):
+            net.forward(model, np.ones((1, 2)))

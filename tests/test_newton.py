@@ -492,3 +492,11 @@ class TestBatchHessian:
         _, h = newton.batch_hessian(probe, np.zeros((2, 2)))
         assert np.array_equal(h, h.T)
         assert h[0, 1] == 0.5
+
+
+class TestSplitStepNewtonRefusals:
+    def test_two_outputs(self):
+        model = net.Mlp.init([2, 2], ["identity"], 0)
+        probe = newton.LossProbe(grad=lambda z: z)
+        with pytest.raises(ShapeMismatch, match="^newton split check wants scalar model output$"):
+            newton.split_step_check_newton(model, [0.5, 0.5], probe, 0.1)
