@@ -4,8 +4,10 @@ Each entry of MUTANTS is (file, old text, new text, tests): a one-line
 mutant of the package and the tier-1 test files meant to kill it.  For each
 entry the script copies the repository (without .git) to a temporary
 directory, replaces the old text there with the new, runs pytest on the
-files and prints "killed" when a test fails or "survived" when none does.
-EQUIVALENT names the entries no test can kill, each with the reason.
+files and prints "killed" when a test fails, "killed (timeout)" when the
+selection outlives TIMEOUT_S, or "survived" when no test fails.  The run's
+address space is capped at ADDRESS_SPACE.  EQUIVALENT names the entries no
+test can kill, each with the reason.
 
     python3 tests/mutants.py            # every entry, a few minutes
     python3 tests/mutants.py net.py     # the entries whose file ends so
@@ -16,6 +18,7 @@ old text occurs exactly once, so the list cannot rot.
 
 import os
 import pathlib
+import resource
 import shutil
 import subprocess
 import sys
@@ -23,6 +26,14 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PKG = "src/newtonbench/"
+# A mutant can loop forever: at `<=` in the heap Dijkstra's relaxation, two
+# cells whose sums absorb their costs re-push each other without end, and the
+# heap grows until the host's memory runs out.  The address-space cap turns
+# that into a MemoryError, which fails the test; every selection runs within
+# 512 MiB.  The timeout ends a loop that allocates nothing; it is fifteen times
+# the slowest selection's 20 s, room for a loaded host.
+ADDRESS_SPACE = 2 << 30  # bytes
+TIMEOUT_S = 300
 # each module's test file, then the step locks and the goldens
 LOCKS = ("tests/test_step_locks.py", "tests/test_golden.py")
 NET, DIFFSORT, NEWTON, LINALG, SMOOTHING, SHORTEST_PATH, BENCH = (
@@ -90,21 +101,25 @@ MUTANTS = [
     (PKG + "bench/datagen.py", "return np.logaddexp(0.0, raw) + COST_FLOOR", "return np.logaddexp(0.0, raw)",
      BENCH),
     (PKG + "bench/datagen.py", "None if row_gap < gap else", "None if row_gap <= gap else", BENCH),
+    # report: the one TSV writer, which the TSV goldens print through
+    (PKG + "bench/report.py", "fmt(v) if isinstance(v, float)", "fmt(v) if isinstance(v, int)",
+     BENCH),
 ]
 
 EQUIVALENT = {
-    (PKG + "shortest_path.py", "d + cost[m] < dist[m]"):
-        "a tie rewrites dist[m] with its own value and pushes a copy of a heap "
-        "entry, popped after m settles and skipped; the settle order is unchanged",
     (PKG + "bench/datagen.py", "None if row_gap < gap else"):
         "a normal draw's least latent gap equals 1/(n-1) exactly with probability "
         "0, and the seeded draws keep no other record at either comparison",
 }
 
 
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
 def run(file, old, new, tests):
     """pytest's exit code on the selection, in a copy of the repository
-    carrying the mutant."""
+    carrying the mutant, or None when it outlives TIMEOUT_S."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = pathlib.Path(tmp, "repo")
         junk = (".git", "__pycache__", ".pytest_cache", ".hypothesis", ".stepbench")
@@ -113,7 +128,11 @@ def run(file, old, new, tests):
         target.write_text(target.read_text().replace(old, new))
         cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
-        return subprocess.run(cmd, cwd=copy, env=env, capture_output=True).returncode
+        try:
+            return subprocess.run(cmd, cwd=copy, env=env, capture_output=True,
+                                  timeout=TIMEOUT_S, preexec_fn=_cap_address_space).returncode
+        except subprocess.TimeoutExpired:
+            return None
 
 
 def main(suffixes):
@@ -125,11 +144,12 @@ def main(suffixes):
             continue
         code = run(file, old, new, tests)
         # 1: a test failed; 2: collection failed (the mutant does not import)
-        verdict = "killed" if code in (1, 2) else "survived" if code == 0 else f"pytest exit {code}"
+        verdict = ("killed (timeout)" if code is None else "killed" if code in (1, 2)
+                   else "survived" if code == 0 else f"pytest exit {code}")
         why = EQUIVALENT.get((file, old))
         if verdict == "survived" and why:
             verdict = "equivalent"
-        failed += verdict not in ("killed", "equivalent")
+        failed += verdict not in ("killed", "killed (timeout)", "equivalent")
         mutant = f"{file.removeprefix(PKG)}: {old.strip()!r} -> {new.strip()!r}"
         print(f"{verdict:10} {mutant}", flush=True)
         if verdict == "equivalent":
